@@ -9,7 +9,7 @@
 //	lscrbench -exp parallel         # index-build + query-fanout speedup
 //	lscrbench -exp parallel-json    # same, as BENCH_parallel.json
 //	lscrbench -exp throughput -concurrency 8
-//	                                # end-to-end QPS through Engine.ReachBatch
+//	                                # end-to-end QPS through Engine.QueryBatch
 //	lscrbench -exp cachespeedup     # warm-vs-cold constraint-cache QPS
 //	lscrbench -exp cachespeedup-json# same, as BENCH_cache.json
 //	lscrbench -exp serverclient     # typed client → live lscrd /v1 QPS
@@ -69,7 +69,7 @@ func main() {
 		scale       = flag.Int("scale", 1, "dataset scale multiplier")
 		queries     = flag.Int("queries", 15, "queries per true/false group (paper: 1000)")
 		seed        = flag.Int64("seed", 1, "workload and generator seed")
-		concurrency = flag.Int("concurrency", 0, "throughput mode: ReachBatch fan-out (0 = all cores)")
+		concurrency = flag.Int("concurrency", 0, "throughput mode: QueryBatch fan-out (0 = all cores)")
 		schedules   = flag.Int("schedules", 50, "chaos mode: deterministic fault schedules to run")
 		edges       = flag.Int("edges", bench.DefaultScaleEdges, "scale mode: generated KG edge target")
 		showVersion = flag.Bool("version", false, "print version and exit")

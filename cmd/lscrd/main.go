@@ -2,8 +2,8 @@
 //
 //	lscrd -data /var/lib/lscr -kg graph.nt -addr :8080
 //
-// The endpoints — /v1/query, /v1/batch, /v1/mutate, /healthz, plus the
-// deprecated pre-v1 routes — are implemented by package lscr/server;
+// The endpoints — /v1/query, /v1/batch, /v1/mutate, /select, /healthz
+// and the replication feed — are implemented by package lscr/server;
 // this command only provisions the engine and manages the listener
 // lifecycle.
 //

@@ -3,7 +3,7 @@
 //
 //	lscrgw -writer http://w:8080 -replica http://r1:8081 -replica http://r2:8082 -addr :8000
 //
-// Reads (/v1/query, /v1/batch, legacy routes) are routed across
+// Reads (/v1/query, /v1/batch, /select) are routed across
 // healthy, fresh replicas — a per-replica circuit breaker fed by
 // background /healthz probes and in-band forwarding results takes
 // failing replicas out of rotation, and a hedged second attempt bounds

@@ -7,6 +7,7 @@ package lscr
 // pass stays fast.
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -25,9 +26,9 @@ var stressConstraints = []string{
 	`SELECT ?x WHERE { ?x <l0> ?y. ?y <l1> ?z. }`,
 }
 
-// stressWorkload builds a deterministic mixed-algorithm query set over a
-// random KG.
-func stressWorkload(rng *rand.Rand, nVertices, count int) []Query {
+// stressWorkload builds a deterministic mixed-algorithm request set over
+// a random KG.
+func stressWorkload(rng *rand.Rand, nVertices, count int) []Request {
 	algos := []Algorithm{INS, UIS, UISStar}
 	labelSets := [][]string{
 		nil, // all labels
@@ -35,9 +36,9 @@ func stressWorkload(rng *rand.Rand, nVertices, count int) []Query {
 		{"l0", "l1", "l2"},
 		{"l1", "l2", "l3"},
 	}
-	qs := make([]Query, count)
+	qs := make([]Request, count)
 	for i := range qs {
-		qs[i] = Query{
+		qs[i] = Request{
 			Source:     "u" + strconv.Itoa(rng.Intn(nVertices)),
 			Target:     "u" + strconv.Itoa(rng.Intn(nVertices)),
 			Labels:     labelSets[rng.Intn(len(labelSets))],
@@ -49,10 +50,12 @@ func stressWorkload(rng *rand.Rand, nVertices, count int) []Query {
 }
 
 // TestEngineConcurrentStress hammers a single Engine with mixed
-// Reach/ReachWithWitness/ReachAll/ReachAllWithWitness calls from many
-// goroutines and checks every answer against a serial baseline. Run it
-// under -race to prove the pooled scratch keeps goroutines disjoint.
+// single-constraint and conjunctive Query calls, with and without
+// witnesses, from many goroutines and checks every answer against a
+// serial baseline. Run it under -race to prove the pooled scratch keeps
+// goroutines disjoint.
 func TestEngineConcurrentStress(t *testing.T) {
+	ctx := context.Background()
 	rng := rand.New(rand.NewSource(7))
 	const nVertices = 60
 	g := testkg.Random(rng, nVertices, 220, 4)
@@ -61,13 +64,13 @@ func TestEngineConcurrentStress(t *testing.T) {
 	qs := stressWorkload(rng, nVertices, 48)
 
 	// Serial ground truth per operation kind. A single-constraint
-	// conjunction is semantically the plain query, so Reach and ReachAll
-	// must agree on it.
+	// conjunction is semantically the plain query, so the conjunctive
+	// search must agree with the selected algorithm on it.
 	reachWant := make([]bool, len(qs))
 	for i, q := range qs {
-		res, err := eng.Reach(q)
+		res, err := eng.Query(ctx, q)
 		if err != nil {
-			t.Fatalf("serial Reach %d: %v", i, err)
+			t.Fatalf("serial Query %d: %v", i, err)
 		}
 		reachWant[i] = res.Reachable
 	}
@@ -82,43 +85,15 @@ func TestEngineConcurrentStress(t *testing.T) {
 			defer wg.Done()
 			for r := 0; r < rounds; r++ {
 				for i, q := range qs {
-					var (
-						got bool
-						err error
-					)
-					switch (gi + r + i) % 4 {
-					case 0:
-						var res Result
-						res, err = eng.Reach(q)
-						got = res.Reachable
-					case 1:
-						var res Result
-						var p *Path
-						res, p, err = eng.ReachWithWitness(q)
-						got = res.Reachable
-						if err == nil && got && p == nil {
-							err = fmt.Errorf("true answer without witness")
-						}
-					case 2:
-						var res Result
-						res, err = eng.ReachAll(MultiQuery{
-							Source: q.Source, Target: q.Target,
-							Labels:      q.Labels,
-							Constraints: []string{q.Constraint},
-						})
-						got = res.Reachable
-					case 3:
-						var res Result
-						var mp *MultiPath
-						res, mp, err = eng.ReachAllWithWitness(MultiQuery{
-							Source: q.Source, Target: q.Target,
-							Labels:      q.Labels,
-							Constraints: []string{q.Constraint},
-						})
-						got = res.Reachable
-						if err == nil && got && mp == nil {
-							err = fmt.Errorf("true conjunctive answer without witness")
-						}
+					kind := (gi + r + i) % 4
+					if kind >= 2 {
+						q.Algorithm = Conjunctive
+					}
+					q.WantWitness = kind%2 == 1
+					res, err := eng.Query(ctx, q)
+					got := res.Reachable
+					if err == nil && got && q.WantWitness && res.Witness == nil {
+						err = fmt.Errorf("true %v answer without witness", q.Algorithm)
 					}
 					if err != nil {
 						errc <- fmt.Errorf("goroutine %d round %d query %d: %v", gi, r, i, err)
@@ -143,6 +118,7 @@ func TestEngineConcurrentStress(t *testing.T) {
 // TestReachBatchMatchesSerial: a batch at any fan-out returns exactly
 // the serial results, including per-query errors in their slots.
 func TestReachBatchMatchesSerial(t *testing.T) {
+	ctx := context.Background()
 	rng := rand.New(rand.NewSource(11))
 	const nVertices = 50
 	g := testkg.Random(rng, nVertices, 180, 4)
@@ -155,12 +131,12 @@ func TestReachBatchMatchesSerial(t *testing.T) {
 	qs[11].Labels = []string{"no-such-label"}
 	qs[17].Constraint = "garbage ("
 
-	serial := make([]BatchResult, len(qs))
+	serial := make([]QueryOutcome, len(qs))
 	for i, q := range qs {
-		serial[i].Result, serial[i].Err = eng.Reach(q)
+		serial[i].Response, serial[i].Err = eng.Query(ctx, q)
 	}
 	for _, conc := range []int{0, 1, 3, 16} {
-		got := eng.ReachBatch(qs, conc)
+		got := eng.QueryBatch(ctx, qs, BatchOptions{Concurrency: conc})
 		if len(got) != len(qs) {
 			t.Fatalf("concurrency %d: %d results for %d queries", conc, len(got), len(qs))
 		}
@@ -171,30 +147,31 @@ func TestReachBatchMatchesSerial(t *testing.T) {
 			if got[i].Err != nil {
 				continue
 			}
-			if got[i].Result.Reachable != serial[i].Result.Reachable ||
-				got[i].Result.SatisfyingVertices != serial[i].Result.SatisfyingVertices {
+			if got[i].Response.Reachable != serial[i].Response.Reachable ||
+				got[i].Response.SatisfyingVertices != serial[i].Response.SatisfyingVertices {
 				t.Fatalf("concurrency %d query %d: got %+v, want %+v",
-					conc, i, got[i].Result, serial[i].Result)
+					conc, i, got[i].Response, serial[i].Response)
 			}
 		}
 	}
-	if !errors.Is(eng.ReachBatch(qs[4:5], 1)[0].Err, ErrUnknownVertex) {
-		t.Error("unknown-vertex error lost its identity through ReachBatch")
+	if !errors.Is(eng.QueryBatch(ctx, qs[4:5], BatchOptions{Concurrency: 1})[0].Err, ErrUnknownVertex) {
+		t.Error("unknown-vertex error lost its identity through QueryBatch")
 	}
-	if out := eng.ReachBatch(nil, 4); len(out) != 0 {
+	if out := eng.QueryBatch(ctx, nil, BatchOptions{Concurrency: 4}); len(out) != 0 {
 		t.Errorf("empty batch returned %d results", len(out))
 	}
 }
 
-// TestReachBatchConcurrentCallers: ReachBatch itself may be invoked from
+// TestReachBatchConcurrentCallers: QueryBatch itself may be invoked from
 // several goroutines on one Engine (the lscrd server does exactly this).
 func TestReachBatchConcurrentCallers(t *testing.T) {
+	ctx := context.Background()
 	rng := rand.New(rand.NewSource(23))
 	const nVertices = 40
 	g := testkg.Random(rng, nVertices, 140, 4)
 	eng := NewEngine(FromGraph(g), Options{IndexSeed: 1})
 	qs := stressWorkload(rng, nVertices, 20)
-	want := eng.ReachBatch(qs, 1)
+	want := eng.QueryBatch(ctx, qs, BatchOptions{Concurrency: 1})
 
 	var wg sync.WaitGroup
 	errc := make(chan error, 8)
@@ -202,10 +179,10 @@ func TestReachBatchConcurrentCallers(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			got := eng.ReachBatch(qs, 2)
+			got := eng.QueryBatch(ctx, qs, BatchOptions{Concurrency: 2})
 			for i := range qs {
 				if (got[i].Err == nil) != (want[i].Err == nil) ||
-					got[i].Err == nil && got[i].Result.Reachable != want[i].Result.Reachable {
+					got[i].Err == nil && got[i].Response.Reachable != want[i].Response.Reachable {
 					errc <- fmt.Errorf("query %d diverged under concurrent batches", i)
 					return
 				}
@@ -220,13 +197,14 @@ func TestReachBatchConcurrentCallers(t *testing.T) {
 }
 
 // TestConstraintCacheConcurrentStress: many goroutines hammer one
-// cached Engine with a small pool of repeated constraints through Reach
-// and ReachBatch — the production shape the cache exists for. Run under
+// cached Engine with a small pool of repeated constraints through Query
+// and QueryBatch — the production shape the cache exists for. Run under
 // -race: concurrent misses publish racing (but equivalent) entries, and
 // hits share one immutable entry across goroutines. Afterwards the
-// counters must balance exactly: every successful Reach performs one
+// counters must balance exactly: every successful Query performs one
 // cache lookup.
 func TestConstraintCacheConcurrentStress(t *testing.T) {
+	ctx := context.Background()
 	rng := rand.New(rand.NewSource(41))
 	const nVertices = 60
 	g := testkg.Random(rng, nVertices, 220, 4)
@@ -235,9 +213,9 @@ func TestConstraintCacheConcurrentStress(t *testing.T) {
 	qs := stressWorkload(rng, nVertices, 40)
 	want := make([]bool, len(qs))
 	for i, q := range qs {
-		res, err := eng.Reach(q)
+		res, err := eng.Query(ctx, q)
 		if err != nil {
-			t.Fatalf("serial Reach %d: %v", i, err)
+			t.Fatalf("serial Query %d: %v", i, err)
 		}
 		want[i] = res.Reachable
 	}
@@ -254,7 +232,7 @@ func TestConstraintCacheConcurrentStress(t *testing.T) {
 			for r := 0; r < rounds; r++ {
 				if (gi+r)%2 == 0 {
 					for i, q := range qs {
-						res, err := eng.Reach(q)
+						res, err := eng.Query(ctx, q)
 						if err != nil {
 							errc <- fmt.Errorf("goroutine %d round %d query %d: %v", gi, r, i, err)
 							return
@@ -266,14 +244,14 @@ func TestConstraintCacheConcurrentStress(t *testing.T) {
 						}
 					}
 				} else {
-					for i, br := range eng.ReachBatch(qs, 4) {
+					for i, br := range eng.QueryBatch(ctx, qs, BatchOptions{Concurrency: 4}) {
 						if br.Err != nil {
 							errc <- fmt.Errorf("goroutine %d round %d batch query %d: %v", gi, r, i, br.Err)
 							return
 						}
-						if br.Result.Reachable != want[i] {
+						if br.Response.Reachable != want[i] {
 							errc <- fmt.Errorf("goroutine %d round %d batch query %d: got %v, want %v",
-								gi, r, i, br.Result.Reachable, want[i])
+								gi, r, i, br.Response.Reachable, want[i])
 							return
 						}
 					}
@@ -305,6 +283,7 @@ func TestConstraintCacheConcurrentStress(t *testing.T) {
 // answer an identical mixed-algorithm workload identically — Reachable,
 // SatisfyingVertices and error identity all match.
 func TestCacheAnswerIdentity(t *testing.T) {
+	ctx := context.Background()
 	rng := rand.New(rand.NewSource(59))
 	const nVertices = 50
 	g := testkg.Random(rng, nVertices, 180, 4)
@@ -323,8 +302,8 @@ func TestCacheAnswerIdentity(t *testing.T) {
 
 	for round := 0; round < 2; round++ { // round 1 runs cached fully warm
 		for i, q := range qs {
-			cr, cerr := cached.Reach(q)
-			ur, uerr := uncached.Reach(q)
+			cr, cerr := cached.Query(ctx, q)
+			ur, uerr := uncached.Query(ctx, q)
 			if (cerr == nil) != (uerr == nil) {
 				t.Fatalf("round %d query %d: cached err %v, uncached err %v", round, i, cerr, uerr)
 			}
@@ -354,10 +333,11 @@ func TestConstraintCacheEviction(t *testing.T) {
 	g := testkg.Random(rng, nVertices, 100, 4)
 	eng := NewEngine(FromGraph(g), Options{IndexSeed: 1, ConstraintCacheSize: 1})
 
-	q := Query{Source: "u0", Target: "u1"}
+	ctx := context.Background()
+	q := Request{Source: "u0", Target: "u1"}
 	reach := func(cons string) {
 		q.Constraint = cons
-		if _, err := eng.Reach(q); err != nil {
+		if _, err := eng.Query(ctx, q); err != nil {
 			t.Fatalf("%s: %v", cons, err)
 		}
 	}
@@ -378,7 +358,7 @@ func TestConstraintCacheEviction(t *testing.T) {
 	big := NewEngine(FromGraph(g), Options{IndexSeed: 1, ConstraintCacheSize: capacity})
 	for i := 0; i < nVertices; i++ {
 		q.Constraint = fmt.Sprintf(`SELECT ?x WHERE { ?x <l0> <u%d>. }`, i)
-		if _, err := big.Reach(q); err != nil {
+		if _, err := big.Query(ctx, q); err != nil {
 			t.Fatalf("distinct constraint %d: %v", i, err)
 		}
 		if st := big.CacheStats(); st.Entries > capacity {
@@ -394,6 +374,7 @@ func TestConstraintCacheEviction(t *testing.T) {
 // different IndexWorkers values must report identical index statistics
 // and answer a random workload identically.
 func TestEngineIndexWorkersDeterminism(t *testing.T) {
+	ctx := context.Background()
 	for _, seed := range []int64{1, 2, 3} {
 		rng := rand.New(rand.NewSource(seed))
 		const nVertices = 70
@@ -408,7 +389,7 @@ func TestEngineIndexWorkersDeterminism(t *testing.T) {
 		for i := range qs {
 			qs[i].Algorithm = INS // the index-dependent algorithm
 		}
-		refAns := ref.ReachBatch(qs, 1)
+		refAns := ref.QueryBatch(ctx, qs, BatchOptions{Concurrency: 1})
 		for _, workers := range []int{2, 4, 13} {
 			par := NewEngine(kg, Options{IndexSeed: seed, IndexWorkers: workers})
 			parStats, _ := par.Index()
@@ -416,11 +397,11 @@ func TestEngineIndexWorkersDeterminism(t *testing.T) {
 				t.Fatalf("seed %d workers %d: index stats %+v, want %+v",
 					seed, workers, parStats, refStats)
 			}
-			for i, br := range par.ReachBatch(qs, 4) {
+			for i, br := range par.QueryBatch(ctx, qs, BatchOptions{Concurrency: 4}) {
 				if br.Err != nil {
 					t.Fatalf("seed %d workers %d query %d: %v", seed, workers, i, br.Err)
 				}
-				if br.Result.Reachable != refAns[i].Result.Reachable {
+				if br.Response.Reachable != refAns[i].Response.Reachable {
 					t.Fatalf("seed %d workers %d query %d: answers diverge", seed, workers, i)
 				}
 			}

@@ -5,7 +5,7 @@ package lscr
 // (ISSUE acceptance: within 50 ms on a LUBM-scale graph), deadline
 // expiry must surface as context.DeadlineExceeded, and — the flip
 // side — a context that never fires must leave answers bit-identical
-// to the deprecated context-free methods.
+// to a non-cancellable one.
 
 import (
 	"context"
@@ -159,7 +159,7 @@ func TestQueryDeadlineExceeded(t *testing.T) {
 }
 
 // equivEngine is a modest shared fixture for the equivalence tests.
-func equivEngine(t *testing.T) (*Engine, []Query) {
+func equivEngine(t *testing.T) (*Engine, []Request) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(23))
 	const nVertices = 400
@@ -169,40 +169,39 @@ func equivEngine(t *testing.T) (*Engine, []Query) {
 }
 
 // zeroElapsed strips the only legitimately nondeterministic field.
-func zeroElapsed(r Result) Result {
+func zeroElapsed(r Response) Response {
 	r.Elapsed = 0
 	return r
 }
 
-// TestConcurrentQueryLegacyEquivalence: with a background context,
-// Query answers bit-identically to the deprecated Reach / ReachAll /
-// ReachWithWitness — and identically again through a cancellable (but
-// never cancelled) context, whose interrupt polling must not perturb
-// the search. Hammered from many goroutines so the race tier covers
-// the new paths.
+// TestConcurrentQueryLegacyEquivalence: a cancellable (but never
+// cancelled) context, whose interrupt polling is live in every hot
+// loop, must answer bit-identically — Reachable, Stats,
+// SatisfyingVertices and witness — to context.Background(), which
+// skips the polling entirely. Checked for single-constraint and
+// Conjunctive requests, hammered from many goroutines so the race tier
+// covers both paths.
 func TestConcurrentQueryLegacyEquivalence(t *testing.T) {
 	eng, qs := equivEngine(t)
 
-	// Serial ground truth via the deprecated wrappers.
-	type truth struct {
-		res   Result
-		path  *Path
-		all   Result
-		multi *MultiPath
+	// Every request twice: as generated, and as a one-constraint
+	// conjunction. Both ask for witnesses.
+	var reqs []Request
+	for _, q := range qs {
+		q.WantWitness = true
+		reqs = append(reqs, q)
+		q.Algorithm = Conjunctive
+		reqs = append(reqs, q)
 	}
-	want := make([]truth, len(qs))
-	for i, q := range qs {
-		res, path, err := eng.ReachWithWitness(q)
+
+	// Serial ground truth through the non-cancellable context.
+	want := make([]Response, len(reqs))
+	for i, req := range reqs {
+		resp, err := eng.Query(context.Background(), req)
 		if err != nil {
-			t.Fatalf("serial ReachWithWitness %d: %v", i, err)
+			t.Fatalf("serial Query %d: %v", i, err)
 		}
-		mq := MultiQuery{Source: q.Source, Target: q.Target, Labels: q.Labels,
-			Constraints: []string{q.Constraint}}
-		all, multi, err := eng.ReachAllWithWitness(mq)
-		if err != nil {
-			t.Fatalf("serial ReachAllWithWitness %d: %v", i, err)
-		}
-		want[i] = truth{res: zeroElapsed(res), path: path, all: zeroElapsed(all), multi: multi}
+		want[i] = zeroElapsed(resp)
 	}
 
 	// Never-fired cancellable context: Done() != nil, so the interrupt
@@ -217,36 +216,15 @@ func TestConcurrentQueryLegacyEquivalence(t *testing.T) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			for i, q := range qs {
+			for i, req := range reqs {
 				for _, ctx := range []context.Context{context.Background(), armed} {
-					req := q.request()
-					req.WantWitness = true
 					resp, err := eng.Query(ctx, req)
 					if err != nil {
 						errc <- err
 						return
 					}
-					if got := zeroElapsed(resp.result()); !reflect.DeepEqual(got, want[i].res) {
-						t.Errorf("worker %d query %d: Result %+v, want %+v", w, i, got, want[i].res)
-						return
-					}
-					if !reflect.DeepEqual(resp.Witness.ToPath(), want[i].path) {
-						t.Errorf("worker %d query %d: witness diverged", w, i)
-						return
-					}
-					mreq := Request{Source: q.Source, Target: q.Target, Labels: q.Labels,
-						Constraints: []string{q.Constraint}, Algorithm: Conjunctive, WantWitness: true}
-					mresp, err := eng.Query(ctx, mreq)
-					if err != nil {
-						errc <- err
-						return
-					}
-					if got := zeroElapsed(mresp.result()); !reflect.DeepEqual(got, want[i].all) {
-						t.Errorf("worker %d query %d: conjunctive Result %+v, want %+v", w, i, got, want[i].all)
-						return
-					}
-					if !reflect.DeepEqual(mresp.Witness.ToMultiPath(), want[i].multi) {
-						t.Errorf("worker %d query %d: conjunctive witness diverged", w, i)
+					if got := zeroElapsed(resp); !reflect.DeepEqual(got, want[i]) {
+						t.Errorf("worker %d request %d (%v): %+v, want %+v", w, i, req.Algorithm, got, want[i])
 						return
 					}
 				}
@@ -263,11 +241,7 @@ func TestConcurrentQueryLegacyEquivalence(t *testing.T) {
 // TestQueryBatchCancelUnscheduled: a batch whose context is already
 // cancelled runs nothing — every slot records ctx.Err().
 func TestQueryBatchCancelUnscheduled(t *testing.T) {
-	eng, qs := equivEngine(t)
-	reqs := make([]Request, len(qs))
-	for i, q := range qs {
-		reqs[i] = q.request()
-	}
+	eng, reqs := equivEngine(t)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	for i, o := range eng.QueryBatch(ctx, reqs, BatchOptions{Concurrency: 4}) {
@@ -286,7 +260,7 @@ func TestQueryBatchCancelMidFlight(t *testing.T) {
 	const batchSize = 4096
 	reqs := make([]Request, batchSize)
 	for i := range reqs {
-		reqs[i] = qs[i%len(qs)].request()
+		reqs[i] = qs[i%len(qs)]
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	time.AfterFunc(3*time.Millisecond, cancel)

@@ -2,7 +2,6 @@ package lscr_test
 
 import (
 	"context"
-	"fmt"
 	"math/rand"
 	"testing"
 
@@ -92,36 +91,6 @@ func TestConcurrentCSRLayoutEquivalence(t *testing.T) {
 		if labeled[i].Response.Reachable != again[i].Response.Reachable ||
 			labeled[i].Response.Stats != again[i].Response.Stats {
 			t.Errorf("request %d: labeled engine not deterministic across runs", i)
-		}
-	}
-}
-
-// TestConcurrentCSRLayoutEquivalenceLegacyReach pins the deprecated
-// wrapper surface to the same equivalence on a few spot queries, so the
-// v1 path is not the only one covered.
-func TestConcurrentCSRLayoutEquivalenceLegacyReach(t *testing.T) {
-	cfg := lubm.DefaultConfig(1)
-	cfg.Seed = 1
-	g := lubm.Generate(cfg)
-	opts := pub.Options{IndexSeed: 7, Landmarks: 32}
-	engLabeled := pub.NewEngine(pub.FromGraph(g), opts)
-	engFilter := pub.NewEngine(pub.FromGraph(g.WithoutLabelIndex()), opts)
-	consts := lubm.Constraints()
-	rng := rand.New(rand.NewSource(3))
-	for i := 0; i < 8; i++ {
-		q := pub.Query{
-			Source:     g.VertexName(graph.VertexID(rng.Intn(g.NumVertices()))),
-			Target:     g.VertexName(graph.VertexID(rng.Intn(g.NumVertices()))),
-			Constraint: consts[i%len(consts)].SPARQL,
-			Algorithm:  pub.Algorithm(i % 3),
-		}
-		lr, lerr := engLabeled.Reach(q)
-		fr, ferr := engFilter.Reach(q)
-		if (lerr == nil) != (ferr == nil) {
-			t.Fatalf("query %d: error mismatch %v vs %v", i, lerr, ferr)
-		}
-		if lerr == nil && (lr.Reachable != fr.Reachable || lr.Stats != fr.Stats) {
-			t.Errorf("query %d: %s", i, fmt.Sprintf("labeled %+v != filter %+v", lr, fr))
 		}
 	}
 }

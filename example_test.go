@@ -1,6 +1,7 @@
 package lscr_test
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"strings"
@@ -17,13 +18,13 @@ const exampleKG = `
 <SuspectC> <transfer2019-05> <SuspectP> .
 `
 
-func ExampleEngine_Reach() {
+func ExampleEngine_Query() {
 	kg, err := lscr.Load(strings.NewReader(exampleKG))
 	if err != nil {
 		log.Fatal(err)
 	}
 	eng := lscr.NewEngine(kg, lscr.Options{})
-	res, err := eng.Reach(lscr.Query{
+	resp, err := eng.Query(context.Background(), lscr.Request{
 		Source: "SuspectC", Target: "SuspectP",
 		Labels:     []string{"transfer2019-04", "married-to"},
 		Constraint: `SELECT ?x WHERE { ?x <married-to> <Amy>. }`,
@@ -31,26 +32,27 @@ func ExampleEngine_Reach() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Println(res.Reachable)
+	fmt.Println(resp.Reachable)
 	// Output: true
 }
 
-func ExampleEngine_ReachWithWitness() {
+func ExampleEngine_Query_witness() {
 	kg, err := lscr.Load(strings.NewReader(exampleKG))
 	if err != nil {
 		log.Fatal(err)
 	}
 	eng := lscr.NewEngine(kg, lscr.Options{})
-	_, path, err := eng.ReachWithWitness(lscr.Query{
+	resp, err := eng.Query(context.Background(), lscr.Request{
 		Source: "SuspectC", Target: "SuspectP",
-		Labels:     []string{"transfer2019-04", "married-to"},
-		Constraint: `SELECT ?x WHERE { ?x <married-to> <Amy>. }`,
+		Labels:      []string{"transfer2019-04", "married-to"},
+		Constraint:  `SELECT ?x WHERE { ?x <married-to> <Amy>. }`,
+		WantWitness: true,
 	})
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Println(path)
-	fmt.Println("middleman:", path.Satisfying)
+	fmt.Println(resp.Witness)
+	fmt.Println("middleman:", resp.Witness.SatisfiedBy[0])
 	// Output:
 	// SuspectC -[transfer2019-04]-> MiddlemanX -[transfer2019-04]-> SuspectP
 	// middleman: MiddlemanX
@@ -70,13 +72,13 @@ func ExampleEngine_Select() {
 	// Output: [MiddlemanX]
 }
 
-func ExampleEngine_ReachAll() {
+func ExampleEngine_Query_conjunctive() {
 	kg, err := lscr.Load(strings.NewReader(exampleKG))
 	if err != nil {
 		log.Fatal(err)
 	}
 	eng := lscr.NewEngine(kg, lscr.Options{SkipIndex: true})
-	res, err := eng.ReachAll(lscr.MultiQuery{
+	resp, err := eng.Query(context.Background(), lscr.Request{
 		Source: "SuspectC", Target: "SuspectP",
 		Labels: []string{"transfer2019-04", "married-to"},
 		Constraints: []string{
@@ -87,6 +89,6 @@ func ExampleEngine_ReachAll() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Println(res.Reachable)
+	fmt.Println(resp.Reachable)
 	// Output: true
 }

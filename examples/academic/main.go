@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -45,8 +46,9 @@ func main() {
 		"ub:memberOf", "ub:advisor", "ub:worksFor",
 		"ub:subOrganizationOf", "ub:hasMember", "ub:researchInterest",
 	}
+	ctx := context.Background()
 	for _, algo := range []lscr.Algorithm{lscr.UIS, lscr.UISStar, lscr.INS} {
-		res, err := eng.Reach(lscr.Query{
+		res, err := eng.Query(ctx, lscr.Request{
 			Source:     "GraduateStudent4.Department0.University0",
 			Target:     "University0",
 			Labels:     labels,
@@ -62,7 +64,7 @@ func main() {
 
 	// The same question restricted to course-taking edges only has no
 	// path to the university at all.
-	res, err := eng.Reach(lscr.Query{
+	res, err := eng.Query(ctx, lscr.Request{
 		Source:     "GraduateStudent4.Department0.University0",
 		Target:     "University0",
 		Labels:     []string{"ub:takesCourse", "ub:researchInterest"},

@@ -13,6 +13,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math/rand"
@@ -38,12 +39,13 @@ func main() {
 	fmt.Printf("married to Amy: %v\n", spouses)
 
 	investigate := func(label string) {
-		res, path, err := eng.ReachWithWitness(lscr.Query{
-			Source:     "SuspectC",
-			Target:     "SuspectP",
-			Labels:     []string{label, "married-to"},
-			Constraint: `SELECT ?x WHERE { ?x <married-to> <Amy>. }`,
-			Algorithm:  lscr.INS,
+		res, err := eng.Query(context.Background(), lscr.Request{
+			Source:      "SuspectC",
+			Target:      "SuspectP",
+			Labels:      []string{label, "married-to"},
+			Constraint:  `SELECT ?x WHERE { ?x <married-to> <Amy>. }`,
+			Algorithm:   lscr.INS,
+			WantWitness: true,
 		})
 		if err != nil {
 			log.Fatal(err)
@@ -54,8 +56,8 @@ func main() {
 			return
 		}
 		fmt.Printf("window %s: SUSPICIOUS (checked in %v)\n", label, res.Elapsed)
-		fmt.Printf("  evidence chain: %s\n", path)
-		fmt.Printf("  middleman married to Amy: %s\n", path.Satisfying)
+		fmt.Printf("  evidence chain: %s\n", res.Witness)
+		fmt.Printf("  middleman married to Amy: %s\n", res.Witness.SatisfiedBy[0])
 	}
 	// April 2019: the tip's window — the chain C -> X -> A -> P exists
 	// and middleman X is married to Amy.

@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math/rand"
@@ -25,11 +26,12 @@ func main() {
 	eng := lscr.NewEngine(kg, lscr.Options{})
 
 	drive := func(desc string, labels []string, constraint string) {
-		res, path, err := eng.ReachWithWitness(lscr.Query{
+		res, err := eng.Query(context.Background(), lscr.Request{
 			Source: "Home", Target: "Airport",
-			Labels:     labels,
-			Constraint: constraint,
-			Algorithm:  lscr.INS,
+			Labels:      labels,
+			Constraint:  constraint,
+			Algorithm:   lscr.INS,
+			WantWitness: true,
 		})
 		if err != nil {
 			log.Fatal(err)
@@ -38,7 +40,7 @@ func main() {
 			fmt.Printf("%s: no route\n", desc)
 			return
 		}
-		fmt.Printf("%s:\n  route: %s\n  stop:  %s\n", desc, path, path.Satisfying)
+		fmt.Printf("%s:\n  route: %s\n  stop:  %s\n", desc, res.Witness, res.Witness.SatisfiedBy[0])
 	}
 
 	// A junction with a fuel station accepting ChargeCardA.

@@ -62,11 +62,15 @@ func TestFailstopApplyWALErrorPoisonsAndRecovers(t *testing.T) {
 		t.Fatalf("batch 1: %v", err)
 	}
 	ackedEpoch := eng.Epoch().Epoch
+	ackedMaint := eng.IndexMaintenance()
+	if !ackedMaint.Enabled || ackedMaint.Batches != 1 {
+		t.Fatalf("maintenance after batch 1 = %+v, want enabled with 1 batch", ackedMaint)
+	}
 	reqs := persistCrashRequests()
 	want := eng.QueryBatch(ctx, reqs, BatchOptions{Concurrency: 2})
 
 	// The write error itself comes back — not ErrPoisoned — and nothing
-	// is published.
+	// is published, nor counted as a maintained batch.
 	if err := failpoint.Set(segment.FPWALAppend, "error-once"); err != nil {
 		t.Fatal(err)
 	}
@@ -79,6 +83,9 @@ func TestFailstopApplyWALErrorPoisonsAndRecovers(t *testing.T) {
 	}
 	if got := eng.Epoch().Epoch; got != ackedEpoch {
 		t.Fatalf("failed Apply advanced epoch to %d, want %d", got, ackedEpoch)
+	}
+	if got := eng.IndexMaintenance(); got != ackedMaint {
+		t.Fatalf("failed Apply changed maintenance stats to %+v, want %+v", got, ackedMaint)
 	}
 
 	// Every later mutation is refused with the typed sentinel.

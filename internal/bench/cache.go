@@ -2,6 +2,7 @@ package bench
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -19,7 +20,7 @@ import (
 // V(S,G) per constraint text. Cold = a cache-disabled engine paying
 // sparql.Parse + Compile + MatchAll on every query; warm = a cached
 // engine primed with one pass. Both push the identical workload through
-// Engine.ReachBatch and must produce identical answers. cmd/lscrbench
+// Engine.QueryBatch and must produce identical answers. cmd/lscrbench
 // exposes it as -exp cachespeedup (text) and -exp cachespeedup-json
 // (the BENCH_cache.json trajectory format).
 
@@ -71,13 +72,13 @@ func MeasureCacheSpeedup(cfg Config, concurrency int) (*CacheReport, error) {
 	consts := lubm.Constraints()
 	r := rng(cfg.Seed, "cachespeedup")
 	n := cfg.QueriesPerGroup * 40
-	qs := make([]pub.Query, n)
+	qs := make([]pub.Request, n)
 	for i := range qs {
 		labels := make([]string, 2)
 		for j := range labels {
 			labels[j] = g.LabelName(graph.Label(r.Intn(g.NumLabels())))
 		}
-		qs[i] = pub.Query{
+		qs[i] = pub.Request{
 			Source:     g.VertexName(graph.VertexID(r.Intn(g.NumVertices()))),
 			Target:     g.VertexName(graph.VertexID(r.Intn(g.NumVertices()))),
 			Labels:     labels,
@@ -99,13 +100,15 @@ func MeasureCacheSpeedup(cfg Config, concurrency int) (*CacheReport, error) {
 		return nil, err
 	}
 
+	ctx := context.Background()
+	bo := pub.BatchOptions{Concurrency: concurrency}
 	start := time.Now()
-	coldRes := cold.ReachBatch(qs, concurrency)
+	coldRes := cold.QueryBatch(ctx, qs, bo)
 	coldSecs := time.Since(start).Seconds()
 
-	warm.ReachBatch(qs, concurrency) // priming pass: compile each distinct constraint once
+	warm.QueryBatch(ctx, qs, bo) // priming pass: compile each distinct constraint once
 	start = time.Now()
-	warmRes := warm.ReachBatch(qs, concurrency)
+	warmRes := warm.QueryBatch(ctx, qs, bo)
 	warmSecs := time.Since(start).Seconds()
 
 	rep := &CacheReport{
@@ -131,8 +134,8 @@ func MeasureCacheSpeedup(cfg Config, concurrency int) (*CacheReport, error) {
 		if warmRes[i].Err != nil {
 			return nil, fmt.Errorf("bench: warm query %d: %w", i, warmRes[i].Err)
 		}
-		if coldRes[i].Result.Reachable != warmRes[i].Result.Reachable ||
-			coldRes[i].Result.SatisfyingVertices != warmRes[i].Result.SatisfyingVertices {
+		if coldRes[i].Response.Reachable != warmRes[i].Response.Reachable ||
+			coldRes[i].Response.SatisfyingVertices != warmRes[i].Response.SatisfyingVertices {
 			rep.Identical = false
 		}
 	}

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"runtime"
@@ -14,7 +15,7 @@ import (
 
 // RunThroughput measures end-to-end QPS through the public API: it
 // builds an Engine over the cached D1 KG and pushes one S1 workload
-// through Engine.ReachBatch at fan-out 1 (the serial baseline) and at
+// through Engine.QueryBatch at fan-out 1 (the serial baseline) and at
 // the requested concurrency (0 = all cores), checking the answers
 // agree. Unlike RunParallel — which times the core algorithm — this
 // path includes the name resolution and SPARQL compilation every real
@@ -40,7 +41,7 @@ func RunThroughput(w io.Writer, cfg Config, concurrency int) error {
 	// The workload generator emits compiled internal queries; map them
 	// back to names so the batch exercises the full public path.
 	nc, _ := lubm.Constraint("S1")
-	var qs []pub.Query
+	var qs []pub.Request
 	var expected []bool
 	for _, q := range append(append([]workload.Query{}, trueQ...), falseQ...) {
 		var labels []string
@@ -49,7 +50,7 @@ func RunThroughput(w io.Writer, cfg Config, concurrency int) error {
 				labels = append(labels, g.LabelName(graph.Label(l)))
 			}
 		}
-		qs = append(qs, pub.Query{
+		qs = append(qs, pub.Request{
 			Source:     g.VertexName(q.Source),
 			Target:     g.VertexName(q.Target),
 			Labels:     labels,
@@ -66,11 +67,12 @@ func RunThroughput(w io.Writer, cfg Config, concurrency int) error {
 	eng := pub.NewEngine(kg, pub.Options{IndexSeed: cfg.Seed})
 	buildSecs := time.Since(start).Seconds()
 
+	ctx := context.Background()
 	start = time.Now()
-	serial := eng.ReachBatch(qs, 1)
+	serial := eng.QueryBatch(ctx, qs, pub.BatchOptions{Concurrency: 1})
 	serialSecs := time.Since(start).Seconds()
 	start = time.Now()
-	batch := eng.ReachBatch(qs, concurrency)
+	batch := eng.QueryBatch(ctx, qs, pub.BatchOptions{Concurrency: concurrency})
 	batchSecs := time.Since(start).Seconds()
 
 	for i := range qs {
@@ -80,16 +82,16 @@ func RunThroughput(w io.Writer, cfg Config, concurrency int) error {
 		if batch[i].Err != nil {
 			return fmt.Errorf("bench: concurrent throughput query %d: %w", i, batch[i].Err)
 		}
-		if serial[i].Result.Reachable != expected[i] || batch[i].Result.Reachable != expected[i] {
+		if serial[i].Response.Reachable != expected[i] || batch[i].Response.Reachable != expected[i] {
 			return fmt.Errorf("bench: throughput query %d answered wrongly (serial=%v batch=%v want=%v)",
-				i, serial[i].Result.Reachable, batch[i].Result.Reachable, expected[i])
+				i, serial[i].Response.Reachable, batch[i].Response.Reachable, expected[i])
 		}
 	}
 	fmt.Fprintf(w, "throughput on %s (|V|=%d |E|=%d), %d queries, GOMAXPROCS=%d\n",
 		spec.Name, g.NumVertices(), g.NumEdges(), len(qs), runtime.GOMAXPROCS(0))
 	fmt.Fprintf(w, "index build             %8.3fs\n", buildSecs)
-	fmt.Fprintf(w, "ReachBatch concurrency 1 %7.0f qps\n", float64(len(qs))/serialSecs)
-	fmt.Fprintf(w, "ReachBatch concurrency %d %7.0f qps (%.2fx)\n",
+	fmt.Fprintf(w, "QueryBatch concurrency 1 %7.0f qps\n", float64(len(qs))/serialSecs)
+	fmt.Fprintf(w, "QueryBatch concurrency %d %7.0f qps (%.2fx)\n",
 		concurrency, float64(len(qs))/batchSecs, serialSecs/batchSecs)
 	fmt.Fprintln(w, "answers identical and correct across fan-outs")
 	return nil

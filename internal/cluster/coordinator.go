@@ -143,10 +143,7 @@ func NewCoordinator(cfg Config) *Coordinator {
 	// log; proxying them lets followers bootstrap through the gateway.
 	mux.HandleFunc("GET /v1/replicate", co.toWriter)
 	mux.HandleFunc("GET /v1/segment", co.toWriter)
-	// Deprecated pre-v1 reads route like /v1/query.
-	mux.HandleFunc("POST /reach", co.readHedged(server.MaxQueryBody))
-	mux.HandleFunc("POST /reachall", co.readHedged(server.MaxQueryBody))
-	mux.HandleFunc("POST /reachbatch", co.readHedged(server.MaxBatchBody))
+	// Standalone SPARQL reads route like /v1/query.
 	mux.HandleFunc("POST /select", co.readHedged(server.MaxQueryBody))
 	co.mux = mux
 	return co

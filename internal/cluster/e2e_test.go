@@ -400,3 +400,39 @@ func TestReplicaWriterRestart(t *testing.T) {
 		t.Fatalf("writer restart forced %d re-bootstraps; followers must re-tail from their cursors", got-bootstrapsBefore)
 	}
 }
+
+// TestRemovedPreV1Routes: the pre-v1 query routes are gone from both
+// the server and the gateway in front of it — they answer 404 — while
+// /select and /v1/query keep answering.
+func TestRemovedPreV1Routes(t *testing.T) {
+	srv := httptest.NewServer(server.New(lscr.NewEngine(loadKG(t), lscr.Options{}), nil))
+	t.Cleanup(srv.Close)
+	gw := cluster.NewCoordinator(cluster.Config{Writer: srv.URL, Logf: t.Logf})
+	t.Cleanup(gw.Close)
+
+	query := `{"source":"C","target":"P","constraint":"` + e2eConstraint + `"}`
+	cases := []struct {
+		path, body string
+		want       int
+	}{
+		{"/reach", query, http.StatusNotFound},
+		{"/reachbatch", `{"queries":[` + query + `]}`, http.StatusNotFound},
+		{"/reachall", `{"source":"C","target":"P","constraints":["` + e2eConstraint + `"]}`, http.StatusNotFound},
+		{"/select", `{"query":"` + e2eConstraint + `"}`, http.StatusOK},
+		{"/v1/query", query, http.StatusOK},
+	}
+	for _, h := range []struct {
+		name    string
+		handler http.Handler
+	}{{"server", srv.Config.Handler}, {"gateway", gw}} {
+		for _, tc := range cases {
+			req := httptest.NewRequest(http.MethodPost, tc.path, strings.NewReader(tc.body))
+			req.Header.Set("Content-Type", "application/json")
+			w := httptest.NewRecorder()
+			h.handler.ServeHTTP(w, req)
+			if w.Code != tc.want {
+				t.Errorf("%s %s: status %d, want %d (%s)", h.name, tc.path, w.Code, tc.want, w.Body)
+			}
+		}
+	}
+}

@@ -23,10 +23,7 @@
 //
 // Cancelling ctx (or exceeding Request.Timeout) aborts the search
 // mid-flight; the hot loops poll every few thousand edge expansions, so
-// a cancelled query returns within microseconds of the signal. The
-// pre-v1 methods (Reach, ReachAll, ReachWithWitness, ReachTraced,
-// ReachBatch) remain as deprecated thin wrappers over Query and answer
-// bit-identically.
+// a cancelled query returns within microseconds of the signal.
 //
 // Three single-constraint algorithms are available: UIS (uninformed
 // search with recall, works on any edge-labeled graph), UISStar
@@ -42,12 +39,11 @@
 // bit-for-bit identical for every worker count. The Engine serves reads
 // through immutable epochs: every query resolves against one atomic
 // (graph view, index, constraint cache) snapshot, so Query, QueryBatch,
-// Select, SelectAll and the deprecated wrappers may be called from any
-// number of goroutines on the same Engine. Per-query state lives in
-// pooled scratch, so concurrent queries do not contend on locks in the
-// search itself. QueryBatch answers a slice of requests over a bounded
-// worker pool and is the preferred way to saturate all cores with one
-// call.
+// Select and SelectAll may be called from any number of goroutines on
+// the same Engine. Per-query state lives in pooled scratch, so
+// concurrent queries do not contend on locks in the search itself.
+// QueryBatch answers a slice of requests over a bounded worker pool and
+// is the preferred way to saturate all cores with one call.
 //
 // Engine.Apply commits edge insertions and deletions (plus new-vertex
 // and new-label interning) into a small sorted delta overlay and
@@ -67,15 +63,12 @@
 package lscr
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"io"
 	"runtime"
-	"strings"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"lscr/internal/graph"
 	"lscr/internal/labelset"
@@ -83,6 +76,7 @@ import (
 	"lscr/internal/pattern"
 	"lscr/internal/qcache"
 	"lscr/internal/rdf"
+	"lscr/internal/segment"
 	"lscr/internal/sparql"
 )
 
@@ -313,9 +307,33 @@ func NewEngine(kg *KG, opts Options) *Engine {
 	if !opts.SkipIndex {
 		idx = core.NewLocalIndex(kg.g, e.indexParams())
 	}
-	e.ep.Store(e.newEpoch(0, kg.g, idx, 0))
-	prewarmScratch(kg.g)
+	e.start(0, kg.g, idx)
 	return e
+}
+
+// start is every constructor's tail: it stores the engine's first epoch
+// — seq 0 for a fresh engine, the segment's base epoch for an opened
+// store or replica — and prewarms the pooled per-query scratch for g.
+func (e *Engine) start(seq uint64, g *graph.Graph, idx *core.LocalIndex) {
+	e.ep.Store(e.newEpoch(seq, g, idx, seq))
+	prewarmScratch(g)
+}
+
+// startSegment starts the engine on a sealed segment image. The
+// segment's index build parameters are a property of the store, not of
+// this process's Options: they are adopted so compaction rebuilds match
+// the sealed index, and the index is rebuilt from them when the segment
+// carries none but the engine wants INS. Options.SkipIndex is honoured.
+func (e *Engine) startSegment(seg *segment.Segment) {
+	var idx *core.LocalIndex
+	if !e.opts.SkipIndex {
+		e.opts.Landmarks, e.opts.IndexSeed = seg.IndexK, seg.IndexSeed
+		idx = seg.Index
+		if idx == nil {
+			idx = core.NewLocalIndex(seg.Graph, e.indexParams())
+		}
+	}
+	e.start(seg.BaseSeq, seg.Graph, idx)
 }
 
 // prewarmVertices is the graph size past which engine construction
@@ -488,33 +506,10 @@ func (e *Engine) Index() (IndexStats, bool) {
 	}, true
 }
 
-// Query is one LSCR query in terms of names.
-type Query struct {
-	// Source and Target are vertex names.
-	Source, Target string
-	// Labels is the label constraint; empty means "all labels".
-	Labels []string
-	// Constraint is a SPARQL SELECT with one projected variable; it must
-	// be non-empty.
-	Constraint string
-	// Algorithm selects the strategy; the zero value is INS.
-	Algorithm Algorithm
-}
-
 // Stats re-exports the per-query measures.
 type Stats = core.Stats
 
-// Result is a query answer.
-type Result struct {
-	Reachable bool
-	Stats     Stats
-	Elapsed   time.Duration
-	// SatisfyingVertices is |V(S,G)| as computed by the engine (UIS
-	// evaluates the constraint lazily and reports -1).
-	SatisfyingVertices int
-}
-
-// Errors returned by Query and the deprecated Reach family.
+// Errors returned by Query.
 var (
 	ErrUnknownVertex = errors.New("lscr: unknown vertex name")
 	ErrUnknownLabel  = errors.New("lscr: unknown label name")
@@ -656,153 +651,6 @@ func (ep *epoch) resolveEndpoints(source, target string, labels []string) (core.
 	return core.Query{Source: s, Target: t, Labels: L}, nil
 }
 
-// Reach answers q.
-//
-// Deprecated: use Query, which adds context cancellation, per-request
-// deadlines, witnesses, traces and conjunctive constraints behind one
-// entry point. Reach is a thin wrapper over Query with a background
-// context and answers identically.
-func (e *Engine) Reach(q Query) (Result, error) {
-	resp, err := e.Query(context.Background(), q.request())
-	return resp.result(), err
-}
-
-// request maps the deprecated single-constraint query shape onto the
-// unified Request. The constraint goes through Constraints (not the
-// shorthand field) so an empty text reaches the compiler and fails
-// with the same syntax error it always did.
-func (q Query) request() Request {
-	return Request{
-		Source:      q.Source,
-		Target:      q.Target,
-		Labels:      q.Labels,
-		Constraints: []string{q.Constraint},
-		Algorithm:   q.Algorithm,
-	}
-}
-
-// MultiQuery is a conjunctive LSCR query: the path must pass, for every
-// listed constraint, some vertex satisfying it (possibly different
-// vertices, in any order). See Engine.ReachAll.
-type MultiQuery struct {
-	Source, Target string
-	Labels         []string
-	// Constraints are SPARQL SELECTs, each with one projected variable.
-	// At most 16.
-	Constraints []string
-}
-
-// ReachAll answers a conjunctive LSCR query with the generalised
-// uninformed search (UIS over satisfied-set states). A constraint that
-// references entities absent from the KG is unsatisfiable and makes the
-// answer false.
-//
-// Deprecated: use Query with several Constraints (or Algorithm
-// Conjunctive). ReachAll is a thin wrapper over Query with a background
-// context and answers identically.
-func (e *Engine) ReachAll(q MultiQuery) (Result, error) {
-	resp, err := e.Query(context.Background(), q.request())
-	return resp.result(), err
-}
-
-// request maps the deprecated conjunctive query shape onto the unified
-// Request. Algorithm Conjunctive preserves ReachAll's semantics even
-// for one constraint (the generalised search, not the single-
-// constraint UIS).
-func (q MultiQuery) request() Request {
-	return Request{
-		Source:      q.Source,
-		Target:      q.Target,
-		Labels:      q.Labels,
-		Constraints: q.Constraints,
-		Algorithm:   Conjunctive,
-	}
-}
-
-// MultiPath is the witness of a true conjunctive answer: the walk plus,
-// per constraint (in query order), the walk vertex satisfying it.
-type MultiPath struct {
-	Hops        []PathHop
-	SatisfiedBy []string
-}
-
-// ReachAllWithWitness answers a conjunctive query and, when true, also
-// returns the witness walk with one satisfying vertex per constraint.
-//
-// Deprecated: use Query with several Constraints and WantWitness set.
-// ReachAllWithWitness is a thin wrapper over Query with a background
-// context and answers identically.
-func (e *Engine) ReachAllWithWitness(q MultiQuery) (Result, *MultiPath, error) {
-	req := q.request()
-	req.WantWitness = true
-	resp, err := e.Query(context.Background(), req)
-	return resp.result(), resp.Witness.ToMultiPath(), err
-}
-
-// PathHop is one edge of a witness path, in vertex/label names.
-type PathHop struct {
-	From, Label, To string
-}
-
-// Path is a witness for a true LSCR answer: a concrete s→t walk whose
-// labels all satisfy the label constraint and whose Satisfying vertex
-// satisfies the substructure constraint. For the paper's crime-detection
-// scenario this is the evidence chain itself.
-type Path struct {
-	Hops       []PathHop
-	Satisfying string
-}
-
-// String renders the path as "a -[l]-> b -[m]-> c".
-func (p *Path) String() string {
-	if len(p.Hops) == 0 {
-		return p.Satisfying
-	}
-	var b strings.Builder
-	b.WriteString(p.Hops[0].From)
-	for _, h := range p.Hops {
-		fmt.Fprintf(&b, " -[%s]-> %s", h.Label, h.To)
-	}
-	return b.String()
-}
-
-// ReachWithWitness answers q and, when the answer is true, also returns a
-// witness path. The witness is nil for false answers.
-//
-// Deprecated: use Query with WantWitness set. ReachWithWitness is a
-// thin wrapper over Query with a background context and answers
-// identically.
-func (e *Engine) ReachWithWitness(q Query) (Result, *Path, error) {
-	req := q.request()
-	req.WantWitness = true
-	resp, err := e.Query(context.Background(), req)
-	return resp.result(), resp.Witness.ToPath(), err
-}
-
-// ReachTraced answers q while recording the search tree of Definition
-// 3.2 (the paper's Figures 4, 6, 7) and writes it to dot as a Graphviz
-// digraph: F-state nodes blue, T-state nodes red, index-driven markings
-// dashed. Pass a nil dot writer to skip rendering (the Result still
-// reflects the traced run).
-//
-// Deprecated: use Query with WantTrace set; the rendered digraph comes
-// back in Response.TraceDOT. ReachTraced is a thin wrapper over Query
-// with a background context and answers identically.
-func (e *Engine) ReachTraced(q Query, dot io.Writer) (Result, error) {
-	req := q.request()
-	req.WantTrace = true
-	resp, err := e.Query(context.Background(), req)
-	if err != nil {
-		return Result{}, err
-	}
-	if dot != nil && resp.TraceDOT != "" {
-		if _, err := io.WriteString(dot, resp.TraceDOT); err != nil {
-			return resp.result(), err
-		}
-	}
-	return resp.result(), nil
-}
-
 // SaveIndex serialises the current epoch's local index (format
 // documented in the internal encoder: versioned magic + CRC32 footer).
 // It fails when the engine was built with SkipIndex. The saved index
@@ -828,8 +676,7 @@ func NewEngineFromIndex(kg *KG, r io.Reader, opts Options) (*Engine, error) {
 		return nil, err
 	}
 	e := &Engine{opts: opts}
-	e.ep.Store(e.newEpoch(0, kg.g, idx, 0))
-	prewarmScratch(kg.g)
+	e.start(0, kg.g, idx)
 	return e, nil
 }
 

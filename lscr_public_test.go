@@ -2,6 +2,7 @@ package lscr
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"strings"
 	"testing"
@@ -30,19 +31,20 @@ func loadFincrime(t *testing.T) *KG {
 }
 
 func TestPublicAPIScenario(t *testing.T) {
+	ctx := context.Background()
 	kg := loadFincrime(t)
 	eng := NewEngine(kg, Options{})
 	if st, ok := eng.Index(); !ok || st.Landmarks == 0 {
 		t.Fatalf("index stats: %+v ok=%v", st, ok)
 	}
-	q := Query{
+	q := Request{
 		Source: "SuspectC", Target: "SuspectP",
 		Labels:     []string{"transfer2019-04", "married-to"},
 		Constraint: `SELECT ?x WHERE { ?x <married-to> <Amy>. }`,
 	}
 	for _, algo := range []Algorithm{INS, UIS, UISStar} {
 		q.Algorithm = algo
-		res, err := eng.Reach(q)
+		res, err := eng.Query(ctx, q)
 		if err != nil {
 			t.Fatalf("%v: %v", algo, err)
 		}
@@ -54,7 +56,7 @@ func TestPublicAPIScenario(t *testing.T) {
 	// the direct May edge passes no married-to-Amy vertex.
 	q.Labels = []string{"transfer2019-05"}
 	q.Algorithm = INS
-	res, err := eng.Reach(q)
+	res, err := eng.Query(ctx, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,9 +66,10 @@ func TestPublicAPIScenario(t *testing.T) {
 }
 
 func TestPublicAPIEmptyLabelsMeansUniverse(t *testing.T) {
+	ctx := context.Background()
 	kg := loadFincrime(t)
 	eng := NewEngine(kg, Options{})
-	res, err := eng.Reach(Query{
+	res, err := eng.Query(ctx, Request{
 		Source: "SuspectC", Target: "SuspectP",
 		Constraint: `SELECT ?x WHERE { ?x <married-to> <Amy>. }`,
 	})
@@ -79,26 +82,27 @@ func TestPublicAPIEmptyLabelsMeansUniverse(t *testing.T) {
 }
 
 func TestPublicAPIErrors(t *testing.T) {
+	ctx := context.Background()
 	kg := loadFincrime(t)
 	eng := NewEngine(kg, Options{})
 	c := `SELECT ?x WHERE { ?x <married-to> <Amy>. }`
-	if _, err := eng.Reach(Query{Source: "nope", Target: "SuspectP", Constraint: c}); err == nil {
+	if _, err := eng.Query(ctx, Request{Source: "nope", Target: "SuspectP", Constraint: c}); err == nil {
 		t.Error("unknown source accepted")
 	}
-	if _, err := eng.Reach(Query{Source: "SuspectC", Target: "nope", Constraint: c}); err == nil {
+	if _, err := eng.Query(ctx, Request{Source: "SuspectC", Target: "nope", Constraint: c}); err == nil {
 		t.Error("unknown target accepted")
 	}
-	if _, err := eng.Reach(Query{Source: "SuspectC", Target: "SuspectP", Labels: []string{"bogus"}, Constraint: c}); err == nil {
+	if _, err := eng.Query(ctx, Request{Source: "SuspectC", Target: "SuspectP", Labels: []string{"bogus"}, Constraint: c}); err == nil {
 		t.Error("unknown label accepted")
 	}
-	if _, err := eng.Reach(Query{Source: "SuspectC", Target: "SuspectP", Constraint: "garbage"}); err == nil {
+	if _, err := eng.Query(ctx, Request{Source: "SuspectC", Target: "SuspectP", Constraint: "garbage"}); err == nil {
 		t.Error("malformed constraint accepted")
 	}
-	if _, err := eng.Reach(Query{Source: "SuspectC", Target: "SuspectP", Constraint: c, Algorithm: Algorithm(99)}); err == nil {
+	if _, err := eng.Query(ctx, Request{Source: "SuspectC", Target: "SuspectP", Constraint: c, Algorithm: Algorithm(99)}); err == nil {
 		t.Error("unknown algorithm accepted")
 	}
 	// Unknown entities in the constraint are a valid empty result.
-	res, err := eng.Reach(Query{Source: "SuspectC", Target: "SuspectP",
+	res, err := eng.Query(ctx, Request{Source: "SuspectC", Target: "SuspectP",
 		Constraint: `SELECT ?x WHERE { ?x <married-to> <Nobody>. }`})
 	if err != nil || res.Reachable {
 		t.Errorf("unknown constraint entity: res=%+v err=%v", res, err)
@@ -108,10 +112,10 @@ func TestPublicAPIErrors(t *testing.T) {
 	if _, ok := noIdx.Index(); ok {
 		t.Error("Index() reported stats without an index")
 	}
-	if _, err := noIdx.Reach(Query{Source: "SuspectC", Target: "SuspectP", Constraint: c}); err != ErrNoIndex {
+	if _, err := noIdx.Query(ctx, Request{Source: "SuspectC", Target: "SuspectP", Constraint: c}); err != ErrNoIndex {
 		t.Errorf("INS without index: %v", err)
 	}
-	if _, err := noIdx.Reach(Query{Source: "SuspectC", Target: "SuspectP", Constraint: c, Algorithm: UIS}); err != nil {
+	if _, err := noIdx.Query(ctx, Request{Source: "SuspectC", Target: "SuspectP", Constraint: c, Algorithm: UIS}); err != nil {
 		t.Errorf("UIS without index: %v", err)
 	}
 }
@@ -122,14 +126,15 @@ func TestPublicAPIErrors(t *testing.T) {
 // early return used to answer 0 for UIS, diverging from every other UIS
 // result.
 func TestUnsatisfiableConstraintConsistency(t *testing.T) {
+	ctx := context.Background()
 	kg := loadFincrime(t)
 	eng := NewEngine(kg, Options{})
-	q := Query{Source: "SuspectC", Target: "SuspectP",
+	q := Request{Source: "SuspectC", Target: "SuspectP",
 		Constraint: `SELECT ?x WHERE { ?x <married-to> <Nobody>. }`}
 	want := map[Algorithm]int{UIS: -1, UISStar: 0, INS: 0}
 	for algo, sv := range want {
 		q.Algorithm = algo
-		res, err := eng.Reach(q)
+		res, err := eng.Query(ctx, q)
 		if err != nil {
 			t.Fatalf("%v: %v", algo, err)
 		}
@@ -143,12 +148,12 @@ func TestUnsatisfiableConstraintConsistency(t *testing.T) {
 	// The early return still validates the algorithm and index like the
 	// normal path.
 	q.Algorithm = Algorithm(99)
-	if _, err := eng.Reach(q); err == nil {
+	if _, err := eng.Query(ctx, q); err == nil {
 		t.Error("unknown algorithm accepted on the early-return path")
 	}
 	noIdx := NewEngine(kg, Options{SkipIndex: true})
 	q.Algorithm = INS
-	if _, err := noIdx.Reach(q); err != ErrNoIndex {
+	if _, err := noIdx.Query(ctx, q); err != ErrNoIndex {
 		t.Errorf("INS without index on the early-return path: %v", err)
 	}
 }
@@ -156,18 +161,19 @@ func TestUnsatisfiableConstraintConsistency(t *testing.T) {
 // TestErrorSentinels: parse and validation failures are classifiable
 // with errors.Is through the exported sentinels.
 func TestErrorSentinels(t *testing.T) {
+	ctx := context.Background()
 	kg := loadFincrime(t)
 	eng := NewEngine(kg, Options{})
-	_, err := eng.Reach(Query{Source: "SuspectC", Target: "SuspectP", Constraint: "SELECT garbage"})
+	_, err := eng.Query(ctx, Request{Source: "SuspectC", Target: "SuspectP", Constraint: "SELECT garbage"})
 	if !errors.Is(err, ErrConstraintSyntax) {
 		t.Errorf("parse failure is not ErrConstraintSyntax: %v", err)
 	}
-	_, err = eng.Reach(Query{Source: "SuspectC", Target: "SuspectP",
+	_, err = eng.Query(ctx, Request{Source: "SuspectC", Target: "SuspectP",
 		Constraint: `SELECT ?x WHERE { ?y <married-to> <Amy>. }`})
 	if !errors.Is(err, ErrInvalidConstraint) {
 		t.Errorf("focus-unused failure is not ErrInvalidConstraint: %v", err)
 	}
-	_, err = eng.Reach(Query{Source: "nope", Target: "SuspectP",
+	_, err = eng.Query(ctx, Request{Source: "nope", Target: "SuspectP",
 		Constraint: `SELECT ?x WHERE { ?x <married-to> <Amy>. }`})
 	if !errors.Is(err, ErrUnknownVertex) {
 		t.Errorf("unknown source is not ErrUnknownVertex: %v", err)
@@ -186,19 +192,20 @@ func TestErrorSentinels(t *testing.T) {
 	}
 }
 
-// TestCacheStatsCounters: hits/misses/entries track Reach traffic, and a
+// TestCacheStatsCounters: hits/misses/entries track Query traffic, and a
 // negative ConstraintCacheSize disables the cache entirely.
 func TestCacheStatsCounters(t *testing.T) {
+	ctx := context.Background()
 	kg := loadFincrime(t)
 	eng := NewEngine(kg, Options{})
 	if st := eng.CacheStats(); !st.Enabled || st.Capacity != DefaultConstraintCacheSize ||
 		st.Hits != 0 || st.Misses != 0 || st.Entries != 0 {
 		t.Fatalf("fresh cache stats = %+v", st)
 	}
-	q := Query{Source: "SuspectC", Target: "SuspectP",
+	q := Request{Source: "SuspectC", Target: "SuspectP",
 		Constraint: `SELECT ?x WHERE { ?x <married-to> <Amy>. }`}
 	for i := 0; i < 5; i++ {
-		if _, err := eng.Reach(q); err != nil {
+		if _, err := eng.Query(ctx, q); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -208,7 +215,7 @@ func TestCacheStatsCounters(t *testing.T) {
 
 	off := NewEngine(kg, Options{SkipIndex: true, ConstraintCacheSize: -1})
 	q.Algorithm = UIS
-	if _, err := off.Reach(q); err != nil {
+	if _, err := off.Query(ctx, q); err != nil {
 		t.Fatal(err)
 	}
 	if st := off.CacheStats(); st.Enabled || st.Hits != 0 || st.Misses != 0 {

@@ -1,11 +1,13 @@
 package lscr
 
 import (
+	"context"
 	"strings"
 	"testing"
 )
 
 func TestReachAll(t *testing.T) {
+	ctx := context.Background()
 	kg, err := Load(strings.NewReader(`
 <C> <apr> <X> .
 <X> <apr> <A> .
@@ -19,7 +21,7 @@ func TestReachAll(t *testing.T) {
 		t.Fatal(err)
 	}
 	eng := NewEngine(kg, Options{SkipIndex: true})
-	q := MultiQuery{
+	req := Request{
 		Source: "C", Target: "P",
 		Labels: []string{"apr"},
 		Constraints: []string{
@@ -27,32 +29,33 @@ func TestReachAll(t *testing.T) {
 			`SELECT ?x WHERE { ?x <flag> <Offshore>. }`,
 		},
 	}
-	res, err := eng.ReachAll(q)
+	resp, err := eng.Query(ctx, req)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !res.Reachable {
-		t.Fatal("C->X->A->P satisfies both conjuncts")
+	if !resp.Reachable || resp.Algorithm != Conjunctive {
+		t.Fatalf("C->X->A->P satisfies both conjuncts: %+v", resp)
 	}
 	// Adding an unsatisfiable conjunct flips the answer.
-	q.Constraints = append(q.Constraints, `SELECT ?x WHERE { ?x <flag> <Nonexistent>. }`)
-	res, err = eng.ReachAll(q)
+	req.Constraints = append(req.Constraints, `SELECT ?x WHERE { ?x <flag> <Nonexistent>. }`)
+	resp, err = eng.Query(ctx, req)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Reachable {
+	if resp.Reachable {
 		t.Fatal("unsatisfiable conjunct answered true")
 	}
 	// Restricting labels so the only path avoids the flagged account.
-	q.Constraints = q.Constraints[:2]
-	q.Labels = []string{"apr", "married"}
-	res, err = eng.ReachAll(q)
-	if err != nil || !res.Reachable {
-		t.Fatalf("res=%+v err=%v", res, err)
+	req.Constraints = req.Constraints[:2]
+	req.Labels = []string{"apr", "married"}
+	resp, err = eng.Query(ctx, req)
+	if err != nil || !resp.Reachable {
+		t.Fatalf("resp=%+v err=%v", resp, err)
 	}
 }
 
 func TestReachAllWithWitness(t *testing.T) {
+	ctx := context.Background()
 	kg, err := Load(strings.NewReader(`
 <C> <apr> <X> .
 <X> <apr> <A> .
@@ -64,56 +67,62 @@ func TestReachAllWithWitness(t *testing.T) {
 		t.Fatal(err)
 	}
 	eng := NewEngine(kg, Options{SkipIndex: true})
-	q := MultiQuery{
+	req := Request{
 		Source: "C", Target: "P",
 		Labels: []string{"apr"},
 		Constraints: []string{
 			`SELECT ?x WHERE { ?x <married> <Amy>. }`,
 			`SELECT ?x WHERE { ?x <flag> <Offshore>. }`,
 		},
+		WantWitness: true,
 	}
-	res, mp, err := eng.ReachAllWithWitness(q)
-	if err != nil || !res.Reachable || mp == nil {
-		t.Fatalf("res=%+v mp=%v err=%v", res, mp, err)
+	resp, err := eng.Query(ctx, req)
+	w := resp.Witness
+	if err != nil || !resp.Reachable || w == nil {
+		t.Fatalf("resp=%+v err=%v", resp, err)
 	}
-	if len(mp.SatisfiedBy) != 2 || mp.SatisfiedBy[0] != "X" || mp.SatisfiedBy[1] != "A" {
-		t.Fatalf("SatisfiedBy = %v, want [X A]", mp.SatisfiedBy)
+	if len(w.SatisfiedBy) != 2 || w.SatisfiedBy[0] != "X" || w.SatisfiedBy[1] != "A" {
+		t.Fatalf("SatisfiedBy = %v, want [X A]", w.SatisfiedBy)
 	}
-	if len(mp.Hops) != 3 || mp.Hops[0].From != "C" || mp.Hops[2].To != "P" {
-		t.Fatalf("Hops = %v", mp.Hops)
+	if len(w.Hops) != 3 || w.Hops[0].From != "C" || w.Hops[2].To != "P" {
+		t.Fatalf("Hops = %v", w.Hops)
 	}
 	// False: no witness.
-	q.Constraints = append(q.Constraints, `SELECT ?x WHERE { ?x <flag> <Nothing>. }`)
-	res, mp, err = eng.ReachAllWithWitness(q)
-	if err != nil || res.Reachable || mp != nil {
-		t.Fatalf("unsat conjunct: res=%+v mp=%v err=%v", res, mp, err)
+	req.Constraints = append(req.Constraints, `SELECT ?x WHERE { ?x <flag> <Nothing>. }`)
+	resp, err = eng.Query(ctx, req)
+	if err != nil || resp.Reachable || resp.Witness != nil {
+		t.Fatalf("unsat conjunct: resp=%+v err=%v", resp, err)
 	}
 	// Errors propagate.
-	q.Source = "nobody"
-	if _, _, err := eng.ReachAllWithWitness(q); err == nil {
+	req.Source = "nobody"
+	if _, err := eng.Query(ctx, req); err == nil {
 		t.Fatal("unknown source accepted")
 	}
 }
 
 func TestReachAllErrors(t *testing.T) {
+	ctx := context.Background()
 	kg := loadFincrime(t)
 	eng := NewEngine(kg, Options{SkipIndex: true})
 	c := `SELECT ?x WHERE { ?x <married-to> <Amy>. }`
-	if _, err := eng.ReachAll(MultiQuery{Source: "nope", Target: "SuspectP", Constraints: []string{c}}); err == nil {
+	conj := func(source, target string, labels, constraints []string) error {
+		_, err := eng.Query(ctx, Request{Source: source, Target: target, Labels: labels,
+			Constraints: constraints, Algorithm: Conjunctive})
+		return err
+	}
+	if err := conj("nope", "SuspectP", nil, []string{c}); err == nil {
 		t.Error("unknown source accepted")
 	}
-	if _, err := eng.ReachAll(MultiQuery{Source: "SuspectC", Target: "nope", Constraints: []string{c}}); err == nil {
+	if err := conj("SuspectC", "nope", nil, []string{c}); err == nil {
 		t.Error("unknown target accepted")
 	}
-	if _, err := eng.ReachAll(MultiQuery{Source: "SuspectC", Target: "SuspectP",
-		Labels: []string{"bogus"}, Constraints: []string{c}}); err == nil {
+	if err := conj("SuspectC", "SuspectP", []string{"bogus"}, []string{c}); err == nil {
 		t.Error("unknown label accepted")
 	}
-	if _, err := eng.ReachAll(MultiQuery{Source: "SuspectC", Target: "SuspectP",
-		Constraints: []string{"garbage"}}); err == nil {
+	if err := conj("SuspectC", "SuspectP", nil, []string{"garbage"}); err == nil {
 		t.Error("malformed constraint accepted")
 	}
-	if _, err := eng.ReachAll(MultiQuery{Source: "SuspectC", Target: "SuspectP"}); err == nil {
+	if err := conj("SuspectC", "SuspectP", nil, nil); err == nil {
 		t.Error("empty conjunction accepted")
 	}
 }

@@ -199,12 +199,17 @@ func (e *Engine) Apply(ctx context.Context, muts []Mutation) (ApplyResult, error
 	if len(muts) == 0 {
 		return ApplyResult{Epoch: cur.seq, OverlayOps: cur.kg.g.OverlaySize()}, nil
 	}
-	d := graph.NewDelta(cur.kg.g)
-	res := ApplyResult{}
-	for i, m := range muts {
-		if err := stage(d, m); err != nil {
-			return ApplyResult{}, fmt.Errorf("mutation %d: %w", i, err)
-		}
+	c, err := e.commitMutations(cur, muts)
+	if err != nil {
+		return ApplyResult{}, err
+	}
+	// Staging may have taken a while on a big batch; honour a
+	// cancellation that fired during it before publishing.
+	if err := ctx.Err(); err != nil {
+		return ApplyResult{}, err
+	}
+	res := ApplyResult{NewVertices: c.newVertices, NewLabels: c.newLabels}
+	for _, m := range muts {
 		switch m.Op {
 		case OpAddEdge:
 			res.Added++
@@ -212,43 +217,15 @@ func (e *Engine) Apply(ctx context.Context, muts []Mutation) (ApplyResult, error
 			res.Deleted++
 		}
 	}
-	// Validation may have taken a while on a big batch; honour a
-	// cancellation that fired during it before publishing.
-	if err := ctx.Err(); err != nil {
-		return ApplyResult{}, err
-	}
-	res.NewVertices = d.NewVertices()
-	res.NewLabels = d.NewLabels()
-	g, err := d.Commit()
-	if err != nil {
-		// Staging validates every op; a Commit failure is an internal
-		// inconsistency and must not publish.
-		return ApplyResult{}, err
-	}
-	if g == cur.kg.g {
+	if c.g == cur.kg.g {
 		// Every mutation was an idempotent no-op (interning names that
 		// already exist): the view is unchanged, so publishing a new
 		// epoch would only throw away the constraint cache for nothing.
 		res.Epoch = cur.seq
-		res.OverlayOps = g.OverlaySize()
+		res.OverlayOps = c.g.OverlaySize()
 		return res, nil
 	}
-	// Maintain the local index through the batch so the published epoch
-	// pairs the new view with an index exact for it. The derivation never
-	// touches cur.idx, so readers on older epochs are unaffected. If the
-	// index already lagged (maintenance off, or an index loaded for
-	// another view), it is left as-is — deriving from a stale base would
-	// launder staleness into an index INS would trust.
-	idx := cur.idx
-	if idx != nil && !e.opts.NoIndexMaintenance && idx.ExactFor(cur.kg.g) {
-		var mb core.MaintBatch
-		idx, mb = idx.ApplyMutations(g, d.EdgeOps())
-		e.maintBatches.Add(1)
-		e.maintExtended.Add(int64(mb.LandmarksExtended))
-		e.maintEntries.Add(int64(mb.EntriesAdded))
-		e.maintInvalidated.Add(int64(mb.LandmarksInvalidated))
-	}
-	ep := e.newEpoch(cur.seq+1, g, idx, cur.idxSeq)
+	ep := e.newEpoch(cur.seq+1, c.g, c.idx, cur.idxSeq)
 	if e.store != nil {
 		// Durability point: the batch is in the WAL (and, in sync mode,
 		// on stable storage) before any reader can observe its epoch. On
@@ -261,12 +238,70 @@ func (e *Engine) Apply(ctx context.Context, muts []Mutation) (ApplyResult, error
 		}
 	}
 	e.publishEpoch(ep)
+	e.countMaint(c.maint)
 	res.Epoch = ep.seq
-	res.OverlayOps = g.OverlaySize()
+	res.OverlayOps = c.g.OverlaySize()
 	if t := e.compactThreshold(); t >= 0 && res.OverlayOps >= t {
 		res.CompactionStarted = e.startCompaction()
 	}
 	return res, nil
+}
+
+// commit is one staged mutation batch, ready to publish: the new view,
+// the index for it, and what the batch did.
+type commit struct {
+	g   *graph.Graph
+	idx *core.LocalIndex
+	// maint is the index-maintenance report; nil when the batch did not
+	// maintain the index.
+	maint                  *core.MaintBatch
+	newVertices, newLabels int
+}
+
+// commitMutations stages muts onto cur's view and derives the
+// maintained index — the one commit core behind Apply, WAL replay and
+// replicated apply. It publishes nothing and touches no counter: the
+// caller publishes the epoch and then counts c.maint. c.g equals cur's
+// graph when every mutation was an idempotent no-op; the caller decides
+// whether that is legal.
+func (e *Engine) commitMutations(cur *epoch, muts []Mutation) (commit, error) {
+	d := graph.NewDelta(cur.kg.g)
+	for i, m := range muts {
+		if err := stage(d, m); err != nil {
+			return commit{}, fmt.Errorf("mutation %d: %w", i, err)
+		}
+	}
+	c := commit{idx: cur.idx, newVertices: d.NewVertices(), newLabels: d.NewLabels()}
+	var err error
+	if c.g, err = d.Commit(); err != nil {
+		// Staging validates every op; a Commit failure is an internal
+		// inconsistency and must not publish.
+		return commit{}, err
+	}
+	// Maintain the local index through the batch so the published epoch
+	// pairs the new view with an index exact for it. The derivation never
+	// touches cur.idx, so readers on older epochs are unaffected. If the
+	// index already lagged (maintenance off, or an index loaded for
+	// another view), it is left as-is — deriving from a stale base would
+	// launder staleness into an index INS would trust.
+	if c.g != cur.kg.g && c.idx != nil && !e.opts.NoIndexMaintenance && c.idx.ExactFor(cur.kg.g) {
+		var mb core.MaintBatch
+		c.idx, mb = c.idx.ApplyMutations(c.g, d.EdgeOps())
+		c.maint = &mb
+	}
+	return c, nil
+}
+
+// countMaint adds a published batch's maintenance report to the
+// cumulative MaintStats counters; a nil report counts nothing.
+func (e *Engine) countMaint(mb *core.MaintBatch) {
+	if mb == nil {
+		return
+	}
+	e.maintBatches.Add(1)
+	e.maintExtended.Add(int64(mb.LandmarksExtended))
+	e.maintEntries.Add(int64(mb.EntriesAdded))
+	e.maintInvalidated.Add(int64(mb.LandmarksInvalidated))
 }
 
 // stage translates one wire-level mutation into delta operations.

@@ -12,7 +12,6 @@ import (
 
 	"lscr/internal/failpoint"
 	"lscr/internal/graph"
-	core "lscr/internal/lscr"
 	"lscr/internal/segment"
 )
 
@@ -216,20 +215,7 @@ func Open(dir string, opts Options) (*Engine, error) {
 	}()
 
 	e := &Engine{opts: opts}
-	var idx *core.LocalIndex
-	if !opts.SkipIndex {
-		// The build parameters are a property of the store, not of this
-		// process's Options: adopt them so compaction rebuilds match the
-		// sealed index.
-		e.opts.Landmarks, e.opts.IndexSeed = seg.IndexK, seg.IndexSeed
-		idx = seg.Index
-		if idx == nil {
-			// Index-less store opened by an engine that wants INS.
-			idx = core.NewLocalIndex(seg.Graph, e.indexParams())
-		}
-	}
-	e.ep.Store(e.newEpoch(seg.BaseSeq, seg.Graph, idx, seg.BaseSeq))
-	prewarmScratch(seg.Graph)
+	e.startSegment(seg)
 
 	wal, recs, err := segment.OpenWAL(segment.WALPath(dir))
 	if err != nil {
@@ -348,14 +334,15 @@ func (e *Engine) applyReplay(seq uint64, muts []Mutation) error {
 	if seq != cur.seq+1 {
 		return fmt.Errorf("lscr: %w: wal batch at epoch %d onto epoch %d", ErrCorruptStore, seq, cur.seq)
 	}
-	g, idx, err := e.commitMutations(cur, muts)
+	c, err := e.commitMutations(cur, muts)
 	if err != nil {
 		return fmt.Errorf("lscr: %w: wal batch at epoch %d: %v", ErrCorruptStore, seq, err)
 	}
-	if g == cur.kg.g {
+	if c.g == cur.kg.g {
 		return fmt.Errorf("lscr: %w: wal batch at epoch %d is a no-op", ErrCorruptStore, seq)
 	}
-	e.publishEpoch(e.newEpoch(seq, g, idx, cur.idxSeq))
+	e.publishEpoch(e.newEpoch(seq, c.g, c.idx, cur.idxSeq))
+	e.countMaint(c.maint)
 	return nil
 }
 

@@ -12,12 +12,12 @@ import (
 	core "lscr/internal/lscr"
 )
 
-// Request is one LSCR query in the unified v1 API: it subsumes the
-// whole deprecated Reach* family. A request with one constraint runs
-// the selected single-constraint Algorithm (INS by default); a request
-// with several constraints — or with Algorithm set to Conjunctive —
-// runs the generalised conjunctive search, which requires a path
-// passing, for every constraint, some vertex satisfying it.
+// Request is one LSCR query Q = (s, t, L, S) in terms of names. A
+// request with one constraint runs the selected single-constraint
+// Algorithm (INS by default); a request with several constraints — or
+// with Algorithm set to Conjunctive — runs the generalised conjunctive
+// search, which requires a path passing, for every constraint, some
+// vertex satisfying it.
 type Request struct {
 	// Source and Target are vertex names.
 	Source, Target string
@@ -90,28 +90,9 @@ func (w *Witness) String() string {
 	return b.String()
 }
 
-// ToPath converts to the pre-v1 single-constraint witness shape. It
-// is the compatibility shim behind the deprecated ReachWithWitness
-// wrapper and the server's deprecated /reach route; new code should
-// consume Witness directly.
-func (w *Witness) ToPath() *Path {
-	if w == nil {
-		return nil
-	}
-	p := &Path{Hops: w.Hops}
-	if len(w.SatisfiedBy) > 0 {
-		p.Satisfying = w.SatisfiedBy[0]
-	}
-	return p
-}
-
-// ToMultiPath converts to the pre-v1 conjunctive witness shape (see
-// ToPath).
-func (w *Witness) ToMultiPath() *MultiPath {
-	if w == nil {
-		return nil
-	}
-	return &MultiPath{Hops: w.Hops, SatisfiedBy: w.SatisfiedBy}
+// PathHop is one edge of a witness path, in vertex/label names.
+type PathHop struct {
+	From, Label, To string
 }
 
 // Response is a query answer.
@@ -119,8 +100,10 @@ type Response struct {
 	Reachable bool
 	// Stats carries the paper's per-query evaluation measures.
 	Stats Stats
-	// Elapsed is the search time (excluding name resolution, constraint
-	// compilation and witness reconstruction).
+	// Elapsed is the search time. It excludes name resolution, constraint
+	// parsing and compilation, and witness reconstruction, but on a
+	// constraint-cache miss under UIS* or INS it includes the first
+	// enumeration of V(S,G), which runs lazily inside the timed interval.
 	Elapsed time.Duration
 	// SatisfyingVertices is |V(S,G)| as computed by the engine; the
 	// algorithms that evaluate the constraint lazily (UIS and the
@@ -136,22 +119,10 @@ type Response struct {
 	TraceDOT string
 }
 
-// result converts to the deprecated Result shape.
-func (r Response) result() Result {
-	return Result{
-		Reachable:          r.Reachable,
-		Stats:              r.Stats,
-		Elapsed:            r.Elapsed,
-		SatisfyingVertices: r.SatisfyingVertices,
-	}
-}
-
 // interruptFrom derives the core layer's poll function from ctx. A
 // context that can never be cancelled — one whose Done returns nil,
 // like context.Background() and context.TODO() — yields a nil poll
-// function, which keeps the search loops on their zero-overhead path
-// and makes the answer bit-identical to the deprecated context-free
-// methods.
+// function, which keeps the search loops on their zero-overhead path.
 //
 // Deadlines are additionally checked against the clock, not just the
 // Done channel: closing Done relies on a runtime timer getting
@@ -180,8 +151,8 @@ func interruptFrom(ctx context.Context) func() error {
 // aborts the search mid-flight (the hot loops poll every few thousand
 // edge expansions) and returns ctx.Err(). A non-cancellable context —
 // context.Background(), context.TODO(), or any context whose Done
-// channel is nil — skips the poll entirely, so the answer is
-// bit-identical to the deprecated Reach family at zero overhead.
+// channel is nil — skips the poll entirely at zero overhead; a
+// cancellable context that never fires answers bit-identically.
 // Query is safe for concurrent use, like every read path of the
 // Engine; it resolves against the epoch current when it starts, so a
 // concurrent Apply or compaction never changes an in-flight answer.
@@ -219,8 +190,7 @@ func (e *Engine) Query(ctx context.Context, req Request) (Response, error) {
 }
 
 // querySingle runs a one-constraint request with the selected
-// single-constraint algorithm. It is the engine behind the deprecated
-// Reach, ReachWithWitness and ReachTraced.
+// single-constraint algorithm.
 func (ep *epoch) querySingle(req Request, cq core.Query, texts []string) (Response, error) {
 	g := ep.kg.g
 	switch req.Algorithm {
@@ -331,8 +301,7 @@ func (ep *epoch) querySingle(req Request, cq core.Query, texts []string) (Respon
 }
 
 // queryMulti runs a conjunctive request with the generalised
-// uninformed search. It is the engine behind the deprecated ReachAll
-// and ReachAllWithWitness.
+// uninformed search.
 func (ep *epoch) queryMulti(req Request, cq core.Query, texts []string) (Response, error) {
 	g := ep.kg.g
 	if req.WantTrace {

@@ -7,7 +7,6 @@ import (
 	"os"
 
 	"lscr/internal/failpoint"
-	"lscr/internal/graph"
 	core "lscr/internal/lscr"
 	"lscr/internal/segment"
 )
@@ -93,15 +92,7 @@ func OpenReplicaSegment(data []byte, opts Options) (*Engine, error) {
 	opts.CompactAfter = -1
 	opts.DataDir = ""
 	e := &Engine{opts: opts, replica: true}
-	var idx *core.LocalIndex
-	if !opts.SkipIndex {
-		e.opts.Landmarks, e.opts.IndexSeed = seg.IndexK, seg.IndexSeed
-		idx = seg.Index
-		if idx == nil {
-			idx = core.NewLocalIndex(seg.Graph, e.indexParams())
-		}
-	}
-	e.ep.Store(e.newEpoch(seg.BaseSeq, seg.Graph, idx, seg.BaseSeq))
+	e.startSegment(seg)
 	return e, nil
 }
 
@@ -128,16 +119,17 @@ func (e *Engine) ApplyReplicated(ctx context.Context, seq uint64, muts []Mutatio
 	if seq != cur.seq+1 {
 		return fmt.Errorf("%w: batch at epoch %d onto epoch %d", ErrReplicaCursor, seq, cur.seq)
 	}
-	g, idx, err := e.commitMutations(cur, muts)
+	c, err := e.commitMutations(cur, muts)
 	if err != nil {
 		return fmt.Errorf("%w: batch at epoch %d: %v", ErrReplicaCursor, seq, err)
 	}
-	if g == cur.kg.g {
+	if c.g == cur.kg.g {
 		// The writer never logs no-op batches; receiving one means the
 		// feed does not describe the writer's history.
 		return fmt.Errorf("%w: batch at epoch %d is a no-op", ErrReplicaCursor, seq)
 	}
-	e.publishEpoch(e.newEpoch(seq, g, idx, cur.idxSeq))
+	e.publishEpoch(e.newEpoch(seq, c.g, c.idx, cur.idxSeq))
+	e.countMaint(c.maint)
 	return nil
 }
 
@@ -173,37 +165,6 @@ func (e *Engine) SealReplicated(ctx context.Context, seq uint64) error {
 	}
 	e.publishEpoch(e.newEpoch(seq, g, idx, cur.idxSeq))
 	return nil
-}
-
-// commitMutations stages muts onto cur's view and derives the
-// maintained index — the commit core shared by WAL replay and
-// replication apply (Apply keeps its own copy because it also counts
-// per-op results). The returned graph equals cur's when every mutation
-// was an idempotent no-op; the caller decides whether that is legal.
-func (e *Engine) commitMutations(cur *epoch, muts []Mutation) (*graph.Graph, *core.LocalIndex, error) {
-	d := graph.NewDelta(cur.kg.g)
-	for i, m := range muts {
-		if err := stage(d, m); err != nil {
-			return nil, nil, fmt.Errorf("mutation %d: %w", i, err)
-		}
-	}
-	g, err := d.Commit()
-	if err != nil {
-		return nil, nil, err
-	}
-	if g == cur.kg.g {
-		return g, cur.idx, nil
-	}
-	idx := cur.idx
-	if idx != nil && !e.opts.NoIndexMaintenance && idx.ExactFor(cur.kg.g) {
-		var mb core.MaintBatch
-		idx, mb = idx.ApplyMutations(g, d.EdgeOps())
-		e.maintBatches.Add(1)
-		e.maintExtended.Add(int64(mb.LandmarksExtended))
-		e.maintEntries.Add(int64(mb.EntriesAdded))
-		e.maintInvalidated.Add(int64(mb.LandmarksInvalidated))
-	}
-	return g, idx, nil
 }
 
 // ReplicationRead returns up to max feed records with epochs above

@@ -14,6 +14,7 @@ package lscr
 // plain test run uses the full ≥1M-edge default.
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"os"
@@ -63,60 +64,46 @@ func TestScaleContendedReaders(t *testing.T) {
 	// entries pair adjacent Table 3 constraints.
 	consts := lubm.Constraints()
 	rng := rand.New(rand.NewSource(42))
-	type caseQ struct {
-		q     Query
-		multi *MultiQuery
-	}
 	const nQueries = 24
-	cases := make([]caseQ, nQueries)
+	reqs := make([]Request, nQueries)
 	algos := []Algorithm{INS, UIS, UISStar, Conjunctive}
-	for i := range cases {
+	for i := range reqs {
 		labels := make([]string, 2+rng.Intn(2))
 		for j := range labels {
 			labels[j] = g.LabelName(graph.Label(rng.Intn(g.NumLabels())))
 		}
-		algo := algos[i%len(algos)]
-		q := Query{
-			Source:     g.VertexName(graph.VertexID(rng.Intn(g.NumVertices()))),
-			Target:     g.VertexName(graph.VertexID(rng.Intn(g.NumVertices()))),
-			Labels:     labels,
-			Constraint: consts[i%len(consts)].SPARQL,
-			Algorithm:  algo,
+		req := Request{
+			Source:    g.VertexName(graph.VertexID(rng.Intn(g.NumVertices()))),
+			Target:    g.VertexName(graph.VertexID(rng.Intn(g.NumVertices()))),
+			Labels:    labels,
+			Algorithm: algos[i%len(algos)],
 		}
-		if algo == INS {
+		switch req.Algorithm {
+		case INS:
 			// INS prunes through V(S,G), so it can afford the full label
 			// universe — the configuration the scale benchmark sweeps.
-			q.Labels = nil
-		}
-		c := caseQ{q: q}
-		if algo == Conjunctive {
-			c.multi = &MultiQuery{
-				Source: q.Source, Target: q.Target, Labels: q.Labels,
-				Constraints: []string{
-					consts[i%len(consts)].SPARQL,
-					consts[(i+1)%len(consts)].SPARQL,
-				},
+			req.Labels = nil
+			req.Constraint = consts[i%len(consts)].SPARQL
+		case Conjunctive:
+			req.Constraints = []string{
+				consts[i%len(consts)].SPARQL,
+				consts[(i+1)%len(consts)].SPARQL,
 			}
+		default:
+			req.Constraint = consts[i%len(consts)].SPARQL
 		}
-		cases[i] = c
+		reqs[i] = req
 	}
 
 	// Serial oracle pass.
-	oracle := make([]scaleFingerprint, len(cases))
-	for i, c := range cases {
-		var (
-			res Result
-			err error
-		)
-		if c.multi != nil {
-			res, err = eng.ReachAll(*c.multi)
-		} else {
-			res, err = eng.Reach(c.q)
-		}
+	ctx := context.Background()
+	oracle := make([]scaleFingerprint, len(reqs))
+	for i, req := range reqs {
+		resp, err := eng.Query(ctx, req)
 		if err != nil {
 			t.Fatalf("serial oracle query %d: %v", i, err)
 		}
-		oracle[i] = scaleFingerprint{reachable: res.Reachable, satisfying: res.SatisfyingVertices}
+		oracle[i] = scaleFingerprint{reachable: resp.Reachable, satisfying: resp.SatisfyingVertices}
 	}
 
 	// Contended pass: every goroutine replays the whole workload,
@@ -130,35 +117,17 @@ func TestScaleContendedReaders(t *testing.T) {
 		go func(gi int) {
 			defer wg.Done()
 			for r := 0; r < rounds; r++ {
-				for i, c := range cases {
-					var (
-						res Result
-						err error
-					)
-					wantWitness := oracle[i].reachable && (gi+r)%2 == 0
-					switch {
-					case c.multi != nil && wantWitness:
-						var mp *MultiPath
-						res, mp, err = eng.ReachAllWithWitness(*c.multi)
-						if err == nil && mp == nil {
-							err = fmt.Errorf("true conjunctive answer without witness")
-						}
-					case c.multi != nil:
-						res, err = eng.ReachAll(*c.multi)
-					case wantWitness:
-						var p *Path
-						res, p, err = eng.ReachWithWitness(c.q)
-						if err == nil && p == nil {
-							err = fmt.Errorf("true answer without witness")
-						}
-					default:
-						res, err = eng.Reach(c.q)
+				for i, req := range reqs {
+					req.WantWitness = oracle[i].reachable && (gi+r)%2 == 0
+					resp, err := eng.Query(ctx, req)
+					if err == nil && req.WantWitness && resp.Witness == nil {
+						err = fmt.Errorf("true %v answer without witness", req.Algorithm)
 					}
 					if err != nil {
 						errc <- fmt.Errorf("goroutine %d round %d query %d: %v", gi, r, i, err)
 						return
 					}
-					got := scaleFingerprint{reachable: res.Reachable, satisfying: res.SatisfyingVertices}
+					got := scaleFingerprint{reachable: resp.Reachable, satisfying: resp.SatisfyingVertices}
 					if got != oracle[i] {
 						errc <- fmt.Errorf("goroutine %d round %d query %d: got %+v, oracle %+v",
 							gi, r, i, got, oracle[i])

@@ -1,24 +1,22 @@
 #!/usr/bin/env sh
-# apigate.sh — the v1 API surface gate.
+# apigate.sh — the engine API surface gate.
 #
-# The engine's query surface is the Query/QueryBatch family; everything
-# else that answers queries must be a wrapper carrying a "Deprecated:"
-# notice. This gate fails CI when a new exported Engine method appears
-# in the root package outside the allowlist below without such a
-# notice, so the surface cannot silently sprawl back into
-# one-method-per-capability.
+# The engine answers queries through Query/QueryBatch and nothing else.
+# This gate fails CI when any exported Engine method in the root package
+# is outside the allowlist below, so the surface cannot silently sprawl
+# back into one-method-per-capability. There is no escape hatch: a new
+# method means editing the allowlist, in review.
 #
 # Run from the repository root: ./scripts/apigate.sh
 set -eu
 
 cd "$(dirname "$0")/.."
 
-# Non-query methods (stats, index persistence, SPARQL standalone, the
-# mutation family Apply/Compact with its KG/Epoch observers, the
-# persistence lifecycle Close/Durability, the replication feed
+# Besides Query/QueryBatch: stats, index persistence, SPARQL standalone,
+# the mutation family Apply/Compact with its KG/Epoch/Health observers,
+# the persistence lifecycle Close/Durability, the replication feed
 # ApplyReplicated/SealReplicated/ReplicationRead/SegmentFile/
-# EpochPublished, and the fail-stop observer Poisoned) are part of the
-# stable surface and listed explicitly.
+# EpochPublished, and the fail-stop observer Poisoned.
 ALLOW='^(Query|QueryBatch|CacheStats|IndexMaintenance|Index|SaveIndex|Select|SelectAll|Apply|Compact|KG|Epoch|Health|Close|Durability|ApplyReplicated|SealReplicated|ReplicationRead|SegmentFile|EpochPublished|Poisoned)$'
 
 status=0
@@ -27,18 +25,14 @@ for f in *.go; do
     *_test.go) continue ;;
     esac
     out=$(awk -v allow="$ALLOW" '
-        /^\/\// { comment = comment $0 "\n"; next }
-        /^func \([A-Za-z_][A-Za-z0-9_]* \*Engine\) [A-Z]/ {
+        /^func \([A-Za-z_][A-Za-z0-9_]* \*?Engine\) [A-Z]/ {
             name = $0
-            sub(/^func \([A-Za-z_][A-Za-z0-9_]* \*Engine\) /, "", name)
+            sub(/^func \([A-Za-z_][A-Za-z0-9_]* \*?Engine\) /, "", name)
             sub(/[(\[].*/, "", name)
-            if (name !~ allow && comment !~ /Deprecated:/) {
-                printf "%s: exported Engine method %s is outside the Query/QueryBatch family and has no Deprecated: notice\n", FILENAME, name
+            if (name !~ allow) {
+                printf "%s: exported Engine method %s is not in the allowlist\n", FILENAME, name
             }
-            comment = ""
-            next
         }
-        { comment = "" }
     ' "$f")
     if [ -n "$out" ]; then
         echo "$out"
@@ -47,6 +41,6 @@ for f in *.go; do
 done
 
 if [ "$status" -ne 0 ]; then
-    echo "apigate: new engine query methods belong in the Query/QueryBatch family (or need a Deprecated: notice)" >&2
+    echo "apigate: engine queries go through Query/QueryBatch; extend the allowlist only for non-query methods" >&2
 fi
 exit "$status"

@@ -11,12 +11,11 @@
 //	POST /v1/mutate         — one atomic mutation batch (api.MutateRequest)
 //	GET  /v1/replicate      — WAL feed above ?from=<epoch>, long-polls ?wait_ms
 //	GET  /v1/segment        — newest sealed segment image (follower bootstrap)
+//	POST /select            — standalone SPARQL SELECT, rows by variable name
 //
-// plus the deprecated pre-v1 routes (/reach, /reachbatch, /reachall,
-// /select), which keep their original request/response shapes but now
-// run through Engine.Query with the request's context — a client that
-// disconnects or times out cancels the search instead of leaving it
-// running to completion.
+// Every query runs through Engine.Query with the request's context — a
+// client that disconnects or times out cancels the search instead of
+// leaving it running to completion.
 //
 // Queries need no locking here: the Engine serves reads from immutable
 // epochs, so net/http can fan requests out freely, and /v1/mutate
@@ -65,7 +64,7 @@ const (
 // delivered; the code exists for the access log.
 const statusClientClosedRequest = 499
 
-// New wires every endpoint (v1 and deprecated) over eng. The kg
+// New wires every endpoint over eng. The kg
 // parameter is retained for signature compatibility; the handler reads
 // the engine's current view (eng.KG()) so /healthz and queries reflect
 // mutations as they land.
@@ -86,10 +85,6 @@ func New(eng *lscr.Engine, kg *lscr.KG, opts ...Option) http.Handler {
 	mux.HandleFunc("POST /v1/mutate", s.admitted(s.v1Mutate))
 	mux.HandleFunc("GET /v1/replicate", s.v1Replicate)
 	mux.HandleFunc("GET /v1/segment", s.v1Segment)
-	// Deprecated pre-v1 routes, aliased onto the same engine paths.
-	mux.HandleFunc("POST /reach", s.admitted(s.legacyReach))
-	mux.HandleFunc("POST /reachbatch", s.admitted(s.legacyReachBatch))
-	mux.HandleFunc("POST /reachall", s.admitted(s.legacyReachAll))
 	mux.HandleFunc("POST /select", s.admitted(s.selectQuery))
 	return mux
 }
@@ -388,157 +383,6 @@ func (s *server) v1Segment(w http.ResponseWriter, r *http.Request) {
 		// Headers are gone; all we can do is log the broken transfer.
 		log.Printf("lscrd: segment transfer: %v", err)
 	}
-}
-
-// reachRequest is the deprecated /reach body.
-type reachRequest struct {
-	Source     string   `json:"source"`
-	Target     string   `json:"target"`
-	Labels     []string `json:"labels,omitempty"`
-	Constraint string   `json:"constraint"`
-	Algorithm  string   `json:"algorithm,omitempty"`
-	Witness    bool     `json:"witness,omitempty"`
-}
-
-// reachResponse is the deprecated /reach reply.
-type reachResponse struct {
-	Reachable bool       `json:"reachable"`
-	ElapsedUS int64      `json:"elapsed_us"`
-	Passed    int        `json:"passed_vertices"`
-	Witness   *lscr.Path `json:"witness,omitempty"`
-	Algorithm string     `json:"algorithm"`
-}
-
-func (s *server) legacyReach(w http.ResponseWriter, r *http.Request) {
-	var req reachRequest
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, MaxQueryBody)).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	algo, err := api.ParseAlgorithm(req.Algorithm)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	start := time.Now()
-	resp, err := s.eng.Query(r.Context(), lscr.Request{
-		Source:      req.Source,
-		Target:      req.Target,
-		Labels:      req.Labels,
-		Constraints: []string{req.Constraint},
-		Algorithm:   algo,
-		WantWitness: req.Witness,
-	})
-	if err != nil {
-		writeError(w, statusFor(err), err)
-		return
-	}
-	writeJSON(w, http.StatusOK, reachResponse{
-		Reachable: resp.Reachable,
-		ElapsedUS: time.Since(start).Microseconds(),
-		Passed:    resp.Stats.PassedVertices,
-		Witness:   resp.Witness.ToPath(),
-		Algorithm: algo.String(),
-	})
-}
-
-// batchRequest is the deprecated /reachbatch body. Concurrency 0 means
-// all cores.
-type batchRequest struct {
-	Queries     []reachRequest `json:"queries"`
-	Concurrency int            `json:"concurrency,omitempty"`
-}
-
-// batchItem is one deprecated /reachbatch result: either the reach
-// fields or a per-query error (bad names in one query do not fail the
-// batch).
-type batchItem struct {
-	Reachable bool   `json:"reachable"`
-	ElapsedUS int64  `json:"elapsed_us"`
-	Passed    int    `json:"passed_vertices"`
-	Algorithm string `json:"algorithm,omitempty"`
-	Error     string `json:"error,omitempty"`
-}
-
-func (s *server) legacyReachBatch(w http.ResponseWriter, r *http.Request) {
-	var req batchRequest
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, MaxBatchBody)).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	if len(req.Queries) == 0 {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("empty batch"))
-		return
-	}
-	if req.Concurrency < 0 || req.Concurrency > runtime.GOMAXPROCS(0) {
-		req.Concurrency = runtime.GOMAXPROCS(0)
-	}
-	items := make([]batchItem, len(req.Queries))
-	reqs := make([]lscr.Request, 0, len(req.Queries))
-	slots := make([]int, 0, len(req.Queries)) // reqs[j] answers items[slots[j]]
-	for i, rq := range req.Queries {
-		algo, err := api.ParseAlgorithm(rq.Algorithm)
-		if err != nil {
-			items[i].Error = err.Error()
-			continue
-		}
-		items[i].Algorithm = algo.String()
-		reqs = append(reqs, lscr.Request{
-			Source:      rq.Source,
-			Target:      rq.Target,
-			Labels:      rq.Labels,
-			Constraints: []string{rq.Constraint},
-			Algorithm:   algo,
-		})
-		slots = append(slots, i)
-	}
-	// r.Context() makes the whole batch cancellable: when the client
-	// disconnects, in-flight searches abort and unscheduled slots are
-	// never run (they record the context error instead).
-	for j, o := range s.eng.QueryBatch(r.Context(), reqs, lscr.BatchOptions{Concurrency: req.Concurrency}) {
-		it := &items[slots[j]]
-		if o.Err != nil {
-			it.Error = o.Err.Error()
-			continue
-		}
-		it.Reachable = o.Response.Reachable
-		it.ElapsedUS = o.Response.Elapsed.Microseconds()
-		it.Passed = o.Response.Stats.PassedVertices
-	}
-	writeJSON(w, http.StatusOK, map[string]any{"results": items, "count": len(items)})
-}
-
-// reachAllRequest is the deprecated /reachall body.
-type reachAllRequest struct {
-	Source      string   `json:"source"`
-	Target      string   `json:"target"`
-	Labels      []string `json:"labels,omitempty"`
-	Constraints []string `json:"constraints"`
-}
-
-func (s *server) legacyReachAll(w http.ResponseWriter, r *http.Request) {
-	var req reachAllRequest
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, MaxQueryBody)).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	resp, err := s.eng.Query(r.Context(), lscr.Request{
-		Source:      req.Source,
-		Target:      req.Target,
-		Labels:      req.Labels,
-		Constraints: req.Constraints,
-		Algorithm:   lscr.Conjunctive,
-		WantWitness: true,
-	})
-	if err != nil {
-		writeError(w, statusFor(err), err)
-		return
-	}
-	writeJSON(w, http.StatusOK, map[string]any{
-		"reachable":       resp.Reachable,
-		"passed_vertices": resp.Stats.PassedVertices,
-		"witness":         resp.Witness.ToMultiPath(),
-	})
 }
 
 func (s *server) selectQuery(w http.ResponseWriter, r *http.Request) {

@@ -254,101 +254,6 @@ func TestV1Batch(t *testing.T) {
 	}
 }
 
-// --- Deprecated pre-v1 routes keep answering with their original
-// shapes (they now run through Engine.Query under the hood). ---
-
-func TestLegacyReachEndpoint(t *testing.T) {
-	srv := testServer(t)
-	for _, algo := range []string{"", "ins", "uis", "uisstar"} {
-		resp, out := postJSON(t, srv.URL+"/reach", reachRequest{
-			Source: "C", Target: "P",
-			Labels:     []string{"apr", "married"},
-			Constraint: testConstraint,
-			Algorithm:  algo,
-			Witness:    true,
-		})
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("%q: status %d: %v", algo, resp.StatusCode, out)
-		}
-		if out["reachable"] != true {
-			t.Fatalf("%q: %v", algo, out)
-		}
-		w, ok := out["witness"].(map[string]any)
-		if !ok || w["Satisfying"] != "X" {
-			t.Fatalf("%q: witness = %v", algo, out["witness"])
-		}
-	}
-}
-
-func TestLegacyReachEndpointFalse(t *testing.T) {
-	srv := testServer(t)
-	resp, out := postJSON(t, srv.URL+"/reach", reachRequest{
-		Source: "C", Target: "P",
-		Labels:     []string{"may"},
-		Constraint: testConstraint,
-	})
-	if resp.StatusCode != http.StatusOK || out["reachable"] != false {
-		t.Fatalf("status=%d out=%v", resp.StatusCode, out)
-	}
-	if _, present := out["witness"]; present {
-		t.Fatalf("false answer carries witness: %v", out)
-	}
-}
-
-func TestLegacyReachBatchEndpoint(t *testing.T) {
-	srv := testServer(t)
-	req := batchRequest{
-		Concurrency: 4,
-		Queries: []reachRequest{
-			{Source: "C", Target: "P", Labels: []string{"apr", "married"}, Constraint: testConstraint},
-			{Source: "C", Target: "P", Labels: []string{"may"}, Constraint: testConstraint},
-			{Source: "nope", Target: "P", Constraint: testConstraint},
-			{Source: "C", Target: "P", Constraint: testConstraint, Algorithm: "dijkstra"},
-			{Source: "C", Target: "P", Labels: []string{"apr", "married"}, Constraint: testConstraint, Algorithm: "uis"},
-		},
-	}
-	resp, out := postJSON(t, srv.URL+"/reachbatch", req)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status %d: %v", resp.StatusCode, out)
-	}
-	if out["count"].(float64) != 5 {
-		t.Fatalf("count = %v", out["count"])
-	}
-	results := out["results"].([]any)
-	want := []struct {
-		reachable bool
-		hasError  bool
-	}{
-		{true, false},
-		{false, false},
-		{false, true},
-		{false, true},
-		{true, false},
-	}
-	for i, w := range want {
-		item := results[i].(map[string]any)
-		if item["reachable"] != w.reachable {
-			t.Errorf("query %d: reachable = %v, want %v", i, item["reachable"], w.reachable)
-		}
-		_, gotErr := item["error"]
-		if gotErr != w.hasError {
-			t.Errorf("query %d: error present = %v, want %v (%v)", i, gotErr, w.hasError, item)
-		}
-	}
-}
-
-func TestLegacyReachAllEndpoint(t *testing.T) {
-	srv := testServer(t)
-	resp, out := postJSON(t, srv.URL+"/reachall", reachAllRequest{
-		Source: "C", Target: "P",
-		Labels:      []string{"apr"},
-		Constraints: []string{testConstraint},
-	})
-	if resp.StatusCode != http.StatusOK || out["reachable"] != true {
-		t.Fatalf("status=%d out=%v", resp.StatusCode, out)
-	}
-}
-
 func TestSelectEndpoint(t *testing.T) {
 	srv := testServer(t)
 	resp, out := postJSON(t, srv.URL+"/select", map[string]string{
@@ -382,19 +287,19 @@ func TestStatusForSentinels(t *testing.T) {
 	srv := testServerOpts(t, lscr.Options{SkipIndex: true})
 	cases := []struct {
 		name string
-		body reachRequest
+		body api.QueryRequest
 		want int
 	}{
-		{"ins without index", reachRequest{Source: "C", Target: "P", Constraint: testConstraint, Algorithm: "ins"}, http.StatusBadRequest},
-		{"uis still works", reachRequest{Source: "C", Target: "P", Constraint: testConstraint, Algorithm: "uis"}, http.StatusOK},
-		{"unknown vertex", reachRequest{Source: "nope", Target: "P", Constraint: testConstraint, Algorithm: "uis"}, http.StatusBadRequest},
-		{"unknown label", reachRequest{Source: "C", Target: "P", Labels: []string{"bogus"}, Constraint: testConstraint, Algorithm: "uis"}, http.StatusBadRequest},
-		{"syntax error", reachRequest{Source: "C", Target: "P", Constraint: "SELECT garbage", Algorithm: "uis"}, http.StatusBadRequest},
-		{"invalid constraint", reachRequest{Source: "C", Target: "P",
+		{"ins without index", api.QueryRequest{Source: "C", Target: "P", Constraint: testConstraint, Algorithm: "ins"}, http.StatusBadRequest},
+		{"uis still works", api.QueryRequest{Source: "C", Target: "P", Constraint: testConstraint, Algorithm: "uis"}, http.StatusOK},
+		{"unknown vertex", api.QueryRequest{Source: "nope", Target: "P", Constraint: testConstraint, Algorithm: "uis"}, http.StatusBadRequest},
+		{"unknown label", api.QueryRequest{Source: "C", Target: "P", Labels: []string{"bogus"}, Constraint: testConstraint, Algorithm: "uis"}, http.StatusBadRequest},
+		{"syntax error", api.QueryRequest{Source: "C", Target: "P", Constraint: "SELECT garbage", Algorithm: "uis"}, http.StatusBadRequest},
+		{"invalid constraint", api.QueryRequest{Source: "C", Target: "P",
 			Constraint: `SELECT ?x WHERE { ?y <married> <Amy>. }`, Algorithm: "uis"}, http.StatusBadRequest},
 	}
 	for _, tc := range cases {
-		resp, out := postJSON(t, srv.URL+"/reach", tc.body)
+		resp, out := postJSON(t, srv.URL+"/v1/query", tc.body)
 		if resp.StatusCode != tc.want {
 			t.Errorf("%s: status %d, want %d (%v)", tc.name, resp.StatusCode, tc.want, out)
 		}
@@ -407,7 +312,7 @@ func TestBodyLimits(t *testing.T) {
 	srv := testServer(t)
 	huge := `{"source":"C","target":"P","constraint":"` +
 		strings.Repeat("x", MaxQueryBody+1024) + `"}`
-	for _, ep := range []string{"/v1/query", "/reach", "/reachall", "/select"} {
+	for _, ep := range []string{"/v1/query", "/select"} {
 		resp, err := http.Post(srv.URL+ep, "application/json", strings.NewReader(huge))
 		if err != nil {
 			t.Fatalf("%s: %v", ep, err)
@@ -420,7 +325,7 @@ func TestBodyLimits(t *testing.T) {
 }
 
 // TestHealthzCacheStats: /healthz surfaces the constraint cache
-// counters, and v1 queries share the same cache as the legacy routes.
+// counters that /v1/query traffic drives.
 func TestHealthzCacheStats(t *testing.T) {
 	srv := testServer(t)
 	for i := 0; i < 3; i++ {

@@ -1,63 +1,60 @@
 package lscr
 
 import (
-	"bytes"
+	"context"
 	"strings"
 	"testing"
 )
 
 func TestReachTraced(t *testing.T) {
+	ctx := context.Background()
 	kg := loadFincrime(t)
 	eng := NewEngine(kg, Options{})
-	q := Query{
+	req := Request{
 		Source: "SuspectC", Target: "SuspectP",
 		Labels:     []string{"transfer2019-04", "married-to"},
 		Constraint: `SELECT ?x WHERE { ?x <married-to> <Amy>. }`,
+		WantTrace:  true,
 	}
 	for _, algo := range []Algorithm{UIS, UISStar, INS} {
-		q.Algorithm = algo
-		var dot bytes.Buffer
-		res, err := eng.ReachTraced(q, &dot)
+		req.Algorithm = algo
+		resp, err := eng.Query(ctx, req)
 		if err != nil {
 			t.Fatalf("%v: %v", algo, err)
 		}
-		if !res.Reachable {
+		if !resp.Reachable {
 			t.Fatalf("%v: unreachable", algo)
 		}
-		out := dot.String()
+		out := resp.TraceDOT
 		if !strings.Contains(out, "digraph") || !strings.Contains(out, "SuspectC_F") {
 			t.Errorf("%v: DOT output malformed:\n%s", algo, out)
 		}
 	}
-	// Nil writer skips rendering but still answers.
-	q.Algorithm = INS
-	res, err := eng.ReachTraced(q, nil)
-	if err != nil || !res.Reachable {
-		t.Fatalf("nil writer: %+v %v", res, err)
-	}
 	// Errors propagate.
-	q.Source = "nobody"
-	if _, err := eng.ReachTraced(q, nil); err == nil {
+	req.Algorithm = INS
+	req.Source = "nobody"
+	if _, err := eng.Query(ctx, req); err == nil {
 		t.Fatal("unknown source accepted")
 	}
-	q.Source = "SuspectC"
-	q.Constraint = "garbage"
-	if _, err := eng.ReachTraced(q, nil); err == nil {
+	req.Source = "SuspectC"
+	req.Constraint = "garbage"
+	if _, err := eng.Query(ctx, req); err == nil {
 		t.Fatal("malformed constraint accepted")
 	}
-	q.Constraint = `SELECT ?x WHERE { ?x <married-to> <Nobody>. }`
-	res, err = eng.ReachTraced(q, nil)
-	if err != nil || res.Reachable {
-		t.Fatalf("unsatisfiable constraint: %+v %v", res, err)
+	// An unsatisfiable constraint answers false without searching, so
+	// there is no tree to render.
+	req.Constraint = `SELECT ?x WHERE { ?x <married-to> <Nobody>. }`
+	resp, err := eng.Query(ctx, req)
+	if err != nil || resp.Reachable || resp.TraceDOT != "" {
+		t.Fatalf("unsatisfiable constraint: %+v %v", resp, err)
 	}
 	noIdx := NewEngine(kg, Options{SkipIndex: true})
-	q.Constraint = `SELECT ?x WHERE { ?x <married-to> <Amy>. }`
-	q.Algorithm = INS
-	if _, err := noIdx.ReachTraced(q, nil); err != ErrNoIndex {
+	req.Constraint = `SELECT ?x WHERE { ?x <married-to> <Amy>. }`
+	if _, err := noIdx.Query(ctx, req); err != ErrNoIndex {
 		t.Fatalf("INS without index: %v", err)
 	}
-	q.Algorithm = Algorithm(77)
-	if _, err := eng.ReachTraced(q, nil); err == nil {
+	req.Algorithm = Algorithm(77)
+	if _, err := eng.Query(ctx, req); err == nil {
 		t.Fatal("unknown algorithm accepted")
 	}
 }

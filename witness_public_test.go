@@ -2,48 +2,52 @@ package lscr
 
 import (
 	"bytes"
+	"context"
 	"strings"
 	"testing"
 )
 
 func TestReachWithWitness(t *testing.T) {
+	ctx := context.Background()
 	kg := loadFincrime(t)
 	eng := NewEngine(kg, Options{})
-	q := Query{
+	req := Request{
 		Source: "SuspectC", Target: "SuspectP",
-		Labels:     []string{"transfer2019-04", "married-to"},
-		Constraint: `SELECT ?x WHERE { ?x <married-to> <Amy>. }`,
+		Labels:      []string{"transfer2019-04", "married-to"},
+		Constraint:  `SELECT ?x WHERE { ?x <married-to> <Amy>. }`,
+		WantWitness: true,
 	}
 	for _, algo := range []Algorithm{INS, UIS, UISStar} {
-		q.Algorithm = algo
-		res, path, err := eng.ReachWithWitness(q)
+		req.Algorithm = algo
+		resp, err := eng.Query(ctx, req)
 		if err != nil {
 			t.Fatalf("%v: %v", algo, err)
 		}
-		if !res.Reachable || path == nil {
+		w := resp.Witness
+		if !resp.Reachable || w == nil {
 			t.Fatalf("%v: no witness for reachable query", algo)
 		}
-		if path.Satisfying != "MiddlemanX" {
-			t.Errorf("%v: satisfying = %q, want MiddlemanX", algo, path.Satisfying)
+		if len(w.SatisfiedBy) != 1 || w.SatisfiedBy[0] != "MiddlemanX" {
+			t.Errorf("%v: satisfied by %q, want [MiddlemanX]", algo, w.SatisfiedBy)
 		}
-		s := path.String()
+		s := w.String()
 		if !strings.HasPrefix(s, "SuspectC ") || !strings.HasSuffix(s, " SuspectP") {
 			t.Errorf("%v: path = %q", algo, s)
 		}
 	}
 	// False answers carry no witness.
-	q.Labels = []string{"transfer2019-05"}
-	q.Algorithm = INS
-	res, path, err := eng.ReachWithWitness(q)
+	req.Labels = []string{"transfer2019-05"}
+	req.Algorithm = INS
+	resp, err := eng.Query(ctx, req)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Reachable || path != nil {
+	if resp.Reachable || resp.Witness != nil {
 		t.Fatal("witness fabricated for false answer")
 	}
 	// Errors propagate.
-	q.Source = "nobody"
-	if _, _, err := eng.ReachWithWitness(q); err == nil {
+	req.Source = "nobody"
+	if _, err := eng.Query(ctx, req); err == nil {
 		t.Fatal("unknown source accepted")
 	}
 }
@@ -52,15 +56,16 @@ func TestWitnessZeroLengthPathString(t *testing.T) {
 	kg := loadFincrime(t)
 	eng := NewEngine(kg, Options{})
 	// MiddlemanX -> MiddlemanX with MiddlemanX satisfying: empty path.
-	res, path, err := eng.ReachWithWitness(Query{
+	resp, err := eng.Query(context.Background(), Request{
 		Source: "MiddlemanX", Target: "MiddlemanX",
-		Constraint: `SELECT ?x WHERE { ?x <married-to> <Amy>. }`,
+		Constraint:  `SELECT ?x WHERE { ?x <married-to> <Amy>. }`,
+		WantWitness: true,
 	})
-	if err != nil || !res.Reachable || path == nil {
-		t.Fatalf("res=%+v path=%v err=%v", res, path, err)
+	if err != nil || !resp.Reachable || resp.Witness == nil {
+		t.Fatalf("resp=%+v err=%v", resp, err)
 	}
-	if len(path.Hops) != 0 || path.String() != "MiddlemanX" {
-		t.Fatalf("path = %+v (%q)", path.Hops, path.String())
+	if w := resp.Witness; len(w.Hops) != 0 || w.String() != "MiddlemanX" {
+		t.Fatalf("path = %+v (%q)", w.Hops, w.String())
 	}
 }
 
@@ -78,16 +83,16 @@ func TestSaveLoadIndex(t *testing.T) {
 	if loaded.CacheStats().Enabled {
 		t.Fatal("ConstraintCacheSize not applied on the load path")
 	}
-	q := Query{
+	req := Request{
 		Source: "SuspectC", Target: "SuspectP",
 		Labels:     []string{"transfer2019-04", "married-to"},
 		Constraint: `SELECT ?x WHERE { ?x <married-to> <Amy>. }`,
 	}
-	a, err := eng.Reach(q)
+	a, err := eng.Query(context.Background(), req)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := loaded.Reach(q)
+	b, err := loaded.Query(context.Background(), req)
 	if err != nil {
 		t.Fatal(err)
 	}
