@@ -30,17 +30,16 @@ func main() {
 		scale    = flag.Int("scale", 1, "lubm: number of universities")
 		entities = flag.Int("entities", 10000, "yago: number of entities")
 		seed     = flag.Int64("seed", 1, "generator seed")
-		format   = flag.String("format", "triples", "output format: triples or snapshot")
 		edges    = flag.Int("edges", 0, "size the graph by edge target instead of -scale/-entities")
 	)
 	flag.Parse()
-	if err := run(os.Stdout, *kind, *format, *scale, *entities, *edges, *seed); err != nil {
+	if err := run(os.Stdout, *kind, *scale, *entities, *edges, *seed); err != nil {
 		fmt.Fprintln(os.Stderr, "kggen:", err)
 		os.Exit(1)
 	}
 }
 
-func run(w io.Writer, kind, format string, scale, entities, edges int, seed int64) error {
+func run(w io.Writer, kind string, scale, entities, edges int, seed int64) error {
 	var g *graph.Graph
 	switch kind {
 	case "lubm":
@@ -60,13 +59,5 @@ func run(w io.Writer, kind, format string, scale, entities, edges int, seed int6
 	default:
 		return fmt.Errorf("unknown generator kind %q", kind)
 	}
-	switch format {
-	case "triples":
-		return rdf.Dump(g, w)
-	case "snapshot":
-		_, err := g.WriteTo(w)
-		return err
-	default:
-		return fmt.Errorf("unknown output format %q", format)
-	}
+	return rdf.Dump(g, w)
 }

@@ -4,13 +4,12 @@ import (
 	"bytes"
 	"testing"
 
-	"lscr/internal/graph"
 	"lscr/internal/rdf"
 )
 
 func TestRunLUBM(t *testing.T) {
 	var buf bytes.Buffer
-	if err := run(&buf, "lubm", "triples", 1, 0, 0, 1); err != nil {
+	if err := run(&buf, "lubm", 1, 0, 0, 1); err != nil {
 		t.Fatal(err)
 	}
 	g, err := rdf.Load(&buf)
@@ -24,7 +23,7 @@ func TestRunLUBM(t *testing.T) {
 
 func TestRunYago(t *testing.T) {
 	var buf bytes.Buffer
-	if err := run(&buf, "yago", "triples", 0, 500, 0, 1); err != nil {
+	if err := run(&buf, "yago", 0, 500, 0, 1); err != nil {
 		t.Fatal(err)
 	}
 	g, err := rdf.Load(&buf)
@@ -36,37 +35,16 @@ func TestRunYago(t *testing.T) {
 	}
 }
 
-func TestRunSnapshotFormat(t *testing.T) {
-	var buf bytes.Buffer
-	if err := run(&buf, "lubm", "snapshot", 1, 0, 0, 1); err != nil {
-		t.Fatal(err)
-	}
-	g, err := graph.ReadSnapshot(&buf)
-	if err != nil {
-		t.Fatalf("snapshot output not loadable: %v", err)
-	}
-	if g.NumVertices() == 0 {
-		t.Fatal("empty snapshot")
-	}
-}
-
-func TestRunUnknownFormat(t *testing.T) {
-	var buf bytes.Buffer
-	if err := run(&buf, "lubm", "xml", 1, 1, 0, 1); err == nil {
-		t.Fatal("unknown format accepted")
-	}
-}
-
 func TestRunUnknownKind(t *testing.T) {
 	var buf bytes.Buffer
-	if err := run(&buf, "nope", "triples", 1, 1, 0, 1); err == nil {
+	if err := run(&buf, "nope", 1, 1, 0, 1); err == nil {
 		t.Fatal("unknown kind accepted")
 	}
 }
 
 func TestRunEdgeTarget(t *testing.T) {
 	var buf bytes.Buffer
-	if err := run(&buf, "yago", "triples", 0, 0, 5000, 1); err != nil {
+	if err := run(&buf, "yago", 0, 0, 5000, 1); err != nil {
 		t.Fatal(err)
 	}
 	g, err := rdf.Load(&buf)

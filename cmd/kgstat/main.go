@@ -6,7 +6,6 @@
 package main
 
 import (
-	"bufio"
 	"flag"
 	"fmt"
 	"io"
@@ -19,7 +18,7 @@ import (
 )
 
 func main() {
-	kgPath := flag.String("kg", "", "path to the KG (triples or snapshot; required)")
+	kgPath := flag.String("kg", "", "path to the KG as N-Triples (required)")
 	top := flag.Int("top", 10, "show the top-N labels and degrees")
 	flag.Parse()
 	if *kgPath == "" {
@@ -39,16 +38,7 @@ func main() {
 }
 
 func run(w io.Writer, r io.Reader, top int) error {
-	br := bufio.NewReader(r)
-	var (
-		g   *graph.Graph
-		err error
-	)
-	if head, perr := br.Peek(8); perr == nil && string(head) == "LSCRKG01" {
-		g, err = graph.ReadSnapshot(br)
-	} else {
-		g, err = rdf.Load(br)
-	}
+	g, err := rdf.Load(r)
 	if err != nil {
 		return err
 	}

@@ -4,8 +4,6 @@ import (
 	"bytes"
 	"strings"
 	"testing"
-
-	"lscr/internal/lubm"
 )
 
 func TestRunOnTriples(t *testing.T) {
@@ -21,23 +19,6 @@ func TestRunOnTriples(t *testing.T) {
 		if !strings.Contains(s, want) {
 			t.Errorf("output missing %q:\n%s", want, s)
 		}
-	}
-}
-
-func TestRunOnSnapshot(t *testing.T) {
-	cfg := lubm.DefaultConfig(1)
-	cfg.DeptsPerUniversity = 1 // keep the SCC closure small for test speed
-	g := lubm.Generate(cfg)
-	var snap bytes.Buffer
-	if _, err := g.WriteTo(&snap); err != nil {
-		t.Fatal(err)
-	}
-	var out bytes.Buffer
-	if err := run(&out, &snap, 3); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(out.String(), "density") {
-		t.Errorf("output missing density:\n%s", out.String())
 	}
 }
 

@@ -1,6 +1,5 @@
 // Command lscr answers label- and substructure-constrained reachability
-// queries over a knowledge graph stored as an N-Triples-style file or a
-// binary snapshot (auto-detected).
+// queries over a knowledge graph stored as an N-Triples-style file.
 //
 // Usage:
 //
@@ -9,13 +8,13 @@
 //	     -constraint "SELECT ?x WHERE { ?x <married-to> <Amy>. }" \
 //	     -witness
 //
-// The local index can be persisted across runs with -index-file: the
-// first run builds and saves it, later runs load it. Exit status 0 means
-// reachable, 1 means not reachable, 2 means error.
+// The graph and its local index can be persisted across runs with
+// -data: the first run creates a store there from -kg, later runs open
+// it without parsing or building anything (-kg is then optional). Exit
+// status 0 means reachable, 1 means not reachable, 2 means error.
 package main
 
 import (
-	"bufio"
 	"context"
 	"errors"
 	"flag"
@@ -32,13 +31,13 @@ import (
 
 func main() {
 	var opts options
-	flag.StringVar(&opts.kgPath, "kg", "", "path to the KG (triples or snapshot; required)")
+	flag.StringVar(&opts.kgPath, "kg", "", "path to the KG as N-Triples (required unless -data holds a store)")
 	flag.StringVar(&opts.from, "from", "", "source vertex name (required)")
 	flag.StringVar(&opts.to, "to", "", "target vertex name (required)")
 	flag.StringVar(&opts.labels, "labels", "", "comma-separated label constraint (empty = all labels)")
 	flag.StringVar(&opts.constraint, "constraint", "", "SPARQL substructure constraint (required)")
 	flag.StringVar(&opts.algoName, "algo", "ins", "algorithm: ins, uis or uisstar")
-	flag.StringVar(&opts.indexFile, "index-file", "", "load the local index from this file, or build and save it there")
+	flag.StringVar(&opts.dataDir, "data", "", "data directory: open the store there, or create one from -kg on first run")
 	flag.BoolVar(&opts.noIndex, "no-index", false, "skip local-index construction (forbids -algo ins)")
 	flag.BoolVar(&opts.witness, "witness", false, "print the evidence path on a true answer")
 	flag.StringVar(&opts.searchTree, "search-tree", "", "write the search tree as Graphviz DOT to this file")
@@ -62,14 +61,14 @@ func main() {
 }
 
 type options struct {
-	kgPath, from, to, labels, constraint, algoName, indexFile string
-	searchTree                                                string
-	noIndex, witness, verbose                                 bool
+	kgPath, from, to, labels, constraint, algoName, dataDir string
+	searchTree                                              string
+	noIndex, witness, verbose                               bool
 }
 
 func run(ctx context.Context, w io.Writer, o options) (int, error) {
-	if o.kgPath == "" || o.from == "" || o.to == "" || o.constraint == "" {
-		return 2, errors.New("-kg, -from, -to and -constraint are required")
+	if (o.kgPath == "" && o.dataDir == "") || o.from == "" || o.to == "" || o.constraint == "" {
+		return 2, errors.New("-kg (or -data), -from, -to and -constraint are required")
 	}
 	var algo lscr.Algorithm
 	switch strings.ToLower(o.algoName) {
@@ -82,14 +81,11 @@ func run(ctx context.Context, w io.Writer, o options) (int, error) {
 	default:
 		return 2, fmt.Errorf("unknown algorithm %q", o.algoName)
 	}
-	kg, err := loadKG(o.kgPath)
+	eng, err := buildEngine(o)
 	if err != nil {
 		return 2, err
 	}
-	eng, err := buildEngine(kg, o)
-	if err != nil {
-		return 2, err
-	}
+	defer eng.Close()
 	req := lscr.Request{
 		Source: o.from, Target: o.to,
 		Constraint:  o.constraint,
@@ -126,48 +122,31 @@ func run(ctx context.Context, w io.Writer, o options) (int, error) {
 	return 0, nil
 }
 
-// loadKG sniffs the file format: binary snapshots start with "LSCRKG01",
-// anything else is parsed as triples.
-func loadKG(path string) (*lscr.KG, error) {
-	f, err := os.Open(path)
+// buildEngine opens the store in -data, or creates it there from -kg
+// when the directory holds none; without -data it builds an in-memory
+// engine from -kg.
+func buildEngine(o options) (*lscr.Engine, error) {
+	opts := lscr.Options{SkipIndex: o.noIndex}
+	if o.dataDir != "" {
+		eng, err := lscr.Open(o.dataDir, opts)
+		if !errors.Is(err, lscr.ErrNoStore) {
+			return eng, err
+		}
+		if o.kgPath == "" {
+			return nil, fmt.Errorf("%s holds no store and -kg was not given", o.dataDir)
+		}
+	}
+	f, err := os.Open(o.kgPath)
 	if err != nil {
 		return nil, err
 	}
 	defer f.Close()
-	br := bufio.NewReader(f)
-	head, err := br.Peek(8)
-	if err == nil && string(head) == "LSCRKG01" {
-		return lscr.LoadSnapshot(br)
+	kg, err := lscr.Load(f)
+	if err != nil {
+		return nil, err
 	}
-	return lscr.Load(br)
-}
-
-// buildEngine loads the index from -index-file when present, otherwise
-// builds it (and saves it when -index-file names a new file).
-func buildEngine(kg *lscr.KG, o options) (*lscr.Engine, error) {
-	if o.noIndex {
-		return lscr.NewEngine(kg, lscr.Options{SkipIndex: true}), nil
+	if o.dataDir != "" {
+		return lscr.Create(o.dataDir, kg, opts)
 	}
-	if o.indexFile != "" {
-		if f, err := os.Open(o.indexFile); err == nil {
-			defer f.Close()
-			eng, err := lscr.NewEngineFromIndex(kg, bufio.NewReader(f), lscr.Options{})
-			if err != nil {
-				return nil, fmt.Errorf("loading %s: %w", o.indexFile, err)
-			}
-			return eng, nil
-		}
-	}
-	eng := lscr.NewEngine(kg, lscr.Options{})
-	if o.indexFile != "" {
-		f, err := os.Create(o.indexFile)
-		if err != nil {
-			return nil, err
-		}
-		defer f.Close()
-		if err := eng.SaveIndex(f); err != nil {
-			return nil, err
-		}
-	}
-	return eng, nil
+	return lscr.NewEngine(kg, opts), nil
 }

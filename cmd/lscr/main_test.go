@@ -7,8 +7,6 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
-
-	"lscr"
 )
 
 const testKG = `
@@ -103,49 +101,25 @@ func TestRunNotReachable(t *testing.T) {
 	}
 }
 
+// TestRunIndexFileRoundTrip: the first -data run creates the store from
+// -kg, a later run opens it with no -kg at all — the persisted graph and
+// index answer on their own.
 func TestRunIndexFileRoundTrip(t *testing.T) {
 	p := writeKG(t)
-	idxPath := filepath.Join(t.TempDir(), "kg.idx")
+	dataDir := filepath.Join(t.TempDir(), "store")
 	o := baseOpts(p)
-	o.indexFile = idxPath
+	o.dataDir = dataDir
 	var buf bytes.Buffer
 	if code, err := run(context.Background(), &buf, o); err != nil || code != 0 {
-		t.Fatalf("first run (build+save): code=%d err=%v", code, err)
+		t.Fatalf("first run (create): code=%d err=%v", code, err)
 	}
-	if _, err := os.Stat(idxPath); err != nil {
-		t.Fatalf("index not saved: %v", err)
+	if segs, _ := filepath.Glob(filepath.Join(dataDir, "seg-*.lscrseg")); len(segs) != 1 {
+		t.Fatalf("store not created: segments %v", segs)
 	}
-	// Second run loads the saved index.
+	// Second run opens the store; the KG file is not needed any more.
+	o.kgPath = ""
 	if code, err := run(context.Background(), &buf, o); err != nil || code != 0 {
-		t.Fatalf("second run (load): code=%d err=%v", code, err)
-	}
-}
-
-func TestRunSnapshotInput(t *testing.T) {
-	p := writeKG(t)
-	// Convert the triple file into a snapshot and query it.
-	f, err := os.Open(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	kg, err := lscr.Load(f)
-	f.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
-	snapPath := filepath.Join(t.TempDir(), "kg.snap")
-	out, err := os.Create(snapPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := kg.WriteSnapshot(out); err != nil {
-		t.Fatal(err)
-	}
-	out.Close()
-	o := baseOpts(snapPath)
-	var buf bytes.Buffer
-	if code, err := run(context.Background(), &buf, o); err != nil || code != 0 {
-		t.Fatalf("snapshot query: code=%d err=%v", code, err)
+		t.Fatalf("second run (open): code=%d err=%v", code, err)
 	}
 }
 
@@ -160,7 +134,8 @@ func TestRunErrors(t *testing.T) {
 		{"missing file", func(o *options) { o.kgPath = p + ".nope" }},
 		{"ins without index", func(o *options) { o.noIndex = true }},
 		{"unknown vertex", func(o *options) { o.from = "nobody" }},
-		{"bad index file", func(o *options) { o.indexFile = p }}, // triples are not an index
+		{"data dir is a file", func(o *options) { o.dataDir = p }},
+		{"empty data dir without kg", func(o *options) { o.kgPath, o.dataDir = "", t.TempDir() }},
 	}
 	for _, tc := range cases {
 		o := baseOpts(p)

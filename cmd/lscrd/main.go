@@ -36,7 +36,6 @@
 package main
 
 import (
-	"bufio"
 	"context"
 	"errors"
 	"flag"
@@ -70,10 +69,9 @@ const (
 
 func main() {
 	var (
-		kgPath       = flag.String("kg", "", "path to the KG (triples or snapshot; required unless -data holds a store)")
+		kgPath       = flag.String("kg", "", "path to the KG as N-Triples (required unless -data holds a store)")
 		dataDir      = flag.String("data", "", "data directory: open the store there, or create one from -kg on first boot")
 		durability   = flag.String("durability", "sync", "WAL fsync policy for -data: sync (per batch) or lazy")
-		indexPath    = flag.String("index", "", "deprecated: load a SaveIndex file instead of building the index; superseded by -data")
 		addr         = flag.String("addr", ":8080", "listen address")
 		workers      = flag.Int("workers", 0, "index-build goroutines (0 = all cores)")
 		cacheSize    = flag.Int("cache", 0, "constraint-cache capacity (0 = default, negative = disabled)")
@@ -98,8 +96,8 @@ func main() {
 		RetryAfter:  *retryAfter,
 	}
 	if *follow != "" {
-		if *kgPath != "" || *dataDir != "" || *indexPath != "" {
-			fmt.Fprintln(os.Stderr, "lscrd: -follow replicates the writer's state; it cannot be combined with -kg, -data or -index")
+		if *kgPath != "" || *dataDir != "" {
+			fmt.Fprintln(os.Stderr, "lscrd: -follow replicates the writer's state; it cannot be combined with -kg or -data")
 			os.Exit(2)
 		}
 		runFollower(*follow, *addr, lscr.Options{IndexWorkers: *workers, ConstraintCacheSize: *cacheSize}, admission)
@@ -119,7 +117,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "lscrd: -kg or -data is required")
 		os.Exit(2)
 	}
-	eng, err := provision(*dataDir, *kgPath, *indexPath, opts)
+	eng, err := provision(*dataDir, *kgPath, opts)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "lscrd:", err)
 		os.Exit(2)
@@ -204,13 +202,10 @@ func runFollower(writer, addr string, opts lscr.Options, admission server.Admiss
 }
 
 // provision builds the engine: from a data directory (opening the
-// store, or creating one from -kg on first boot), from a saved index
-// (deprecated -index path), or in-memory from -kg alone.
-func provision(dataDir, kgPath, indexPath string, opts lscr.Options) (*lscr.Engine, error) {
+// store, or creating one from -kg on first boot), or in-memory from -kg
+// alone.
+func provision(dataDir, kgPath string, opts lscr.Options) (*lscr.Engine, error) {
 	if dataDir != "" {
-		if indexPath != "" {
-			return nil, errors.New("-index cannot be combined with -data (the store carries its own index)")
-		}
 		eng, err := lscr.Open(dataDir, opts)
 		if err == nil {
 			log.Printf("lscrd: opened store %s", dataDir)
@@ -232,15 +227,6 @@ func provision(dataDir, kgPath, indexPath string, opts lscr.Options) (*lscr.Engi
 	kg, err := loadKG(kgPath)
 	if err != nil {
 		return nil, err
-	}
-	if indexPath != "" {
-		log.Print("lscrd: -index is deprecated; use -data for persistent state")
-		f, err := os.Open(indexPath)
-		if err != nil {
-			return nil, err
-		}
-		defer f.Close()
-		return lscr.NewEngineFromIndex(kg, bufio.NewReader(f), opts)
 	}
 	return lscr.NewEngine(kg, opts), nil
 }
@@ -264,16 +250,12 @@ func serve(ctx context.Context, srv *http.Server, ln net.Listener) error {
 	}
 }
 
-// loadKG reads a KG file, sniffing the binary-snapshot magic.
+// loadKG reads an N-Triples KG file.
 func loadKG(path string) (*lscr.KG, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
 	defer f.Close()
-	br := bufio.NewReader(f)
-	if head, err := br.Peek(8); err == nil && string(head) == "LSCRKG01" {
-		return lscr.LoadSnapshot(br)
-	}
-	return lscr.Load(br)
+	return lscr.Load(f)
 }

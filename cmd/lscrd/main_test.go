@@ -73,27 +73,13 @@ func TestLoadHelper(t *testing.T) {
 	if err != nil || kg.NumVertices() != 4 {
 		t.Fatalf("triples load: %v", err)
 	}
-	// Snapshot path.
-	snap := filepath.Join(dir, "kg.snap")
-	f, err := os.Create(snap)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := kg.WriteSnapshot(f); err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
-	if kg2, err := loadKG(snap); err != nil || kg2.NumVertices() != kg.NumVertices() {
-		t.Fatalf("snapshot load: %v", err)
-	}
 	if _, err := loadKG(filepath.Join(dir, "missing")); err == nil {
 		t.Error("missing file accepted")
 	}
 }
 
 // TestProvisionDataDir: first boot creates the store from -kg, the
-// second opens it without -kg, the saved-index path stays available
-// and refuses to combine with -data.
+// second opens it without -kg.
 func TestProvisionDataDir(t *testing.T) {
 	dir := t.TempDir()
 	triples := filepath.Join(dir, "kg.nt")
@@ -103,17 +89,17 @@ func TestProvisionDataDir(t *testing.T) {
 	data := filepath.Join(dir, "store")
 	opts := lscr.Options{IndexWorkers: 1}
 
-	if _, err := provision(data, "", "", opts); err == nil {
+	if _, err := provision(data, "", opts); err == nil {
 		t.Fatal("empty dir without -kg accepted")
 	}
-	eng, err := provision(data, triples, "", opts)
+	eng, err := provision(data, triples, opts)
 	if err != nil {
 		t.Fatalf("create: %v", err)
 	}
 	if err := eng.Close(); err != nil {
 		t.Fatalf("close: %v", err)
 	}
-	eng2, err := provision(data, "", "", opts)
+	eng2, err := provision(data, "", opts)
 	if err != nil {
 		t.Fatalf("reopen: %v", err)
 	}
@@ -123,27 +109,5 @@ func TestProvisionDataDir(t *testing.T) {
 	}
 	if !eng2.Durability().Persistent {
 		t.Fatal("reopened engine not persistent")
-	}
-	if _, err := provision(data, "", filepath.Join(dir, "idx"), opts); err == nil {
-		t.Fatal("-index with -data accepted")
-	}
-
-	// Deprecated saved-index path, without -data.
-	idxPath := filepath.Join(dir, "kg.idx")
-	f, err := os.Create(idxPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	kg, _ := loadKG(triples)
-	if err := lscr.NewEngine(kg, opts).SaveIndex(f); err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
-	eng3, err := provision("", triples, idxPath, opts)
-	if err != nil {
-		t.Fatalf("saved-index provision: %v", err)
-	}
-	if _, ok := eng3.Index(); !ok {
-		t.Fatal("saved-index engine has no index")
 	}
 }

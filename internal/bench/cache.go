@@ -1,7 +1,6 @@
 package bench
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -86,19 +85,11 @@ func MeasureCacheSpeedup(cfg Config, concurrency int) (*CacheReport, error) {
 		}
 	}
 
-	// One index build shared by both engines: the cold engine saves its
-	// index and the warm engine reloads it, so the comparison isolates
-	// the cache.
+	// Both engines build the same index (the build is deterministic for a
+	// fixed seed), so the comparison isolates the cache.
 	kg := pub.FromGraph(g)
 	cold := pub.NewEngine(kg, pub.Options{IndexSeed: cfg.Seed, ConstraintCacheSize: -1})
-	var idx bytes.Buffer
-	if err := cold.SaveIndex(&idx); err != nil {
-		return nil, err
-	}
-	warm, err := pub.NewEngineFromIndex(kg, &idx, pub.Options{})
-	if err != nil {
-		return nil, err
-	}
+	warm := pub.NewEngine(kg, pub.Options{IndexSeed: cfg.Seed})
 
 	ctx := context.Background()
 	bo := pub.BatchOptions{Concurrency: concurrency}

@@ -1,11 +1,11 @@
 package bench
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
 	"io"
+	"os"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -14,6 +14,7 @@ import (
 	pub "lscr"
 	"lscr/internal/graph"
 	"lscr/internal/lubm"
+	"lscr/internal/segment"
 )
 
 // The mutate harness measures the live-update tentpole: Engine.Apply
@@ -25,7 +26,7 @@ import (
 // write throughput itself, then proves the serving answers: after a
 // final compaction the live engine must answer the whole workload
 // bit-identically to an engine rebuilt from scratch on the final edge
-// set (snapshot round-trip → fresh Builder → fresh index). cmd/lscrbench
+// set (segment round-trip → fresh index, see viaSegment). cmd/lscrbench
 // exposes it as -exp mutate (text) and -exp mutate-json (the
 // BENCH_mutate.json trajectory format), and the CI smoke exits nonzero
 // unless the answers are identical.
@@ -219,9 +220,9 @@ func MeasureMutate(cfg Config, concurrency int) (*MutateReport, error) {
 	rep.WriteOpsPerSec = float64(rep.Batches*rep.OpsPerBatch) / writeSecs
 
 	// Phase 3: fold everything, then prove the serving answers against a
-	// from-scratch rebuild on the final edge set. The snapshot
-	// round-trip re-interns every name and edge through a fresh Builder,
-	// so the rebuilt engine shares no state with the live one.
+	// from-scratch rebuild on the final edge set. The segment round-trip
+	// decodes the graph from disk, so the rebuilt engine shares no state
+	// with the live one.
 	if _, err := eng.Compact(ctx); err != nil {
 		return nil, fmt.Errorf("bench: final compaction: %w", err)
 	}
@@ -229,15 +230,12 @@ func MeasureMutate(cfg Config, concurrency int) (*MutateReport, error) {
 	kg := eng.KG()
 	rep.FinalVertices, rep.FinalEdges = kg.NumVertices(), kg.NumEdges()
 
-	var snap bytes.Buffer
-	if err := kg.WriteSnapshot(&snap); err != nil {
-		return nil, err
-	}
-	rebuiltKG, err := pub.LoadSnapshot(&snap)
+	rebuiltG, release, err := viaSegment(kg.Graph())
 	if err != nil {
 		return nil, err
 	}
-	rebuilt := pub.NewEngine(rebuiltKG, pub.Options{IndexSeed: cfg.Seed})
+	defer release()
+	rebuilt := pub.NewEngine(pub.FromGraph(rebuiltG), pub.Options{IndexSeed: cfg.Seed})
 
 	rep.Identical = true
 	live := eng.QueryBatch(ctx, reqs, pub.BatchOptions{Concurrency: concurrency})
@@ -255,6 +253,27 @@ func MeasureMutate(cfg Config, concurrency int) (*MutateReport, error) {
 		}
 	}
 	return rep, nil
+}
+
+// viaSegment round-trips g's compaction through the segment format in a
+// fresh temp directory and returns the decoded graph, which shares no
+// memory with g — the identity oracles' independent copy of the final
+// edge set. release unmaps the segment and removes the directory; call
+// it once nothing uses the graph any more.
+func viaSegment(g *graph.Graph) (_ *graph.Graph, release func(), err error) {
+	dir, err := os.MkdirTemp("", "lscr-oracle-")
+	if err != nil {
+		return nil, nil, err
+	}
+	path, err := segment.Write(dir, 0, g.Compact(), nil, 0, 0)
+	if err == nil {
+		var seg *segment.Segment
+		if seg, err = segment.Open(path); err == nil {
+			return seg.Graph, func() { seg.Close(); os.RemoveAll(dir) }, nil
+		}
+	}
+	os.RemoveAll(dir)
+	return nil, nil, err
 }
 
 // RunMutate prints the mixed-workload report (cmd/lscrbench -exp mutate)

@@ -19,9 +19,9 @@ import (
 // The restart harness measures the persistence tentpole: cold-boot
 // latency of the three ways an engine can come up on the same KG.
 //
-//   - rebuild: the legacy path — read a snapshot file, re-intern every
-//     name and edge, build the local index from scratch (what every
-//     boot cost before segments existed);
+//   - rebuild: parse a triples file, re-intern every name and edge,
+//     build the local index from scratch — what lscrd -kg without
+//     -data does on every boot;
 //   - segment: lscr.Open on a sealed store — mmap the newest segment
 //     and serve its CSR and index in place, no parse, no index build;
 //   - recovery: lscr.Open after a simulated kill -9 mid-write-workload —
@@ -110,7 +110,18 @@ func MeasureRestart(cfg Config, concurrency int) (*RestartReport, error) {
 		concurrency = runtime.GOMAXPROCS(0)
 	}
 	spec := DatasetSpec{Name: "D1", Universities: 1 * cfg.Scale}
-	g := buildDataset(spec, cfg.Seed)
+	// The dataset goes through the Dump → Load round trip once up front,
+	// so the store is sealed from exactly the graph the rebuild boot
+	// parses back (same interning order, same schema).
+	var triples bytes.Buffer
+	if err := pub.FromGraph(buildDataset(spec, cfg.Seed)).Dump(&triples); err != nil {
+		return nil, err
+	}
+	kg, err := pub.Load(bytes.NewReader(triples.Bytes()))
+	if err != nil {
+		return nil, err
+	}
+	g := kg.Graph()
 	ctx := context.Background()
 
 	rep := &RestartReport{
@@ -133,31 +144,27 @@ func MeasureRestart(cfg Config, concurrency int) (*RestartReport, error) {
 	defer os.RemoveAll(dir)
 
 	// Seal the store once (this is the cost segments amortise away) and
-	// write the snapshot file the rebuild path boots from.
-	creator, err := pub.Create(dir, pub.FromGraph(g), opts)
+	// write the triples file the rebuild path boots from.
+	creator, err := pub.Create(dir, kg, opts)
 	if err != nil {
 		return nil, fmt.Errorf("bench: create store: %w", err)
 	}
 	if err := creator.Close(); err != nil {
 		return nil, err
 	}
-	var snap bytes.Buffer
-	if err := pub.FromGraph(g).WriteSnapshot(&snap); err != nil {
-		return nil, err
-	}
-	snapPath := filepath.Join(dir, "kg.snap")
-	if err := os.WriteFile(snapPath, snap.Bytes(), 0o644); err != nil {
+	triplesPath := filepath.Join(dir, "kg.nt")
+	if err := os.WriteFile(triplesPath, triples.Bytes(), 0o644); err != nil {
 		return nil, err
 	}
 
-	// Boot path 1: parse + rebuild, the pre-persistence cold start.
+	// Boot path 1: parse + rebuild, the cold start without a store.
 	var rebuilt *pub.Engine
 	rep.RebuildBootMS, err = bestOfBoots(func() (func() error, error) {
-		data, err := os.ReadFile(snapPath)
+		data, err := os.ReadFile(triplesPath)
 		if err != nil {
 			return nil, err
 		}
-		kg, err := pub.LoadSnapshot(bytes.NewReader(data))
+		kg, err := pub.Load(bytes.NewReader(data))
 		if err != nil {
 			return nil, err
 		}
@@ -235,18 +242,15 @@ func MeasureRestart(cfg Config, concurrency int) (*RestartReport, error) {
 	defer recovered.Close()
 
 	// The recovered engine must match a from-scratch rebuild on the
-	// final edge set (snapshot round-trip → fresh Builder → fresh index,
-	// sharing no state). INS compares by answer: recovery maintains the
-	// sealed index instead of rebuilding it.
-	var finalSnap bytes.Buffer
-	if err := recovered.KG().WriteSnapshot(&finalSnap); err != nil {
-		return nil, err
-	}
-	finalKG, err := pub.LoadSnapshot(&finalSnap)
+	// final edge set (segment round-trip → fresh index, sharing no
+	// state). INS compares by answer: recovery maintains the sealed index
+	// instead of rebuilding it.
+	finalG, release, err := viaSegment(recovered.KG().Graph())
 	if err != nil {
 		return nil, err
 	}
-	final := pub.NewEngine(finalKG, opts)
+	defer release()
+	final := pub.NewEngine(pub.FromGraph(finalG), opts)
 	rep.Recovered = true
 	recAns := recovered.QueryBatch(ctx, reqs, bo)
 	finAns := final.QueryBatch(ctx, reqs, bo)

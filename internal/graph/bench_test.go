@@ -1,7 +1,6 @@
 package graph
 
 import (
-	"bytes"
 	"math/rand"
 	"strconv"
 	"testing"
@@ -120,31 +119,5 @@ func BenchmarkScan(b *testing.B) {
 				b.Fatal("no edges matched")
 			}
 		})
-	}
-}
-
-func BenchmarkSnapshotWrite(b *testing.B) {
-	g := benchGraph(b, 10000, 40000)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		var buf bytes.Buffer
-		if _, err := g.WriteTo(&buf); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkSnapshotRead(b *testing.B) {
-	g := benchGraph(b, 10000, 40000)
-	var buf bytes.Buffer
-	if _, err := g.WriteTo(&buf); err != nil {
-		b.Fatal(err)
-	}
-	data := buf.Bytes()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := ReadSnapshot(bytes.NewReader(data)); err != nil {
-			b.Fatal(err)
-		}
 	}
 }

@@ -1,93 +1,35 @@
 package graph
 
 import (
-	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"sort"
-
-	"lscr/internal/labelset"
 )
 
-// Binary KG snapshots. Loading a large KG from triples re-parses and
-// re-interns every name; the snapshot format stores the dictionaries and
-// edge list directly and reloads about an order of magnitude faster.
+// Schema codec: the byte layout of a segment's schema section
+// (little-endian, length-prefixed strings):
 //
-// Layout (little-endian, CRC32 footer):
+//	|classes| | per class: name, |instances| instance u32s,
+//	            |superclasses| superclass names
+//	|domains| | (predicate, class) pairs in predicate order
+//	|ranges|  | (predicate, class) pairs in predicate order
 //
-//	magic "LSCRKG01"
-//	|L| | label names (len-prefixed)
-//	|V| | vertex names (len-prefixed)
-//	|E| | edges (subject u32, label u8, object u32)
-//	schema: classes, instances per class, subclass pairs, domains, ranges
-//	crc32 of everything above
-var (
-	// ErrCorrupt reports untrusted input (a snapshot, index or segment
-	// stream) that is truncated, malformed or hostile. Every decoder in
-	// the persistence stack wraps it, so callers can classify any
-	// bad-bytes failure with one errors.Is regardless of which layer
-	// noticed first.
-	ErrCorrupt = errors.New("graph: corrupt or truncated input")
-	// ErrBadSnapshot reports a malformed or corrupt snapshot stream. It
-	// wraps ErrCorrupt.
-	ErrBadSnapshot = fmt.Errorf("bad snapshot: %w", ErrCorrupt)
-)
+// The section carries no version of its own: it is versioned, framed
+// and checksummed by the segment that embeds it (internal/segment), so
+// a layout change here is a segment format change.
 
-const snapshotMagic = "LSCRKG01"
+// ErrCorrupt reports untrusted input (an index payload, segment or WAL
+// stream) that is truncated, malformed or hostile. Every decoder in the
+// persistence stack wraps it, so callers can classify any bad-bytes
+// failure with one errors.Is regardless of which layer noticed first.
+var ErrCorrupt = errors.New("graph: corrupt or truncated input")
 
-// WriteTo serialises the graph (with schema). It implements io.WriterTo.
-func (g *Graph) WriteTo(w io.Writer) (int64, error) {
-	crc := crc32.NewIEEE()
-	bw := bufio.NewWriter(w)
-	out := &snapWriter{w: io.MultiWriter(bw, crc)}
-
-	// The observational accessors (not the base arrays) drive the walk,
-	// so an overlay view snapshots its merged state; reloading yields the
-	// compacted graph.
-	out.raw([]byte(snapshotMagic))
-	out.u32(uint32(g.NumLabels()))
-	for l := 0; l < g.NumLabels(); l++ {
-		out.str(g.LabelName(Label(l)))
-	}
-	out.u32(uint32(g.NumVertices()))
-	for v := 0; v < g.NumVertices(); v++ {
-		out.str(g.VertexName(VertexID(v)))
-	}
-	out.u32(uint32(g.NumEdges()))
-	g.Triples(func(tr Triple) bool {
-		out.u32(uint32(tr.Subject))
-		out.raw([]byte{byte(tr.Label)})
-		out.u32(uint32(tr.Object))
-		return true
-	})
-	g.schema.writeTo(out)
-	if out.err != nil {
-		return out.n, out.err
-	}
-	var foot [4]byte
-	binary.LittleEndian.PutUint32(foot[:], crc.Sum32())
-	if _, err := bw.Write(foot[:]); err != nil {
-		return out.n, err
-	}
-	if err := bw.Flush(); err != nil {
-		return out.n, err
-	}
-	return out.n + 4, nil
-}
-
-// WriteSchema serialises s alone (classes, instances, subclass pairs,
-// domains, ranges) — the schema section of a segment. It implements the
-// same byte layout the snapshot format embeds.
+// WriteSchema serialises s (classes, instances, subclass pairs, domains,
+// ranges) — the schema section of a segment.
 func WriteSchema(w io.Writer, s *Schema) (int64, error) {
 	out := &snapWriter{w: w}
-	s.writeTo(out)
-	return out.n, out.err
-}
-
-func (s *Schema) writeTo(out *snapWriter) {
 	classes := s.Classes()
 	out.u32(uint32(len(classes)))
 	for _, c := range classes {
@@ -113,72 +55,14 @@ func (s *Schema) writeTo(out *snapWriter) {
 		out.str(p)
 		out.str(s.ranges[p])
 	}
-}
-
-// ReadSnapshot deserialises a graph written by WriteTo. Length prefixes
-// are untrusted: every count is either bounded up front (the label
-// universe) or consumed incrementally so a hostile count fails with
-// ErrBadSnapshot after reading at most the bytes actually present,
-// never by allocating what the prefix promises.
-func ReadSnapshot(r io.Reader) (*Graph, error) {
-	crc := crc32.NewIEEE()
-	br := bufio.NewReader(r)
-	in := &snapReader{r: io.TeeReader(br, crc)}
-
-	magic := in.raw(len(snapshotMagic))
-	if in.err != nil || string(magic) != snapshotMagic {
-		return nil, fmt.Errorf("%w: bad magic", ErrBadSnapshot)
-	}
-	b := NewBuilder()
-	nLabels := int(in.u32())
-	if in.err == nil && nLabels > labelset.MaxLabels {
-		return nil, fmt.Errorf("%w: label count %d exceeds universe %d", ErrBadSnapshot, nLabels, labelset.MaxLabels)
-	}
-	for i := 0; i < nLabels && in.err == nil; i++ {
-		b.Label(in.str())
-	}
-	nVerts := int(in.u32())
-	for i := 0; i < nVerts && in.err == nil; i++ {
-		b.Vertex(in.str())
-	}
-	nEdges := int(in.u32())
-	for i := 0; i < nEdges && in.err == nil; i++ {
-		s := in.u32()
-		l := in.raw(1)
-		o := in.u32()
-		if in.err != nil {
-			break
-		}
-		if int(s) >= nVerts || int(o) >= nVerts || int(l[0]) >= nLabels {
-			return nil, fmt.Errorf("%w: edge out of range", ErrBadSnapshot)
-		}
-		b.AddEdge(VertexID(s), Label(l[0]), VertexID(o))
-	}
-	if in.err == nil {
-		in.err = readSchemaInto(in, b.Schema(), nVerts)
-	}
-	if in.err != nil {
-		if errors.Is(in.err, ErrCorrupt) {
-			return nil, in.err
-		}
-		return nil, fmt.Errorf("%w: %v", ErrBadSnapshot, in.err)
-	}
-	want := crc.Sum32()
-	var foot [4]byte
-	if _, err := io.ReadFull(br, foot[:]); err != nil {
-		return nil, fmt.Errorf("%w: missing footer", ErrBadSnapshot)
-	}
-	if binary.LittleEndian.Uint32(foot[:]) != want {
-		return nil, fmt.Errorf("%w: checksum mismatch", ErrBadSnapshot)
-	}
-	return b.Build(), nil
+	return out.n, out.err
 }
 
 // ReadSchema deserialises a schema written by WriteSchema from its
 // exact section bytes, validating instance vertices against nVerts. It
-// is the segment boot path's schema decoder: a flat cursor over b (the
-// snapshot path keeps its streaming reader), instance lists decoded in
-// bulk, and the per-vertex class lists carved out of one backing array
+// is the segment boot path's schema decoder: a flat cursor over b,
+// instance lists decoded in bulk, and the per-vertex class lists carved
+// out of one backing array
 // — tens of thousands of per-vertex appends otherwise dominate opening
 // a segment. Every count is validated against the bytes remaining
 // before anything is allocated for it.
@@ -321,37 +205,8 @@ func (c *sectionCursor) count(minElemBytes int) uint32 {
 	return n
 }
 
-func readSchemaInto(in *snapReader, s *Schema, nVerts int) error {
-	nClasses := int(in.u32())
-	for i := 0; i < nClasses && in.err == nil; i++ {
-		class := in.str()
-		s.AddClass(class)
-		nInst := int(in.u32())
-		for j := 0; j < nInst && in.err == nil; j++ {
-			v := in.u32()
-			if in.err == nil && int(v) >= nVerts {
-				return fmt.Errorf("%w: instance out of range", ErrBadSnapshot)
-			}
-			s.AddInstance(class, VertexID(v))
-		}
-		nSup := int(in.u32())
-		for j := 0; j < nSup && in.err == nil; j++ {
-			s.AddSubClassOf(class, in.str())
-		}
-	}
-	nDom := int(in.u32())
-	for i := 0; i < nDom && in.err == nil; i++ {
-		p := in.str()
-		s.SetDomain(p, in.str())
-	}
-	nRan := int(in.u32())
-	for i := 0; i < nRan && in.err == nil; i++ {
-		p := in.str()
-		s.SetRange(p, in.str())
-	}
-	return in.err
-}
-
+// snapWriter writes little-endian words and length-prefixed strings,
+// counting bytes; the first failure sticks in err.
 type snapWriter struct {
 	w   io.Writer
 	n   int64
@@ -376,46 +231,6 @@ func (s *snapWriter) u32(v uint32) {
 func (s *snapWriter) str(v string) {
 	s.u32(uint32(len(v)))
 	s.raw([]byte(v))
-}
-
-type snapReader struct {
-	r   io.Reader
-	err error
-	buf [4]byte
-}
-
-func (s *snapReader) raw(n int) []byte {
-	if s.err != nil {
-		return nil
-	}
-	p := make([]byte, n)
-	if _, err := io.ReadFull(s.r, p); err != nil {
-		s.err = err
-		return nil
-	}
-	return p
-}
-
-func (s *snapReader) u32() uint32 {
-	if s.err != nil {
-		return 0
-	}
-	if _, err := io.ReadFull(s.r, s.buf[:]); err != nil {
-		s.err = err
-		return 0
-	}
-	return binary.LittleEndian.Uint32(s.buf[:])
-}
-
-func (s *snapReader) str() string {
-	n := s.u32()
-	if s.err != nil || n > 1<<24 {
-		if s.err == nil {
-			s.err = fmt.Errorf("%w: string length %d too large", ErrCorrupt, n)
-		}
-		return ""
-	}
-	return string(s.raw(int(n)))
 }
 
 func sortedStrings(m map[string]string) []string {

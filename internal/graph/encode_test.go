@@ -2,12 +2,11 @@ package graph
 
 import (
 	"bytes"
-	"math/rand"
+	"errors"
 	"testing"
-	"testing/quick"
 )
 
-func snapshotFixture() *Graph {
+func schemaFixture() *Graph {
 	b := NewBuilder()
 	b.AddEdgeNames("Taylor", "eg:workWith", "Walker")
 	b.AddEdgeNames("Walker", "eg:workWith", "Taylor")
@@ -20,117 +19,49 @@ func snapshotFixture() *Graph {
 	return b.Build()
 }
 
-func TestSnapshotRoundTrip(t *testing.T) {
-	g := snapshotFixture()
+// TestSchemaRoundTrip pins the schema codec in isolation: every schema
+// fact survives WriteSchema → ReadSchema, and the decoder rejects
+// truncated and over-long sections as ErrCorrupt.
+func TestSchemaRoundTrip(t *testing.T) {
+	g := schemaFixture()
 	var buf bytes.Buffer
-	n, err := g.WriteTo(&buf)
+	n, err := WriteSchema(&buf, g.Schema())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if n != int64(buf.Len()) {
-		t.Errorf("WriteTo reported %d bytes, wrote %d", n, buf.Len())
+		t.Errorf("WriteSchema reported %d bytes, wrote %d", n, buf.Len())
 	}
-	got, err := ReadSnapshot(&buf)
+	data := buf.Bytes()
+	s, err := ReadSchema(data, g.NumVertices())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.NumVertices() != g.NumVertices() || got.NumEdges() != g.NumEdges() || got.NumLabels() != g.NumLabels() {
-		t.Fatalf("sizes changed: %v vs %v", got, g)
-	}
-	// Names and edges survive.
-	for v := 0; v < g.NumVertices(); v++ {
-		if got.VertexName(VertexID(v)) != g.VertexName(VertexID(v)) {
-			t.Fatal("vertex dictionary changed")
-		}
-	}
-	w, ok := got.LabelByName("eg:workWith")
-	if !ok || !got.HasEdge(got.Vertex("Taylor"), w, got.Vertex("Walker")) {
-		t.Fatal("edges changed")
-	}
-	// Schema survives.
-	if len(got.Schema().Instances("eg:Researcher")) != 2 {
+	if len(s.Instances("eg:Researcher")) != 2 {
 		t.Fatal("instances lost")
 	}
-	if sup := got.Schema().SuperClasses("eg:Researcher"); len(sup) != 1 || sup[0] != "eg:Person" {
+	if cls := s.ClassesOf(g.Vertex("Walker")); len(cls) != 1 || cls[0] != "eg:Researcher" {
+		t.Fatalf("class of Walker = %v", cls)
+	}
+	if sup := s.SuperClasses("eg:Researcher"); len(sup) != 1 || sup[0] != "eg:Person" {
 		t.Fatal("subclass lost")
 	}
-	if d, ok := got.Schema().Domain("eg:workWith"); !ok || d != "eg:Researcher" {
+	if d, ok := s.Domain("eg:workWith"); !ok || d != "eg:Researcher" {
 		t.Fatal("domain lost")
 	}
-	if r, ok := got.Schema().Range("eg:workWith"); !ok || r != "eg:Researcher" {
+	if r, ok := s.Range("eg:workWith"); !ok || r != "eg:Researcher" {
 		t.Fatal("range lost")
 	}
-}
 
-func TestSnapshotRejectsGarbage(t *testing.T) {
-	if _, err := ReadSnapshot(bytes.NewReader(nil)); err == nil {
-		t.Error("empty accepted")
-	}
-	if _, err := ReadSnapshot(bytes.NewReader([]byte("NOTMAGIC"))); err == nil {
-		t.Error("bad magic accepted")
-	}
-	g := snapshotFixture()
-	var buf bytes.Buffer
-	if _, err := g.WriteTo(&buf); err != nil {
-		t.Fatal(err)
-	}
-	data := buf.Bytes()
-	// Corrupt a payload byte.
-	corrupt := append([]byte(nil), data...)
-	corrupt[len(corrupt)/2] ^= 0xFF
-	if _, err := ReadSnapshot(bytes.NewReader(corrupt)); err == nil {
-		t.Error("corrupt payload accepted")
-	}
-	// Truncate.
-	if _, err := ReadSnapshot(bytes.NewReader(data[:len(data)-6])); err == nil {
-		t.Error("truncated payload accepted")
-	}
-}
-
-// Property: random graphs survive the snapshot round trip edge-for-edge.
-func TestSnapshotRoundTripProperty(t *testing.T) {
-	prop := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		n := rng.Intn(20) + 1
-		b := NewBuilder()
-		for i := 0; i < n; i++ {
-			b.Vertex(vname(i))
+	for name, bad := range map[string][]byte{
+		"truncated": data[:len(data)-3],
+		"trailing":  append(append([]byte(nil), data...), 0),
+	} {
+		if _, err := ReadSchema(bad, g.NumVertices()); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("%s section: err = %v, want ErrCorrupt", name, err)
 		}
-		nl := rng.Intn(5) + 1
-		for i := 0; i < nl; i++ {
-			b.Label(string(rune('a' + i)))
-		}
-		m := rng.Intn(50)
-		for i := 0; i < m; i++ {
-			b.AddEdge(VertexID(rng.Intn(n)), Label(rng.Intn(nl)), VertexID(rng.Intn(n)))
-		}
-		g := b.Build()
-		var buf bytes.Buffer
-		if _, err := g.WriteTo(&buf); err != nil {
-			return false
-		}
-		got, err := ReadSnapshot(&buf)
-		if err != nil {
-			return false
-		}
-		if got.NumVertices() != g.NumVertices() || got.NumEdges() != g.NumEdges() {
-			return false
-		}
-		same := true
-		i := 0
-		var edges []Triple
-		g.Triples(func(tr Triple) bool { edges = append(edges, tr); return true })
-		got.Triples(func(tr Triple) bool {
-			if i >= len(edges) || edges[i] != tr {
-				same = false
-				return false
-			}
-			i++
-			return true
-		})
-		return same && i == len(edges)
 	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 120}); err != nil {
-		t.Fatal(err)
+	if _, err := ReadSchema(data, 1); !errors.Is(err, ErrCorrupt) {
+		t.Errorf("instance past |V|: err = %v, want ErrCorrupt", err)
 	}
 }

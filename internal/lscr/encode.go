@@ -5,7 +5,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"unsafe"
 
@@ -15,7 +14,8 @@ import (
 
 // Local-index persistence. The paper stores its indexes on disk (§6
 // "Settings"); this file implements a compact little-endian binary
-// payload:
+// payload, which the segment layer (internal/segment) embeds as its
+// checksummed index section:
 //
 //	flags | view |V| | indexed |V| | k
 //	landmarks [k]u32 | af [indexed |V|]u32
@@ -24,22 +24,20 @@ import (
 //	              EIT count, (labelset u64, count u32, vertices [..]u32)
 //	dmat [k*k]i32 (row-major)
 //
-// The standalone file format (WriteTo/ReadLocalIndex) frames the payload
-// with the magic "LSCRIDX3" and a CRC32 footer; the segment layer
-// embeds the bare payload as a checksummed section instead
-// (WriteIndexPayload/ReadIndexPayload). The format is versioned by the
-// magic; readers reject unknown versions (including the
-// pre-maintenance LSCRIDX1), truncated input, corrupt payloads and
-// indexes built for a different graph size. Version 2 added the
-// per-landmark dirty bitmap and split the vertex count into the bound
-// view's |V| and the indexed range (the two differ for a maintained
-// index whose view grew vertices after the build), so an index saved
-// mid-life round-trips with its deletion-invalidated landmarks still
-// excluded from pruning. Version 3 pads the dirty bitmap so every
-// later field — and in particular the k×k distance matrix, which
-// dominates the payload — sits at a 4-aligned offset: the boot path
-// adopts the matrix as a read-only view straight over the mmap'd
-// section instead of copying it out.
+// The payload carries no magic or checksum of its own: the segment's
+// magic versions it and the section table checksums it, so any layout
+// change here is a segment format change (bump the segment magic;
+// TestSegmentFormatFrozen pins the bytes). Readers reject truncated
+// input, corrupt payloads and indexes built for a different graph
+// size. The vertex count is split into the bound view's |V| and the
+// indexed range (the two differ for a maintained index whose view grew
+// vertices after the build), and the dirty bitmap records
+// deletion-invalidated landmarks, so an index sealed mid-life
+// round-trips with those landmarks still excluded from pruning. The
+// bitmap is padded so every later field — and in particular the k×k
+// distance matrix, which dominates the payload — sits at a 4-aligned
+// offset: the boot path adopts the matrix as a read-only view straight
+// over the mmap'd section instead of copying it out.
 //
 // Two layout properties are load-bearing for the boot path:
 //
@@ -58,18 +56,12 @@ import (
 // prefix fails with ErrIndexCorrupt, never by allocating what the
 // prefix promises.
 
-const indexMagic = "LSCRIDX3"
-
 // Encoding errors.
 var (
-	ErrBadIndexMagic = errors.New("lscr: not a local-index file (bad magic)")
 	// ErrIndexCorrupt reports a truncated, malformed or hostile index
 	// payload. It wraps graph.ErrCorrupt so callers can classify any
 	// persistence-stack corruption with one errors.Is.
-	ErrIndexCorrupt = fmt.Errorf("lscr: local-index payload corrupt: %w", graph.ErrCorrupt)
-	// ErrIndexChecksum reports a payload whose CRC32 footer does not
-	// match. It wraps graph.ErrCorrupt.
-	ErrIndexChecksum = fmt.Errorf("lscr: local-index file corrupt (checksum mismatch): %w", graph.ErrCorrupt)
+	ErrIndexCorrupt  = fmt.Errorf("lscr: local-index payload corrupt: %w", graph.ErrCorrupt)
 	ErrIndexMismatch = errors.New("lscr: local index was built for a different graph")
 
 	errPayloadEnd = fmt.Errorf("lscr: read past payload end: %w", ErrIndexCorrupt)
@@ -83,43 +75,11 @@ var hostLittleEndian = func() bool {
 	return *(*byte)(unsafe.Pointer(&x)) == 1
 }()
 
-// WriteTo serialises the index as a standalone file: magic, payload,
-// CRC32 footer. It implements io.WriterTo.
-func (idx *LocalIndex) WriteTo(w io.Writer) (int64, error) {
-	crc := crc32.NewIEEE()
-	bw := bufio.NewWriter(w)
-	cw := &countWriter{w: io.MultiWriter(bw, crc)}
-	cw.write([]byte(indexMagic))
-	idx.writePayload(cw)
-	if cw.err != nil {
-		return cw.n, cw.err
-	}
-	// Footer: CRC of everything written so far (not itself CRC'd).
-	var foot [4]byte
-	binary.LittleEndian.PutUint32(foot[:], crc.Sum32())
-	if _, err := bw.Write(foot[:]); err != nil {
-		return cw.n, err
-	}
-	if err := bw.Flush(); err != nil {
-		return cw.n, err
-	}
-	return cw.n + 4, nil
-}
-
-// WriteIndexPayload serialises the bare index payload (no magic, no
-// footer) — the segment layer's index section, whose framing and
-// checksum live in the section table.
+// WriteIndexPayload serialises the index payload — the segment layer's
+// index section, whose framing and checksum live in the section table.
 func WriteIndexPayload(w io.Writer, idx *LocalIndex) (int64, error) {
 	bw := bufio.NewWriter(w)
 	cw := &countWriter{w: bw}
-	idx.writePayload(cw)
-	if cw.err != nil {
-		return cw.n, cw.err
-	}
-	return cw.n, bw.Flush()
-}
-
-func (idx *LocalIndex) writePayload(cw *countWriter) {
 	put32 := func(v uint32) { cw.write(binary.LittleEndian.AppendUint32(cw.buf[:0], v)) }
 	put64 := func(v uint64) { cw.write(binary.LittleEndian.AppendUint64(cw.buf[:0], v)) }
 
@@ -184,33 +144,16 @@ func (idx *LocalIndex) writePayload(cw *countWriter) {
 		}
 		cw.write(rowBuf)
 	}
+	if cw.err != nil {
+		return cw.n, cw.err
+	}
+	return cw.n, bw.Flush()
 }
 
-// ReadLocalIndex deserialises an index previously written by WriteTo and
-// binds it to g. The graph must have the same vertex count the index was
-// built for.
-func ReadLocalIndex(r io.Reader, g *graph.Graph) (*LocalIndex, error) {
-	data, err := io.ReadAll(r)
-	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrIndexCorrupt, err)
-	}
-	if len(data) < len(indexMagic) || string(data[:len(indexMagic)]) != indexMagic {
-		return nil, ErrBadIndexMagic
-	}
-	if len(data) < len(indexMagic)+4 {
-		return nil, fmt.Errorf("%w: missing footer", ErrIndexChecksum)
-	}
-	body, foot := data[:len(data)-4], data[len(data)-4:]
-	if binary.LittleEndian.Uint32(foot) != crc32.ChecksumIEEE(body) {
-		return nil, ErrIndexChecksum
-	}
-	return ReadIndexPayload(body[len(indexMagic):], g)
-}
-
-// ReadIndexPayload deserialises a bare index payload (as written by
-// WriteIndexPayload) and binds it to g. b is the exact payload — for a
-// segment it is the checksummed index section, decoded in place off the
-// mapping. Integrity checking (magic, checksum) is the caller's
+// ReadIndexPayload deserialises an index payload (as written by
+// WriteIndexPayload) and binds it to g. b is the exact payload — the
+// segment's checksummed index section, decoded in place off the
+// mapping. Integrity checking (magic, checksum) is the segment's
 // framing; this decoder guarantees only that it fails with a typed
 // error instead of panicking or over-allocating on bad bytes. It is the
 // cold-boot hot path: counts validate against the bytes that actually

@@ -2,6 +2,7 @@ package lscr
 
 import (
 	"bytes"
+	"errors"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -12,20 +13,27 @@ import (
 	"lscr/internal/testkg/pat"
 )
 
+// payload serialises idx with WriteIndexPayload, checking the reported
+// byte count.
+func payload(t testing.TB, idx *LocalIndex) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	n, err := WriteIndexPayload(&buf, idx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n != int64(buf.Len()) {
+		t.Errorf("WriteIndexPayload reported %d bytes, buffer has %d", n, buf.Len())
+	}
+	return buf.Bytes()
+}
+
 func TestIndexRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	g := testkg.Random(rng, 60, 200, 5)
 	idx := NewLocalIndex(g, IndexParams{K: 6, Seed: 9, LiteralRho: true})
 
-	var buf bytes.Buffer
-	n, err := idx.WriteTo(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != int64(buf.Len()) {
-		t.Errorf("WriteTo reported %d bytes, buffer has %d", n, buf.Len())
-	}
-	got, err := ReadLocalIndex(&buf, g)
+	got, err := ReadIndexPayload(payload(t, idx), g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +73,7 @@ func TestIndexRoundTrip(t *testing.T) {
 
 // TestIndexRoundTripMaintained: a maintained index — derived through
 // insert propagation and a deletion-dirtied landmark — round-trips with
-// its full structure, including the LSCRIDX2 dirty bitmap, so a
+// its full structure, including the dirty bitmap, so a
 // reloaded index keeps excluding invalidated landmarks from pruning.
 func TestIndexRoundTripMaintained(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
@@ -79,11 +87,7 @@ func TestIndexRoundTripMaintained(t *testing.T) {
 	if cur.DirtyLandmarks() == 0 {
 		t.Fatal("script produced no dirty landmark; strengthen it")
 	}
-	var buf bytes.Buffer
-	if _, err := cur.WriteTo(&buf); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadLocalIndex(&buf, cur.Graph())
+	got, err := ReadIndexPayload(payload(t, cur), cur.Graph())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,11 +107,7 @@ func TestIndexRoundTripBehaviour(t *testing.T) {
 		n := rng.Intn(12) + 2
 		g := testkg.Random(rng, n, rng.Intn(30), rng.Intn(4)+1)
 		idx := NewLocalIndex(g, IndexParams{K: rng.Intn(n) + 1, Seed: seed})
-		var buf bytes.Buffer
-		if _, err := idx.WriteTo(&buf); err != nil {
-			return false
-		}
-		loaded, err := ReadLocalIndex(&buf, g)
+		loaded, err := ReadIndexPayload(payload(t, idx), g)
 		if err != nil {
 			return false
 		}
@@ -134,44 +134,33 @@ func TestIndexRoundTripBehaviour(t *testing.T) {
 
 func TestIndexReadRejectsGarbage(t *testing.T) {
 	g, _ := testkg.RunningExample()
-	if _, err := ReadLocalIndex(bytes.NewReader(nil), g); err == nil {
-		t.Error("empty input accepted")
-	}
-	if _, err := ReadLocalIndex(bytes.NewReader([]byte("NOTANIDX")), g); err == nil {
-		t.Error("bad magic accepted")
+	if _, err := ReadIndexPayload(nil, g); !errors.Is(err, ErrIndexCorrupt) {
+		t.Errorf("empty input: err = %v, want ErrIndexCorrupt", err)
 	}
 }
 
 func TestIndexReadRejectsCorruption(t *testing.T) {
 	g, _ := testkg.RunningExample()
 	idx := NewLocalIndex(g, IndexParams{K: 2, Seed: 1})
-	var buf bytes.Buffer
-	if _, err := idx.WriteTo(&buf); err != nil {
-		t.Fatal(err)
+	data := payload(t, idx)
+	// Byte flips are the segment's checksums' job (see
+	// TestSegmentCorruptionDetected); the payload decoder itself must
+	// reject truncated and over-long input.
+	if _, err := ReadIndexPayload(data[:len(data)-8], g); !errors.Is(err, ErrIndexCorrupt) {
+		t.Errorf("truncated payload: err = %v, want ErrIndexCorrupt", err)
 	}
-	// Flip a payload byte (not in the magic).
-	data := buf.Bytes()
-	data[len(data)/2] ^= 0xFF
-	if _, err := ReadLocalIndex(bytes.NewReader(data), g); err == nil {
-		t.Error("corrupt payload accepted")
-	}
-	// Truncate.
-	if _, err := ReadLocalIndex(bytes.NewReader(data[:len(data)-8]), g); err == nil {
-		t.Error("truncated payload accepted")
+	if _, err := ReadIndexPayload(append(data[:len(data):len(data)], 0), g); !errors.Is(err, ErrIndexCorrupt) {
+		t.Errorf("trailing byte: err = %v, want ErrIndexCorrupt", err)
 	}
 }
 
 func TestIndexReadRejectsWrongGraph(t *testing.T) {
 	g, _ := testkg.RunningExample()
 	idx := NewLocalIndex(g, IndexParams{K: 2, Seed: 1})
-	var buf bytes.Buffer
-	if _, err := idx.WriteTo(&buf); err != nil {
-		t.Fatal(err)
-	}
 	rng := rand.New(rand.NewSource(1))
 	other := testkg.Random(rng, 50, 100, 3)
-	if _, err := ReadLocalIndex(&buf, other); err == nil {
-		t.Error("index bound to a graph of different size")
+	if _, err := ReadIndexPayload(payload(t, idx), other); !errors.Is(err, ErrIndexMismatch) {
+		t.Errorf("index bound to a graph of different size: err = %v", err)
 	}
 }
 
@@ -179,14 +168,7 @@ func TestIndexWriteDeterministic(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	g := testkg.Random(rng, 40, 120, 4)
 	idx := NewLocalIndex(g, IndexParams{K: 4, Seed: 2})
-	var a, b bytes.Buffer
-	if _, err := idx.WriteTo(&a); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := idx.WriteTo(&b); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(a.Bytes(), b.Bytes()) {
+	if !bytes.Equal(payload(t, idx), payload(t, idx)) {
 		t.Fatal("serialisation is not deterministic")
 	}
 }

@@ -23,9 +23,12 @@
 //
 // Section payloads (ids below): the label and vertex dictionaries are
 // offset+blob string tables; the two CSR sections hold the five flat
-// arrays of one adjacency direction; the schema section reuses the
-// snapshot schema codec; the index section is the bare LSCRIDX3 payload
-// (lscr.WriteIndexPayload). Every section is individually CRC32'd in
+// arrays of one adjacency direction; the schema section is the
+// graph.WriteSchema codec; the index section is the local-index payload
+// (lscr.WriteIndexPayload). Neither embedded codec carries a version of
+// its own: the segment magic versions the whole file, so a layout change
+// in any section means bumping segMagic (TestSegmentFormatFrozen pins
+// the bytes). Every section is individually CRC32'd in
 // the table, and the footer CRC covers the header and table themselves,
 // so a truncated or bit-flipped file fails closed before any array is
 // trusted. Structural validation on top of the checksums

@@ -1,0 +1,37 @@
+package segment
+
+import (
+	"crypto/sha256"
+	"encoding/hex"
+	"os"
+	"testing"
+
+	lscrcore "lscr/internal/lscr"
+	"lscr/internal/testkg"
+)
+
+// frozenSegmentSHA256 is the SHA-256 of the segment Write produces for
+// the paper's running example with K=3, Seed=7.
+const frozenSegmentSHA256 = "060b380525f7ee24166af4b4a8d5f059e8ad96163a3334c0092987cc7cc58e5c"
+
+// TestSegmentFormatFrozen pins the segment bytes for one fixed input.
+// The segment magic is the only version the on-disk format carries — it
+// covers the embedded index payload and schema codec too — so any byte
+// that changes here is a format change, and readers of old stores would
+// misread them unless the magic moves with it.
+func TestSegmentFormatFrozen(t *testing.T) {
+	g, _ := testkg.RunningExample()
+	idx := lscrcore.NewLocalIndex(g, lscrcore.IndexParams{K: 3, Seed: 7})
+	path, err := Write(t.TempDir(), 0, g, idx, 3, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum := sha256.Sum256(data)
+	if got := hex.EncodeToString(sum[:]); got != frozenSegmentSHA256 {
+		t.Fatalf("segment layout changed: bump segMagic, then update this hash (%d bytes, sha256 %s)", len(data), got)
+	}
+}

@@ -114,22 +114,6 @@ func (kg *KG) NumLabels() int { return kg.g.NumLabels() }
 // Dump writes the KG back out as triples.
 func (kg *KG) Dump(w io.Writer) error { return rdf.Dump(kg.g, w) }
 
-// WriteSnapshot serialises the KG (dictionaries, edges, schema) in the
-// binary snapshot format, which reloads much faster than triples.
-func (kg *KG) WriteSnapshot(w io.Writer) error {
-	_, err := kg.g.WriteTo(w)
-	return err
-}
-
-// LoadSnapshot reads a KG written by WriteSnapshot.
-func LoadSnapshot(r io.Reader) (*KG, error) {
-	g, err := graph.ReadSnapshot(r)
-	if err != nil {
-		return nil, err
-	}
-	return &KG{g: g}, nil
-}
-
 // Algorithm selects the query strategy.
 type Algorithm int
 
@@ -649,35 +633,6 @@ func (ep *epoch) resolveEndpoints(source, target string, labels []string) (core.
 		return core.Query{}, err
 	}
 	return core.Query{Source: s, Target: t, Labels: L}, nil
-}
-
-// SaveIndex serialises the current epoch's local index (format
-// documented in the internal encoder: versioned magic + CRC32 footer).
-// It fails when the engine was built with SkipIndex. The saved index
-// describes the epoch's base CSR; if the epoch carries an uncompacted
-// overlay, call Compact first to save an index covering every mutation.
-func (e *Engine) SaveIndex(w io.Writer) error {
-	ep := e.current()
-	if ep.idx == nil {
-		return ErrNoIndex
-	}
-	_, err := ep.idx.WriteTo(w)
-	return err
-}
-
-// NewEngineFromIndex builds an engine whose local index is loaded from r
-// (written earlier by SaveIndex against the same KG) instead of being
-// recomputed. Only opts.ConstraintCacheSize applies — the index-build
-// fields (SkipIndex, Landmarks, IndexSeed, IndexWorkers) are properties
-// of the saved index and are ignored.
-func NewEngineFromIndex(kg *KG, r io.Reader, opts Options) (*Engine, error) {
-	idx, err := core.ReadLocalIndex(r, kg.g)
-	if err != nil {
-		return nil, err
-	}
-	e := &Engine{opts: opts}
-	e.start(0, kg.g, idx)
-	return e, nil
 }
 
 // Select evaluates a SPARQL SELECT and returns the matching vertex names

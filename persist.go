@@ -158,11 +158,9 @@ func Create(dir string, kg *KG, opts Options) (*Engine, error) {
 	} else if len(paths) > 0 {
 		return nil, fmt.Errorf("%w: %s", ErrStoreExists, dir)
 	}
-	e := NewEngine(kg, opts)
-	ep := e.current()
-	if _, err := segment.Write(dir, 0, ep.kg.g, ep.idx, e.opts.Landmarks, e.opts.IndexSeed); err != nil {
-		return nil, err
-	}
+	// The WAL is checked before any segment is written: a refused Create
+	// must leave no segment behind, or the next Open would replay the
+	// orphaned batches onto the new graph.
 	wal, recs, err := segment.OpenWAL(segment.WALPath(dir))
 	if err != nil {
 		return nil, err
@@ -170,6 +168,12 @@ func Create(dir string, kg *KG, opts Options) (*Engine, error) {
 	if len(recs) > 0 {
 		wal.Close()
 		return nil, fmt.Errorf("lscr: %w: directory has a %d-record WAL but held no segment", ErrCorruptStore, len(recs))
+	}
+	e := NewEngine(kg, opts)
+	ep := e.current()
+	if _, err := segment.Write(dir, 0, ep.kg.g, ep.idx, e.opts.Landmarks, e.opts.IndexSeed); err != nil {
+		wal.Close()
+		return nil, err
 	}
 	st := &store{dir: dir, wal: wal, syncEach: opts.Durability == DurabilitySync}
 	st.lastSeal.Store(time.Now().UnixNano())

@@ -377,3 +377,46 @@ func TestMutatePersistLifecycleErrors(t *testing.T) {
 		t.Fatalf("corrupt Open = %v, want ErrCorruptStore", err)
 	}
 }
+
+// TestMutatePersistRefusedCreateLeavesNoStore: a directory whose segment
+// is gone but whose WAL still holds batches makes Create refuse with
+// ErrCorruptStore — and the refusal must leave no segment behind, or
+// the next Open would silently replay the orphaned batches onto the new
+// graph.
+func TestMutatePersistRefusedCreateLeavesNoStore(t *testing.T) {
+	const n, nLabels = 20, 2
+	g0, model := mutSeedGraph(6, n, nLabels, 60)
+	dir := t.TempDir()
+	ctx := context.Background()
+
+	eng, err := pub.Create(dir, pub.FromGraph(g0), mutOpts)
+	if err != nil {
+		t.Fatalf("Create: %v", err)
+	}
+	if _, err := eng.Apply(ctx, mutScript(7, model, 1, 1)[0]); err != nil {
+		t.Fatalf("Apply: %v", err)
+	}
+	if err := eng.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	segs, err := filepath.Glob(filepath.Join(dir, "seg-*.lscrseg"))
+	if err != nil || len(segs) != 1 {
+		t.Fatalf("segments: %v %v", segs, err)
+	}
+	if err := os.Remove(segs[0]); err != nil {
+		t.Fatal(err)
+	}
+
+	if _, err := pub.Create(dir, pub.FromGraph(g0), mutOpts); !errors.Is(err, pub.ErrCorruptStore) {
+		t.Fatalf("Create over an orphaned WAL = %v, want ErrCorruptStore", err)
+	}
+	if segs, _ := filepath.Glob(filepath.Join(dir, "seg-*.lscrseg")); len(segs) != 0 {
+		t.Fatalf("refused Create left segments behind: %v", segs)
+	}
+	if eng, err := pub.Open(dir, mutOpts); !errors.Is(err, pub.ErrNoStore) {
+		if err == nil {
+			eng.Close()
+		}
+		t.Fatalf("Open after refused Create = %v, want ErrNoStore", err)
+	}
+}

@@ -1,7 +1,6 @@
 package lscr
 
 import (
-	"bytes"
 	"context"
 	"strings"
 	"testing"
@@ -69,17 +68,25 @@ func TestWitnessZeroLengthPathString(t *testing.T) {
 	}
 }
 
+// TestSaveLoadIndex: an index sealed into a store and reloaded by Open
+// reports the same stats and gives the same answers as the engine that
+// built it, and the caller's Options (here a disabled constraint cache)
+// apply on the load path.
 func TestSaveLoadIndex(t *testing.T) {
 	kg := loadFincrime(t)
-	eng := NewEngine(kg, Options{})
-	var buf bytes.Buffer
-	if err := eng.SaveIndex(&buf); err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := NewEngineFromIndex(kg, &buf, Options{ConstraintCacheSize: -1})
+	dir := t.TempDir()
+	eng, err := Create(dir, kg, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	if err := eng.Close(); err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := Open(dir, Options{ConstraintCacheSize: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer loaded.Close()
 	if loaded.CacheStats().Enabled {
 		t.Fatal("ConstraintCacheSize not applied on the load path")
 	}
@@ -103,21 +110,5 @@ func TestSaveLoadIndex(t *testing.T) {
 	st2, ok := loaded.Index()
 	if !ok || st1.Entries != st2.Entries || st1.Landmarks != st2.Landmarks {
 		t.Fatalf("index stats differ: %+v vs %+v", st1, st2)
-	}
-}
-
-func TestSaveIndexWithoutIndex(t *testing.T) {
-	kg := loadFincrime(t)
-	eng := NewEngine(kg, Options{SkipIndex: true})
-	var buf bytes.Buffer
-	if err := eng.SaveIndex(&buf); err != ErrNoIndex {
-		t.Fatalf("err = %v, want ErrNoIndex", err)
-	}
-}
-
-func TestNewEngineFromIndexRejectsGarbage(t *testing.T) {
-	kg := loadFincrime(t)
-	if _, err := NewEngineFromIndex(kg, strings.NewReader("junk"), Options{}); err == nil {
-		t.Fatal("garbage index accepted")
 	}
 }
