@@ -1,13 +1,10 @@
-// The external test package breaks the cycle that would otherwise run
-// through internal/bench, which imports the public lscr package for its
-// throughput harness.
 package lscr_test
 
 // One testing.B benchmark per table and figure of the paper's evaluation
 // section (§6), each delegating to the internal/bench harness. The first
-// iteration of every benchmark prints the regenerated table to stdout
-// (captured in bench_output.txt by the EXPERIMENTS.md workflow); further
-// iterations measure end-to-end experiment cost against io.Discard.
+// iteration of every benchmark prints the regenerated table to stdout;
+// further iterations measure end-to-end experiment cost against
+// io.Discard.
 //
 // Scales are laptop defaults; run `go run ./cmd/lscrbench -exp <id>
 // -scale N -queries M` for larger reproductions.

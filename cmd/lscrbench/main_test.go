@@ -8,24 +8,31 @@ import (
 	"lscr/internal/bench"
 )
 
+// TestRunUnknownExperiment: an unknown id is refused, and the error
+// names every id that would have run.
 func TestRunUnknownExperiment(t *testing.T) {
 	var buf bytes.Buffer
-	if err := run(&buf, "fig99", bench.Config{}, 0, 1, 0); err == nil {
+	err := run(&buf, "fig99", bench.Config{})
+	if err == nil {
 		t.Fatal("unknown experiment accepted")
 	}
-}
-
-func TestRunThroughput(t *testing.T) {
-	if testing.Short() {
-		t.Skip("builds a real (small) index")
+	for id := range runners {
+		if !strings.Contains(err.Error(), id) {
+			t.Errorf("error %q does not list runnable id %q", err, id)
+		}
 	}
-	var buf bytes.Buffer
-	cfg := bench.Config{Scale: 1, QueriesPerGroup: 3, Seed: 1}
-	if err := run(&buf, "throughput", cfg, 4, 1, 0); err != nil {
-		t.Fatal(err)
+	if !strings.Contains(err.Error(), "all") {
+		t.Errorf("error %q does not list %q", err, "all")
 	}
-	if !strings.Contains(buf.String(), "answers identical and correct") {
-		t.Errorf("unexpected output:\n%s", buf.String())
+	// -exp all must reach every runner.
+	inOrder := map[string]bool{}
+	for _, id := range order {
+		inOrder[id] = true
+	}
+	for id := range runners {
+		if !inOrder[id] {
+			t.Errorf("-exp all skips %q", id)
+		}
 	}
 }
 
@@ -35,7 +42,7 @@ func TestRunSingleExperiment(t *testing.T) {
 	}
 	var buf bytes.Buffer
 	cfg := bench.Config{Scale: 1, QueriesPerGroup: 3, Seed: 1}
-	if err := run(&buf, "ablation-queue", cfg, 0, 1, 0); err != nil {
+	if err := run(&buf, "ablation-queue", cfg); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(buf.String(), "UIS*") {

@@ -300,6 +300,11 @@ func TestCacheAnswerIdentity(t *testing.T) {
 	qs[13].Constraint = "garbage ("
 	qs[19].Constraint = `SELECT ?x WHERE { ?x <l0> <no-such-entity>. }` // unsatisfiable
 
+	// Cache lookups happen once the endpoints resolve: a query that
+	// answers, or fails on its constraint, looked its text up; one that
+	// fails on a vertex name never reached the cache.
+	valid := map[string]bool{}
+	var lookups, invalid int
 	for round := 0; round < 2; round++ { // round 1 runs cached fully warm
 		for i, q := range qs {
 			cr, cerr := cached.Query(ctx, q)
@@ -311,16 +316,27 @@ func TestCacheAnswerIdentity(t *testing.T) {
 				if cerr.Error() != uerr.Error() {
 					t.Fatalf("round %d query %d: error text diverged: %q vs %q", round, i, cerr, uerr)
 				}
+				if errors.Is(cerr, ErrConstraintSyntax) || errors.Is(cerr, ErrInvalidConstraint) {
+					lookups++
+					invalid++
+				}
 				continue
 			}
+			lookups++
+			valid[q.Constraint] = true
 			if cr.Reachable != ur.Reachable || cr.SatisfyingVertices != ur.SatisfyingVertices {
 				t.Fatalf("round %d query %d (%v): cached %+v, uncached %+v",
 					round, i, q.Algorithm, cr, ur)
 			}
 		}
 	}
-	if st := cached.CacheStats(); st.Hits == 0 {
-		t.Error("warm round produced no cache hits")
+	// Exact arithmetic: each distinct valid constraint misses once and is
+	// memoized, every later lookup of it hits; a constraint that fails to
+	// compile misses on every lookup and is never memoized.
+	st := cached.CacheStats()
+	if st.Entries != len(valid) || st.Misses != int64(len(valid)+invalid) || st.Hits != int64(lookups)-st.Misses {
+		t.Errorf("cache stats %+v, want %d entries, %d misses, %d hits (%d lookups, %d distinct valid constraints, %d invalid lookups)",
+			st, len(valid), len(valid)+invalid, lookups-len(valid)-invalid, lookups, len(valid), invalid)
 	}
 }
 

@@ -1,8 +1,11 @@
 // Package bench regenerates every table and figure of the paper's
-// evaluation section (§6) at laptop scale. Each runner prints the same
-// rows/series the paper reports; EXPERIMENTS.md records paper-vs-measured
-// shapes. The cmd/lscrbench CLI and the module-root testing.B benchmarks
-// both delegate here.
+// evaluation section (§6) at laptop scale, plus the ablations behind
+// them. Each runner prints the same rows/series the paper reports. The
+// cmd/lscrbench CLI and the module-root testing.B benchmarks both
+// delegate here. The package works on the internal graph, index and
+// search packages directly; end-to-end performance of the engine and
+// its serving stack is measured by the benchmark module instead
+// (BENCHMARK.json, benchmark/README.md).
 //
 // Scales: the paper evaluated KGs of 3.7M–18.9M vertices on a dedicated
 // machine with 1000+1000 queries per point and an 8-hour indexing cap.

@@ -195,15 +195,6 @@ type Options struct {
 	// leaves flushing to the OS, trading the most recent batches on a
 	// crash for much cheaper writes. See persist.go.
 	Durability Durability
-	// NoIndexMaintenance disables incremental local-index maintenance:
-	// Apply then publishes epochs that keep the pre-mutation index as a
-	// heuristic only, so INS loses its landmark pruning until the next
-	// compaction (the PR 5 behaviour). The default — maintenance on —
-	// extends the index through every committed batch (insertions by
-	// monotone propagation, deletions by per-landmark invalidation) so
-	// INS keeps pruning against a current index. Exposed mainly for
-	// benchmarking the maintenance win and as an escape hatch.
-	NoIndexMaintenance bool
 	// Failpoints arms fault-injection sites before a persistent engine
 	// touches its files: a ";"-separated list of site=policy activations
 	// (see internal/failpoint for sites and the policy grammar, e.g.
@@ -213,6 +204,13 @@ type Options struct {
 	// or the LSCR_FAILPOINTS environment variable instead. Empty — the
 	// default — arms nothing and costs nothing on the I/O paths.
 	Failpoints string
+
+	// noIndexMaintenance disables incremental local-index maintenance:
+	// Apply then publishes epochs that keep the pre-mutation index as a
+	// heuristic only, so INS loses its landmark pruning until the next
+	// compaction. Only tests set it, to pin that a stale index still
+	// answers exactly and that the index epoch lags until a compaction.
+	noIndexMaintenance bool
 }
 
 // Engine answers LSCR queries over one KG and accepts live mutations.
@@ -408,9 +406,8 @@ func (e *Engine) CacheStats() CacheStats {
 // plus the serving epoch's index state. The server's /healthz surfaces
 // it next to CacheStats.
 type MaintStats struct {
-	// Enabled is false when the engine has no index (SkipIndex) or was
-	// built with NoIndexMaintenance; the cumulative counters are then
-	// zero.
+	// Enabled is false when the engine has no index (SkipIndex) or index
+	// maintenance is disabled; the cumulative counters are then zero.
 	Enabled bool `json:"enabled"`
 	// Batches counts Apply batches whose index was maintained through.
 	Batches int64 `json:"batches"`
@@ -441,7 +438,7 @@ func (e *Engine) IndexMaintenance() MaintStats {
 
 func (e *Engine) maintStats(ep *epoch) MaintStats {
 	ms := MaintStats{
-		Enabled:              ep.idx != nil && !e.opts.NoIndexMaintenance,
+		Enabled:              ep.idx != nil && !e.opts.noIndexMaintenance,
 		Batches:              e.maintBatches.Load(),
 		LandmarksExtended:    e.maintExtended.Load(),
 		EntriesAdded:         e.maintEntries.Load(),

@@ -191,13 +191,13 @@ func TestMutateMaintainedEquivalence(t *testing.T) {
 	}
 }
 
-// TestMutateMaintenanceDisabled pins the escape hatch: with
-// NoIndexMaintenance the engine still answers exactly (INS falls back
+// TestMutateMaintenanceDisabled pins the maintenance-disabled mode: with
+// index maintenance off the engine still answers exactly (INS falls back
 // to unpruned search on a stale index), the index epoch lags the graph
 // epoch until a compaction makes the index current again.
 func TestMutateMaintenanceDisabled(t *testing.T) {
 	const n, nLabels = 40, 3
-	opts := Options{Landmarks: 16, IndexSeed: 7, CompactAfter: -1, NoIndexMaintenance: true}
+	opts := Options{Landmarks: 16, IndexSeed: 7, CompactAfter: -1, noIndexMaintenance: true}
 	kg, script := maintSeed(87, n, nLabels, 200, 4, 10)
 	em := NewEngine(kg, opts)
 	reqs := maintRequests(n, nLabels)

@@ -31,9 +31,9 @@ import (
 // overlay view exactly as they would on a from-scratch rebuild of the
 // same edge set, bit-identical Stats included.
 //
-// INS stays index-guided under writes: unless Options.NoIndexMaintenance
-// is set, the commit path derives a maintained local index for every
-// published epoch (core.ApplyMutations). Insertions extend the affected
+// INS stays index-guided under writes: the commit path derives a
+// maintained local index for every published epoch
+// (core.ApplyMutations). Insertions extend the affected
 // landmark's II/EIT entries by monotone propagation — exactly the
 // entries a frozen-assignment rebuild on the new view would hold, the
 // property the maintained-equivalence tier and the maintenance fuzz
@@ -281,10 +281,10 @@ func (e *Engine) commitMutations(cur *epoch, muts []Mutation) (commit, error) {
 	// Maintain the local index through the batch so the published epoch
 	// pairs the new view with an index exact for it. The derivation never
 	// touches cur.idx, so readers on older epochs are unaffected. If the
-	// index already lagged (maintenance off, or an index loaded for
-	// another view), it is left as-is — deriving from a stale base would
-	// launder staleness into an index INS would trust.
-	if c.g != cur.kg.g && c.idx != nil && !e.opts.NoIndexMaintenance && c.idx.ExactFor(cur.kg.g) {
+	// index already lagged (maintenance disabled, which only tests do, or
+	// an index loaded for another view), it is left as-is — deriving from
+	// a stale base would launder staleness into an index INS would trust.
+	if c.g != cur.kg.g && c.idx != nil && !e.opts.noIndexMaintenance && c.idx.ExactFor(cur.kg.g) {
 		var mb core.MaintBatch
 		c.idx, mb = c.idx.ApplyMutations(c.g, d.EdgeOps())
 		c.maint = &mb
@@ -523,7 +523,7 @@ func (e *Engine) compactSwap(snap *epoch, snapOps int, base *graph.Graph, idx *c
 		// caught-up suffix so pruning is live immediately after a racy
 		// compaction too, not just after a quiet one. (The segment image
 		// keeps the fresh index — ApplyMutations is copy-on-write.)
-		if idx != nil && !e.opts.NoIndexMaintenance {
+		if idx != nil && !e.opts.noIndexMaintenance {
 			idx, _ = idx.ApplyMutations(g, cur.kg.g.OverlayEdgeOps(snapOps))
 		}
 	}
