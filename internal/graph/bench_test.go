@@ -110,9 +110,11 @@ func BenchmarkScan(b *testing.B) {
 		b.Run(mode.name, func(b *testing.B) {
 			total := 0
 			for i := 0; i < b.N; i++ {
-				it := mode.g.OutLabeled(hub, L)
-				for run, ok := it.Next(); ok; run, ok = it.Next() {
-					total += len(run)
+				rs := mode.g.OutRuns(hub)
+				for ri, n := 0, rs.Len(); ri < n; ri++ {
+					if L.Contains(rs.Label(ri)) {
+						total += len(rs.Run(ri))
+					}
 				}
 			}
 			if total == 0 {

@@ -161,86 +161,50 @@ func checkCSRAgainstRef(t *testing.T, g *Graph, ref *refGraph, edges []Triple, n
 				}
 			}
 		}
-		// OutLabeled over a random constraint set yields exactly the
-		// filtered subsequence, in order — with and without the label-run
-		// index.
+		// The label-run views filtered by a random constraint set yield
+		// exactly the filtered subsequence of Out/In, in order, as
+		// non-empty label-pure runs — with and without the label-run index.
 		L := labelset.Set(uint64(v)*0x9e3779b97f4a7c15+0xb5) & labelset.Universe(nLabels)
-		var wantSeq, gotSeq, gotSeqNoIdx []Edge
-		for _, e := range es {
-			if L.Contains(e.Label) {
-				wantSeq = append(wantSeq, e)
-			}
-		}
-		it := g.OutLabeled(id, L)
-		for run, ok := it.Next(); ok; run, ok = it.Next() {
-			if len(run) == 0 {
-				t.Fatalf("OutLabeled(%d) yielded empty run", v)
-			}
-			for _, e := range run[1:] {
-				if e.Label != run[0].Label {
-					t.Fatalf("OutLabeled(%d) run not label-pure: %v", v, run)
+		for _, dir := range []struct {
+			name string
+			all  []Edge
+			runs func(*Graph) EdgeRuns
+		}{
+			{"OutRuns", es, func(gr *Graph) EdgeRuns { return gr.OutRuns(id) }},
+			{"InRuns", g.In(id), func(gr *Graph) EdgeRuns { return gr.InRuns(id) }},
+		} {
+			var wantSeq []Edge
+			for _, e := range dir.all {
+				if L.Contains(e.Label) {
+					wantSeq = append(wantSeq, e)
 				}
 			}
-			gotSeq = append(gotSeq, run...)
-		}
-		it = noIdx.OutLabeled(id, L)
-		for run, ok := it.Next(); ok; run, ok = it.Next() {
-			gotSeqNoIdx = append(gotSeqNoIdx, run...)
-		}
-		// The raw EdgeRuns view (the hot loops' form) must agree with the
-		// iterator, on both the indexed graph and the degenerate view.
-		for gi, gr := range []*Graph{g, noIdx} {
-			var viaRuns []Edge
-			rs := gr.OutRuns(id)
-			for ri, n := 0, rs.Len(); ri < n; ri++ {
-				if !L.Contains(rs.Label(ri)) {
-					continue
+			for gi, gr := range []*Graph{g, noIdx} {
+				var viaRuns []Edge
+				rs := dir.runs(gr)
+				for ri, n := 0, rs.Len(); ri < n; ri++ {
+					if !L.Contains(rs.Label(ri)) {
+						continue
+					}
+					run := rs.Run(ri)
+					if len(run) == 0 {
+						t.Fatalf("graph %d: %s(%d).Run(%d) empty", gi, dir.name, v, ri)
+					}
+					for _, e := range run {
+						if e.Label != rs.Label(ri) {
+							t.Fatalf("graph %d: %s(%d) run %d not label-pure", gi, dir.name, v, ri)
+						}
+					}
+					viaRuns = append(viaRuns, run...)
 				}
-				run := rs.Run(ri)
-				if len(run) == 0 {
-					t.Fatalf("graph %d: OutRuns(%d).Run(%d) empty", gi, v, ri)
+				if len(viaRuns) != len(wantSeq) {
+					t.Fatalf("graph %d: %s(%d, %v) yielded %d edges, want %d", gi, dir.name, v, L, len(viaRuns), len(wantSeq))
 				}
-				for _, e := range run {
-					if e.Label != rs.Label(ri) {
-						t.Fatalf("graph %d: OutRuns(%d) run %d not label-pure", gi, v, ri)
+				for i := range wantSeq {
+					if viaRuns[i] != wantSeq[i] {
+						t.Fatalf("graph %d: %s(%d, %v) diverges at %d", gi, dir.name, v, L, i)
 					}
 				}
-				viaRuns = append(viaRuns, run...)
-			}
-			if len(viaRuns) != len(wantSeq) {
-				t.Fatalf("graph %d: OutRuns(%d, %v) yielded %d edges, want %d", gi, v, L, len(viaRuns), len(wantSeq))
-			}
-			for i := range wantSeq {
-				if viaRuns[i] != wantSeq[i] {
-					t.Fatalf("graph %d: OutRuns(%d, %v) diverges at %d", gi, v, L, i)
-				}
-			}
-		}
-		if len(gotSeq) != len(wantSeq) || len(gotSeqNoIdx) != len(wantSeq) {
-			t.Fatalf("OutLabeled(%d, %v) yielded %d/%d edges, want %d", v, L, len(gotSeq), len(gotSeqNoIdx), len(wantSeq))
-		}
-		for i := range wantSeq {
-			if gotSeq[i] != wantSeq[i] || gotSeqNoIdx[i] != wantSeq[i] {
-				t.Fatalf("OutLabeled(%d, %v) diverges at %d", v, L, i)
-			}
-		}
-		// InLabeled mirrors the in-adjacency the same way.
-		var wantIn, gotIn []Edge
-		for _, e := range g.In(id) {
-			if L.Contains(e.Label) {
-				wantIn = append(wantIn, e)
-			}
-		}
-		iit := g.InLabeled(id, L)
-		for run, ok := iit.Next(); ok; run, ok = iit.Next() {
-			gotIn = append(gotIn, run...)
-		}
-		if len(gotIn) != len(wantIn) {
-			t.Fatalf("InLabeled(%d) yielded %d edges, want %d", v, len(gotIn), len(wantIn))
-		}
-		for i := range wantIn {
-			if gotIn[i] != wantIn[i] {
-				t.Fatalf("InLabeled(%d) diverges at %d", v, i)
 			}
 		}
 	}

@@ -112,17 +112,6 @@ func (p *patchAdj) runs(v VertexID, base *adjacency, baseV int) EdgeRuns {
 	return EdgeRuns{}
 }
 
-// labeled is row as the constraint-filtered run iterator.
-func (p *patchAdj) labeled(v VertexID, L labelset.Set, base *adjacency, baseV int) LabeledEdges {
-	if p.has(v) {
-		return p.a.labeled(VertexID(p.slot[v]), L)
-	}
-	if int(v) < baseV {
-		return base.labeled(v, L)
-	}
-	return LabeledEdges{}
-}
-
 // with is row restricted to one exact label.
 func (p *patchAdj) with(v VertexID, l Label, base *adjacency, baseV int) []Edge {
 	if p.has(v) {

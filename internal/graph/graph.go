@@ -16,7 +16,7 @@
 // records where each label's sub-run starts. Every search the paper
 // defines spends its inner loop walking adjacency and discarding edges
 // whose label is outside the query's label constraint L; the label-grouped
-// layout lets OutLabeled/InLabeled skip non-matching edges entirely — for
+// layout lets OutRuns/InRuns skip non-matching edges entirely — for
 // a selective L the traversal touches only the matching runs instead of
 // testing every edge — and makes HasEdge a binary search instead of a
 // linear scan.
@@ -84,12 +84,6 @@ func (a *adjacency) with(v VertexID, l Label) []Edge {
 	return es[lo:hi:hi]
 }
 
-// labeled returns an iterator over the label-pure runs of v whose label is
-// in L.
-func (a *adjacency) labeled(v VertexID, L labelset.Set) LabeledEdges {
-	return LabeledEdges{a: a, L: L, i: a.runOff[v], n: a.runOff[v+1], vend: a.off[v+1]}
-}
-
 // runs returns the raw label-run view of v.
 func (a *adjacency) runs(v VertexID) EdgeRuns {
 	return EdgeRuns{a: a, lo: a.runOff[v], hi: a.runOff[v+1], end: a.off[v+1]}
@@ -135,42 +129,6 @@ func (r EdgeRuns) Run(i int) []Edge {
 		end = a.runStart[ri+1]
 	}
 	return a.edges[start:end:end]
-}
-
-// LabeledEdges iterates the edges of one vertex whose label belongs to a
-// constraint set L, as a sequence of label-pure contiguous runs. Obtain one
-// from Graph.OutLabeled or Graph.InLabeled; the zero value is an empty
-// iterator. The yielded slices alias graph storage and must not be
-// mutated. The struct is a bare cursor (one pointer and three offsets) so
-// hot loops can hold it in registers.
-type LabeledEdges struct {
-	a    *adjacency
-	L    labelset.Set
-	i, n uint32 // run index range of the vertex
-	vend uint32 // end edge offset of the vertex's whole run
-}
-
-// Next returns the next non-empty run of edges whose (single) label is in
-// the constraint set, or ok=false when the iteration is done. With the
-// label-run index each matching run comes back in one step and
-// non-matching edges are never touched; on a WithoutLabelIndex view the
-// runs are degenerate (one edge each), so Next filters edge by edge — the
-// pre-CSR access pattern.
-func (it *LabeledEdges) Next() (run []Edge, ok bool) {
-	for it.i < it.n {
-		i := it.i
-		it.i++
-		a := it.a
-		if it.L.Contains(a.runLabel[i]) {
-			start := a.runStart[i]
-			end := it.vend
-			if it.i < it.n {
-				end = a.runStart[it.i]
-			}
-			return a.edges[start:end:end], true
-		}
-	}
-	return nil, false
 }
 
 // Graph is an immutable edge-labeled multigraph with dictionaries and an
@@ -310,30 +268,11 @@ func (g *Graph) In(v VertexID) []Edge {
 	return g.in.run(v)
 }
 
-// OutLabeled iterates the out-edges of v whose label is in L, one
-// label-pure run at a time, skipping non-matching label runs entirely.
-// With L = LabelUniverse it enumerates every edge, grouped by label.
-func (g *Graph) OutLabeled(v VertexID, L labelset.Set) LabeledEdges {
-	if ov := g.ov; ov != nil {
-		return ov.out.labeled(v, L, &g.out, ov.baseV)
-	}
-	return g.out.labeled(v, L)
-}
-
-// InLabeled is OutLabeled over the in-adjacency (Edge.To is the source
-// vertex).
-func (g *Graph) InLabeled(v VertexID, L labelset.Set) LabeledEdges {
-	if ov := g.ov; ov != nil {
-		return ov.in.labeled(v, L, &g.in, ov.baseV)
-	}
-	return g.in.labeled(v, L)
-}
-
-// OutRuns returns the raw label-run view of v's out-edges — the
-// zero-call-per-run form of OutLabeled for the innermost search loops
-// (see EdgeRuns). On an overlay view a mutated vertex answers from its
-// merged patch row (same run shape, deletions already masked) and an
-// untouched vertex from its base row.
+// OutRuns returns the raw label-run view of v's out-edges: one label-pure
+// run per label, in ascending label order, for the search loops to test
+// against a constraint set (see EdgeRuns). On an overlay view a mutated
+// vertex answers from its merged patch row (same run shape, deletions
+// already masked) and an untouched vertex from its base row.
 func (g *Graph) OutRuns(v VertexID) EdgeRuns {
 	if ov := g.ov; ov != nil {
 		return ov.out.runs(v, &g.out, ov.baseV)
@@ -414,12 +353,12 @@ func (g *Graph) Triples(fn func(Triple) bool) {
 
 // WithoutLabelIndex returns a view of g that shares the CSR edge storage
 // (same edges, same offsets, same iteration order) but replaces the
-// label-run index with degenerate one-edge runs: OutLabeled/InLabeled and
-// OutRuns/InRuns then scan every edge of the vertex and test its label —
-// exactly the access pattern of the pre-CSR slice-of-slices layout, on
-// the identical code path. It exists so benchmarks and equivalence tests
-// can compare the labeled scan against the filtering scan on bit-identical
-// search behaviour.
+// label-run index with degenerate one-edge runs: OutRuns/InRuns then scan
+// every edge of the vertex and test its label — exactly the access
+// pattern of the pre-CSR slice-of-slices layout, on the identical code
+// path. It exists so benchmarks and equivalence tests can compare the
+// labeled scan against the filtering scan on bit-identical search
+// behaviour.
 func (g *Graph) WithoutLabelIndex() *Graph {
 	h := *g
 	h.out = degenerateRuns(g.out)

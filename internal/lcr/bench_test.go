@@ -25,15 +25,6 @@ func BenchmarkReachBFS(b *testing.B) {
 	}
 }
 
-func BenchmarkReachDFS(b *testing.B) {
-	g, L := benchFixture(b)
-	rng := rand.New(rand.NewSource(2))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ReachDFS(g, graph.VertexID(rng.Intn(10000)), graph.VertexID(rng.Intn(10000)), L)
-	}
-}
-
 func BenchmarkSourceCMS(b *testing.B) {
 	rng := rand.New(rand.NewSource(3))
 	g := testkg.Random(rng, 1000, 3000, 6)

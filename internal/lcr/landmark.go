@@ -171,37 +171,22 @@ func (idx *LandmarkIndex) Reach(s, t graph.VertexID, L labelset.Set) bool {
 		return true
 	}
 	// Online BFS with landmark shortcuts.
-	g := idx.g
-	visited := make([]bool, g.NumVertices())
-	visited[s] = true
-	queue := []graph.VertexID{s}
-	for len(queue) > 0 {
-		u := queue[0]
-		queue = queue[1:]
-		if full, ok := idx.full[u]; ok {
-			if full[t].Covers(L) {
-				return true
-			}
-			// Everything u reaches under L is known; no need to expand u
-			// unless the landmark entry says t is unreachable, in which
-			// case expanding u cannot help either.
-			continue
+	w := GetWalker()
+	defer PutWalker(w)
+	viaLandmark := false
+	return w.Run(idx.g, s, t, L, Walk{Visit: func(u graph.VertexID) Step {
+		full, ok := idx.full[u]
+		if !ok {
+			return Expand
 		}
-		it := g.OutLabeled(u, L)
-		for run, ok := it.Next(); ok; run, ok = it.Next() {
-			for _, e := range run {
-				if visited[e.To] {
-					continue
-				}
-				if e.To == t {
-					return true
-				}
-				visited[e.To] = true
-				queue = append(queue, e.To)
-			}
+		if full[t].Covers(L) {
+			viaLandmark = true
+			return Stop
 		}
-	}
-	return false
+		// Everything u reaches under L is known and excludes t, so
+		// expanding u cannot help.
+		return Skip
+	}}) || viaLandmark
 }
 
 // Entries returns the total number of stored minimal label sets.

@@ -8,9 +8,16 @@
 // These are the baselines the paper argues cannot scale to KGs; they are
 // implemented so the repository can regenerate Figure 5 and Table 2 and
 // so the LSCR algorithms have a correctness oracle.
+//
+// The package also owns the repository's one label-constrained
+// breadth-first walk, the pooled Walker: Reach and the reachable sets
+// below, the landmark index's online fallback, the workload generator's
+// target filter and the LSCR witness all run on it.
 package lcr
 
 import (
+	"slices"
+
 	"lscr/internal/graph"
 	"lscr/internal/labelset"
 )
@@ -19,98 +26,30 @@ import (
 // using BFS. The label constraint prunes the search space, so the cost is
 // O(|V| + |E|) (§1 of the paper).
 func Reach(g *graph.Graph, s, t graph.VertexID, L labelset.Set) bool {
-	if s == t {
-		return true
-	}
-	visited := make([]bool, g.NumVertices())
-	visited[s] = true
-	queue := []graph.VertexID{s}
-	for len(queue) > 0 {
-		u := queue[0]
-		queue = queue[1:]
-		it := g.OutLabeled(u, L)
-		for run, ok := it.Next(); ok; run, ok = it.Next() {
-			for _, e := range run {
-				if visited[e.To] {
-					continue
-				}
-				if e.To == t {
-					return true
-				}
-				visited[e.To] = true
-				queue = append(queue, e.To)
-			}
-		}
-	}
-	return false
+	w := GetWalker()
+	defer PutWalker(w)
+	return w.Run(g, s, t, L, Walk{})
 }
 
-// ReachDFS is Reach with depth-first exploration; it exists because the
-// paper discusses both uninformed strategies (§3) and tests compare them.
-func ReachDFS(g *graph.Graph, s, t graph.VertexID, L labelset.Set) bool {
-	if s == t {
-		return true
-	}
-	visited := make([]bool, g.NumVertices())
-	visited[s] = true
-	stack := []graph.VertexID{s}
-	for len(stack) > 0 {
-		u := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		it := g.OutLabeled(u, L)
-		for run, ok := it.Next(); ok; run, ok = it.Next() {
-			for _, e := range run {
-				if visited[e.To] {
-					continue
-				}
-				if e.To == t {
-					return true
-				}
-				visited[e.To] = true
-				stack = append(stack, e.To)
-			}
-		}
-	}
-	return false
-}
-
-// ReachableSet returns every vertex reachable from s under L, including s.
+// ReachableSet returns every vertex reachable from s under L, including s,
+// in BFS order.
 func ReachableSet(g *graph.Graph, s graph.VertexID, L labelset.Set) []graph.VertexID {
-	visited := make([]bool, g.NumVertices())
-	visited[s] = true
-	out := []graph.VertexID{s}
-	for i := 0; i < len(out); i++ {
-		it := g.OutLabeled(out[i], L)
-		for run, ok := it.Next(); ok; run, ok = it.Next() {
-			for _, e := range run {
-				if !visited[e.To] {
-					visited[e.To] = true
-					out = append(out, e.To)
-				}
-			}
-		}
-	}
-	return out
+	return closure(g, s, L, Walk{})
 }
 
 // ReachableSetReverse returns every vertex that can reach t under L,
-// including t (a backward BFS over in-edges).
+// including t (a backward BFS over in-edges), in BFS order.
 func ReachableSetReverse(g *graph.Graph, t graph.VertexID, L labelset.Set) []graph.VertexID {
-	visited := make([]bool, g.NumVertices())
-	visited[t] = true
-	out := []graph.VertexID{t}
-	for i := 0; i < len(out); i++ {
-		it := g.InLabeled(out[i], L)
-		for run, ok := it.Next(); ok; run, ok = it.Next() {
-			for _, e := range run {
-				if !visited[e.To] {
-					visited[e.To] = true
-					out = append(out, e.To)
-				}
-			}
-		}
-	}
-	return out
+	return closure(g, t, L, Walk{Reverse: true})
+}
+
+// closure walks everything v reaches (or, with o.Reverse, everything that
+// reaches v) and copies the visit order out of the pooled walker.
+func closure(g *graph.Graph, v graph.VertexID, L labelset.Set, o Walk) []graph.VertexID {
+	w := GetWalker()
+	defer PutWalker(w)
+	w.Run(g, v, graph.NoVertex, L, o)
+	return slices.Clone(w.Order())
 }
 
 // SourceCMS computes M(s, v) — the collection of minimal sufficient path

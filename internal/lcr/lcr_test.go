@@ -2,6 +2,7 @@ package lcr
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -46,9 +47,6 @@ func TestReachRunningExample(t *testing.T) {
 		L := lset(t, g, tc.labels...)
 		if got := Reach(g, ids[tc.s], ids[tc.t], L); got != tc.want {
 			t.Errorf("Reach(%s,%s,%v) = %v, want %v", tc.s, tc.t, tc.labels, got, tc.want)
-		}
-		if got := ReachDFS(g, ids[tc.s], ids[tc.t], L); got != tc.want {
-			t.Errorf("ReachDFS(%s,%s,%v) = %v, want %v", tc.s, tc.t, tc.labels, got, tc.want)
 		}
 	}
 }
@@ -129,8 +127,7 @@ func TestReachAgainstOracleProperty(t *testing.T) {
 		L := labelset.Set(rng.Uint64()) & g.LabelUniverse()
 		s := graph.VertexID(rng.Intn(n))
 		tt := graph.VertexID(rng.Intn(n))
-		want := naiveReach(g, s, tt, L)
-		return Reach(g, s, tt, L) == want && ReachDFS(g, s, tt, L) == want
+		return Reach(g, s, tt, L) == naiveReach(g, s, tt, L)
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
@@ -200,6 +197,42 @@ func TestReachableSetReverse(t *testing.T) {
 		if !want[v] {
 			t.Fatalf("unexpected %v in %v", v, got)
 		}
+	}
+}
+
+// naiveBFSOrder is the visit order of a plain breadth-first walk from s
+// that follows the adjacency returned by adj and keeps edges whose label
+// is in L.
+func naiveBFSOrder(n int, adj func(graph.VertexID) []graph.Edge, s graph.VertexID, L labelset.Set) []graph.VertexID {
+	seen := make([]bool, n)
+	seen[s] = true
+	order := []graph.VertexID{s}
+	for i := 0; i < len(order); i++ {
+		for _, e := range adj(order[i]) {
+			if L.Contains(e.Label) && !seen[e.To] {
+				seen[e.To] = true
+				order = append(order, e.To)
+			}
+		}
+	}
+	return order
+}
+
+// TestReachableSetOrder pins the BFS order of ReachableSet and
+// ReachableSetReverse, not just their membership: callers read the order
+// as "nearest to the source first".
+func TestReachableSetOrder(t *testing.T) {
+	prop := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		n := rng.Intn(40) + 2
+		g := testkg.Random(rng, n, rng.Intn(120), rng.Intn(5)+1)
+		L := labelset.Set(rng.Uint64()) & g.LabelUniverse()
+		v := graph.VertexID(rng.Intn(n))
+		return slices.Equal(ReachableSet(g, v, L), naiveBFSOrder(n, g.Out, v, L)) &&
+			slices.Equal(ReachableSetReverse(g, v, L), naiveBFSOrder(n, g.In, v, L))
+	}
+	if err := quick.Check(prop, &quick.Config{MaxCount: 300}); err != nil {
+		t.Fatal(err)
 	}
 }
 

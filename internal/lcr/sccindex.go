@@ -118,9 +118,12 @@ func (idx *SCCIndex) Reach(s, t graph.VertexID, L labelset.Set) bool {
 		if u == t {
 			return true
 		}
-		it := g.OutLabeled(u, L)
-		for run, ok := it.Next(); ok; run, ok = it.Next() {
-			for _, e := range run {
+		rs := g.OutRuns(u)
+		for ri, n := 0, rs.Len(); ri < n; ri++ {
+			if !L.Contains(rs.Label(ri)) {
+				continue
+			}
+			for _, e := range rs.Run(ri) {
 				if idx.scc[e.To] == idx.scc[u] {
 					continue // intra-component edges are covered by the closure
 				}

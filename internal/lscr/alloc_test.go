@@ -109,7 +109,7 @@ func witnessAllocFixture(tb testing.TB) (*graph.Graph, Query, graph.VertexID) {
 // warmed-up FindWitness. The only remaining allocations are the
 // returned hop slices (the two legs' reversal buffers, their
 // concatenation and the Witness struct) — the visited set, parent table
-// and BFS queue live in the pooled scratch. Before the fix every call
+// and BFS queue live in a pooled lcr walker. Before the fix every call
 // allocated two |V|-sized []bool plus two parent maps, so this bound
 // also pins the O(1)-vs-O(|V|) regression.
 const maxWitnessSteadyStateAllocs = 12
@@ -134,8 +134,9 @@ func TestWitnessReconstructionPooled(t *testing.T) {
 // maxNaiveSteadyStateAllocs bounds a warmed-up Naive run on the INS
 // fixture (false answer, whole frontier drained, inner procedure run
 // per satisfying vertex). The per-call matcher construction accounts
-// for the fixed handful; the visited sets and both DFS stacks are
-// pooled, so the bound no longer scales with |V|.
+// for the fixed handful; the outer walk's visited set and stack and the
+// inner procedure's walker are pooled, so the bound no longer scales
+// with |V|.
 const maxNaiveSteadyStateAllocs = 24
 
 func TestNaiveVisitedPooled(t *testing.T) {

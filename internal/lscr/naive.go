@@ -2,6 +2,7 @@ package lscr
 
 import (
 	"lscr/internal/graph"
+	"lscr/internal/lcr"
 	"lscr/internal/pattern"
 )
 
@@ -31,45 +32,13 @@ func Naive(g *graph.Graph, q Query) (bool, Stats, error) {
 	sc := scratchPool.Get().(*scratch)
 	defer scratchPool.Put(sc)
 
-	// Procedure 2: plain label-constrained DFS from v to t, fresh visited
-	// pass per invocation (the "executed up to |V(S,G)| times" part — an
-	// epoch bump on the pooled set, not a fresh |V|-sized allocation).
-	reach := func(v graph.VertexID) bool {
-		if v == q.Target {
-			return true
-		}
-		sc.vis2.next(n)
-		sc.vis2.visit(v)
-		stack := sc.queue2[:0]
-		defer func() { sc.queue2 = stack }()
-		stack = append(stack, v)
-		for len(stack) > 0 {
-			u := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			rs := g.OutRuns(u)
-			for ri, n := 0, rs.Len(); ri < n; ri++ {
-				if !q.Labels.Contains(rs.Label(ri)) {
-					continue
-				}
-				for _, e := range rs.Run(ri) {
-					if sc.vis2.visited(e.To) {
-						continue
-					}
-					if e.To == q.Target {
-						return true
-					}
-					sc.vis2.visit(e.To)
-					stack = append(stack, e.To)
-				}
-			}
-		}
-		return false
-	}
-
 	// Procedure 1: DFS over the space s reaches under L, checking S per
-	// vertex and invoking procedure 2 on hits.
-	sc.vis.next(n)
-	sc.vis.visit(q.Source)
+	// vertex and invoking procedure 2 on hits. Procedure 2 is the plain
+	// LCR search lcr.Reach from the hit to t: a fresh pooled walk per
+	// invocation (the "executed up to |V(S,G)| times" part), not a fresh
+	// |V|-sized allocation.
+	sc.vis.Reset(n)
+	sc.vis.Visit(q.Source)
 	st.PassedVertices = 1
 	st.SearchTreeNodes = 1
 	stack := sc.queue[:0]
@@ -77,7 +46,7 @@ func Naive(g *graph.Graph, q Query) (bool, Stats, error) {
 	stack = append(stack, q.Source)
 	scck++
 	if m.Check(q.Source) {
-		if reach(q.Source) {
+		if lcr.Reach(g, q.Source, q.Target, q.Labels) {
 			st.SCckCalls = scck
 			st.Satisfying = q.Source
 			return true, st, nil
@@ -92,15 +61,15 @@ func Naive(g *graph.Graph, q Query) (bool, Stats, error) {
 				continue
 			}
 			for _, e := range rs.Run(ri) {
-				if sc.vis.visited(e.To) {
+				if sc.vis.Visited(e.To) {
 					continue
 				}
-				sc.vis.visit(e.To)
+				sc.vis.Visit(e.To)
 				st.PassedVertices++
 				st.SearchTreeNodes++
 				scck++
 				if m.Check(e.To) {
-					if reach(e.To) {
+					if lcr.Reach(g, e.To, q.Target, q.Labels) {
 						st.SCckCalls = scck
 						st.Satisfying = e.To
 						return true, st, nil

@@ -4,6 +4,7 @@ import (
 	"sync"
 
 	"lscr/internal/graph"
+	"lscr/internal/lcr"
 )
 
 // Per-query scratch state (the close surjection and the frontier queue's
@@ -58,33 +59,6 @@ func (e *epochArr64) next(n int) {
 	e.epoch++
 }
 
-// epochSet is a pooled visited set: v counts as visited in the current
-// pass iff a[v] equals the pass epoch, so next starts a new pass in
-// O(1) instead of allocating (or zeroing) a fresh []bool per search.
-type epochSet struct {
-	a     []uint32
-	epoch uint32
-}
-
-func (e *epochSet) next(n int) {
-	if len(e.a) < n || e.epoch == ^uint32(0) {
-		e.a = make([]uint32, withSlack(n))
-		e.epoch = 0
-	}
-	e.epoch++
-}
-
-func (e *epochSet) visited(v graph.VertexID) bool { return e.a[v] == e.epoch }
-func (e *epochSet) visit(v graph.VertexID)        { e.a[v] = e.epoch }
-
-// bfsParent records how the witness BFS reached a vertex. Entries are
-// meaningful only for vertices visited in the current vis epoch, so the
-// table is never cleared.
-type bfsParent struct {
-	from  graph.VertexID
-	label graph.Label
-}
-
 // scratch bundles the pooled per-query state.
 type scratch struct {
 	close epochArr32
@@ -100,15 +74,10 @@ type scratch struct {
 	// across queries (newFrontierQueue truncates it), so a steady stream
 	// of INS queries stops allocating a fresh heap per query.
 	fq frontierQueue
-	// vis and vis2 are the visited sets for the searches that used to
-	// allocate a fresh []bool per call: the witness shortest-path BFS,
-	// and Naive's outer walk plus its per-satisfying-vertex inner walk
-	// (those two run interleaved, hence two independent sets).
-	vis, vis2 epochSet
-	// par is the witness BFS parent table, validity-gated by vis.
-	par []bfsParent
-	// queue and queue2 are the matching reusable worklists.
-	queue, queue2 []graph.VertexID
+	// vis and queue are Naive's outer-walk visited set and DFS stack.
+	// Its inner procedure and the witness BFS run on pooled lcr walkers.
+	vis   lcr.VisitSet
+	queue []graph.VertexID
 }
 
 // satTable returns the satisfying-origin table sized for n vertices.
@@ -117,14 +86,6 @@ func (s *scratch) satTable(n int) []uint32 {
 		s.sat = make([]uint32, n)
 	}
 	return s.sat
-}
-
-// parTable returns the witness BFS parent table sized for n vertices.
-func (s *scratch) parTable(n int) []bfsParent {
-	if len(s.par) < n {
-		s.par = make([]bfsParent, withSlack(n))
-	}
-	return s.par
 }
 
 // cutTable returns a zeroed per-landmark table of k entries.

@@ -3,6 +3,7 @@ package lscr
 import (
 	"lscr/internal/graph"
 	"lscr/internal/labelset"
+	"lscr/internal/lcr"
 )
 
 // Hop is one edge of a witness path.
@@ -38,13 +39,13 @@ func (w *Witness) Vertices(s graph.VertexID) []graph.VertexID {
 // concatenates two shortest label-constrained paths, s→vStar and
 // vStar→t. The second result is false only if the premise does not hold.
 func FindWitness(g *graph.Graph, s, t, vStar graph.VertexID, L labelset.Set) (*Witness, bool) {
-	sc := scratchPool.Get().(*scratch)
-	defer scratchPool.Put(sc)
-	first, ok := shortestPath(g, s, vStar, L, sc)
+	w := lcr.GetWalker()
+	defer lcr.PutWalker(w)
+	first, ok := shortestPath(g, s, vStar, L, w)
 	if !ok {
 		return nil, false
 	}
-	second, ok := shortestPath(g, vStar, t, L, sc)
+	second, ok := shortestPath(g, vStar, t, L, w)
 	if !ok {
 		return nil, false
 	}
@@ -52,48 +53,19 @@ func FindWitness(g *graph.Graph, s, t, vStar graph.VertexID, L labelset.Set) (*W
 }
 
 // shortestPath returns the hops of a shortest path from s to t using
-// only labels in L (empty for s == t). The visited set, parent table
-// and BFS queue all live in the pooled scratch — only the returned hop
-// slice is allocated, so witness reconstruction stays allocation-free
-// per passed vertex even on multi-million-vertex graphs.
-func shortestPath(g *graph.Graph, s, t graph.VertexID, L labelset.Set, sc *scratch) ([]Hop, bool) {
-	if s == t {
-		return nil, true
-	}
-	n := g.NumVertices()
-	sc.vis.next(n)
-	par := sc.parTable(n)
-	sc.vis.visit(s)
-	queue := sc.queue[:0]
-	queue = append(queue, s)
-	defer func() { sc.queue = queue }()
-	found := false
-	for head := 0; head < len(queue) && !found; head++ {
-		u := queue[head]
-		it := g.OutLabeled(u, L)
-		for run, ok := it.Next(); ok && !found; run, ok = it.Next() {
-			for _, e := range run {
-				if sc.vis.visited(e.To) {
-					continue
-				}
-				sc.vis.visit(e.To)
-				par[e.To] = bfsParent{from: u, label: e.Label}
-				if e.To == t {
-					found = true
-					break
-				}
-				queue = append(queue, e.To)
-			}
-		}
-	}
-	if !found {
+// only labels in L (empty for s == t): the parent links of a pooled BFS
+// walk, read back from t. Only the returned hop slice is allocated, so
+// witness reconstruction stays allocation-free per passed vertex even on
+// multi-million-vertex graphs.
+func shortestPath(g *graph.Graph, s, t graph.VertexID, L labelset.Set, w *lcr.Walker) ([]Hop, bool) {
+	if !w.Run(g, s, t, L, lcr.Walk{Parents: true}) {
 		return nil, false
 	}
 	var rev []Hop
 	for v := t; v != s; {
-		p := par[v]
-		rev = append(rev, Hop{From: p.from, Label: p.label, To: v})
-		v = p.from
+		p := w.Parent(v)
+		rev = append(rev, Hop{From: p.From, Label: p.Label, To: v})
+		v = p.From
 	}
 	for i, j := 0, len(rev)-1; i < j; i, j = i+1, j-1 {
 		rev[i], rev[j] = rev[j], rev[i]

@@ -169,34 +169,25 @@ func (gen *generator) randomLabelSet() (labelset.Set, int) {
 // ("for filtering out the vertices that s reaches only with a few steps",
 // §6.1.1).
 func (gen *generator) pickTarget(s graph.VertexID, L labelset.Set) (graph.VertexID, bool) {
-	g := gen.g
-	n := g.NumVertices()
-	explored := make([]bool, n)
-	explored[s] = true
-	queue := []graph.VertexID{s}
-	count := 1
-	for iter := 0; iter < int(gen.logV) && len(queue) > 0; iter++ {
-		u := queue[0]
-		queue = queue[1:]
-		it := g.OutLabeled(u, L)
-		for run, ok := it.Next(); ok; run, ok = it.Next() {
-			for _, e := range run {
-				if !explored[e.To] {
-					explored[e.To] = true
-					count++
-					queue = append(queue, e.To)
-				}
-			}
+	n := gen.g.NumVertices()
+	w := lcr.GetWalker()
+	defer lcr.PutWalker(w)
+	expanded := 0
+	w.Run(gen.g, s, graph.NoVertex, L, lcr.Walk{Visit: func(graph.VertexID) lcr.Step {
+		if expanded == int(gen.logV) {
+			return lcr.Stop
 		}
-	}
-	if count == n {
+		expanded++
+		return lcr.Expand
+	}})
+	if len(w.Order()) == n {
 		return 0, false // everything is near s; no valid target
 	}
 	// Uniform choice among unexplored via reservoir sampling.
 	var t graph.VertexID
 	seen := 0
 	for v := 0; v < n; v++ {
-		if explored[v] {
+		if w.Visited(graph.VertexID(v)) {
 			continue
 		}
 		seen++
@@ -221,23 +212,20 @@ func (gen *generator) treeSizeOK(tree int) bool {
 }
 
 // classifyFalse determines which of the three §6.1.1 false types q is.
-// The substructure-reachability half intersects a forward reachable set
-// from s with a backward reachable set from t (two BFS runs) instead of
-// one BFS per satisfying vertex.
+// The substructure-reachability half intersects the forward closure of s
+// with the backward closure of t (two walks) instead of one BFS per
+// satisfying vertex.
 func (gen *generator) classifyFalse(q lscr.Query) falseKind {
 	labelReach := lcr.Reach(gen.g, q.Source, q.Target, q.Labels)
 	all := gen.g.LabelUniverse()
-	fwd := make([]bool, gen.g.NumVertices())
-	for _, v := range lcr.ReachableSet(gen.g, q.Source, all) {
-		fwd[v] = true
-	}
-	bwd := make([]bool, gen.g.NumVertices())
-	for _, v := range lcr.ReachableSetReverse(gen.g, q.Target, all) {
-		bwd[v] = true
-	}
+	fwd, bwd := lcr.GetWalker(), lcr.GetWalker()
+	defer lcr.PutWalker(fwd)
+	defer lcr.PutWalker(bwd)
+	fwd.Run(gen.g, q.Source, graph.NoVertex, all, lcr.Walk{})
+	bwd.Run(gen.g, q.Target, graph.NoVertex, all, lcr.Walk{Reverse: true})
 	subReach := false
 	for _, v := range gen.vs {
-		if fwd[v] && bwd[v] {
+		if fwd.Visited(v) && bwd.Visited(v) {
 			subReach = true
 			break
 		}
