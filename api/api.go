@@ -1,8 +1,12 @@
 // Package api is the versioned wire contract of the lscrd HTTP
-// service: the JSON shapes of the /v1 endpoints plus the conversions
-// between them and the engine's native Request/Response. The server
-// (package lscr/server) and the typed client (package lscr/client)
-// both build on these types, so they cannot drift apart.
+// service. Where the engine already has a JSON-tagged type for a
+// message — lscr.Mutation, lscr.ApplyResult, lscr.ReplicationBatch,
+// lscr.Witness, the /healthz stats — the contract is that type itself;
+// this package adds only the request and reply envelopes around them
+// and the query shapes whose wire form differs from lscr.Request and
+// lscr.Response. The server (package lscr/server) and the typed client
+// (package lscr/client) both build on these types, so they cannot
+// drift apart.
 package api
 
 import (
@@ -35,30 +39,16 @@ type QueryRequest struct {
 	TimeoutMS int64 `json:"timeout_ms,omitempty"`
 }
 
-// Hop is one edge of a witness walk.
-type Hop struct {
-	From  string `json:"from"`
-	Label string `json:"label"`
-	To    string `json:"to"`
-}
-
-// Witness certifies a true answer: the walk plus, per constraint (in
-// request order), the walk vertex satisfying it.
-type Witness struct {
-	Hops        []Hop    `json:"hops"`
-	SatisfiedBy []string `json:"satisfied_by"`
-}
-
 // QueryResponse is the POST /v1/query reply.
 type QueryResponse struct {
-	Reachable          bool     `json:"reachable"`
-	ElapsedUS          int64    `json:"elapsed_us"`
-	PassedVertices     int      `json:"passed_vertices"`
-	SearchTreeNodes    int      `json:"search_tree_nodes"`
-	SatisfyingVertices int      `json:"satisfying_vertices"`
-	Algorithm          string   `json:"algorithm"`
-	Witness            *Witness `json:"witness,omitempty"`
-	TraceDOT           string   `json:"trace_dot,omitempty"`
+	Reachable          bool          `json:"reachable"`
+	ElapsedUS          int64         `json:"elapsed_us"`
+	PassedVertices     int           `json:"passed_vertices"`
+	SearchTreeNodes    int           `json:"search_tree_nodes"`
+	SatisfyingVertices int           `json:"satisfying_vertices"`
+	Algorithm          string        `json:"algorithm"`
+	Witness            *lscr.Witness `json:"witness,omitempty"`
+	TraceDOT           string        `json:"trace_dot,omitempty"`
 }
 
 // BatchRequest is the POST /v1/batch body. Concurrency 0 means all
@@ -81,51 +71,14 @@ type BatchResponse struct {
 	Count   int         `json:"count"`
 }
 
-// Mutation is one operation of a POST /v1/mutate batch. Op is
-// "add-edge", "delete-edge", "add-vertex" or "add-label"; add-edge and
-// delete-edge use subject/label/object, add-vertex uses subject,
-// add-label uses label.
-type Mutation struct {
-	Op      string `json:"op"`
-	Subject string `json:"subject,omitempty"`
-	Label   string `json:"label,omitempty"`
-	Object  string `json:"object,omitempty"`
-}
-
-// MutateRequest is the POST /v1/mutate body. The batch commits
-// atomically: on any error (unknown name or absent edge in a delete,
-// malformed mutation, client disconnect before the body arrived)
-// nothing is applied.
+// MutateRequest is the POST /v1/mutate body; the reply is the
+// lscr.ApplyResult of the commit, whose Epoch is the published
+// snapshot: queries issued after the reply see the batch. The batch
+// commits atomically: on any error (unknown name or absent edge in a
+// delete, malformed mutation, client disconnect before the body
+// arrived) nothing is applied.
 type MutateRequest struct {
-	Mutations []Mutation `json:"mutations"`
-}
-
-// MutateResponse is the POST /v1/mutate reply.
-type MutateResponse struct {
-	// Epoch is the sequence number of the published snapshot; queries
-	// issued after this reply see the batch.
-	Epoch uint64 `json:"epoch"`
-	// Added/Deleted count the batch's edge operations; NewVertices and
-	// NewLabels the names it interned.
-	Added       int `json:"added"`
-	Deleted     int `json:"deleted"`
-	NewVertices int `json:"new_vertices"`
-	NewLabels   int `json:"new_labels"`
-	// OverlayOps is the server's uncompacted operation count after the
-	// batch; CompactionStarted reports that the batch crossed the
-	// compaction threshold.
-	OverlayOps        int  `json:"overlay_ops"`
-	CompactionStarted bool `json:"compaction_started"`
-}
-
-// ReplicateBatch is one record of the GET /v1/replicate feed: the
-// epoch it publishes, and either the mutation batch committed at that
-// epoch or a seal marker (the writer compacted there; a follower folds
-// its overlay at the same epoch).
-type ReplicateBatch struct {
-	Epoch     uint64     `json:"epoch"`
-	Seal      bool       `json:"seal,omitempty"`
-	Mutations []Mutation `json:"mutations,omitempty"`
+	Mutations []lscr.Mutation `json:"mutations"`
 }
 
 // ReplicateResponse is the GET /v1/replicate reply: the feed records
@@ -133,10 +86,10 @@ type ReplicateBatch struct {
 // whole long-poll window) plus the writer's serving and durable epochs
 // at reply time, which let a follower report its own lag.
 type ReplicateResponse struct {
-	From         uint64           `json:"from"`
-	Batches      []ReplicateBatch `json:"batches"`
-	Epoch        uint64           `json:"epoch"`
-	DurableEpoch uint64           `json:"durable_epoch"`
+	From         uint64                  `json:"from"`
+	Batches      []lscr.ReplicationBatch `json:"batches"`
+	Epoch        uint64                  `json:"epoch"`
+	DurableEpoch uint64                  `json:"durable_epoch"`
 }
 
 // SegmentEpochHeader carries the base epoch of the segment streamed by
@@ -293,87 +246,20 @@ func (r QueryRequest) ToRequest() (lscr.Request, error) {
 	}, nil
 }
 
-// ToMutations converts the wire batch to the engine's mutation shape.
-// Op strings pass through verbatim; the engine validates them (an
-// unknown op rejects the whole batch).
-func (r MutateRequest) ToMutations() []lscr.Mutation {
-	return ToEngineMutations(r.Mutations)
-}
-
-// ToEngineMutations converts wire mutations to the engine's shape.
-func ToEngineMutations(ms []Mutation) []lscr.Mutation {
-	out := make([]lscr.Mutation, len(ms))
-	for i, m := range ms {
-		out[i] = lscr.Mutation{
-			Op:      lscr.MutationOp(m.Op),
-			Subject: m.Subject,
-			Label:   m.Label,
-			Object:  m.Object,
-		}
-	}
-	return out
-}
-
-// FromMutations converts engine mutations to the wire shape.
-func FromMutations(ms []lscr.Mutation) []Mutation {
-	out := make([]Mutation, len(ms))
-	for i, m := range ms {
-		out[i] = Mutation{
-			Op:      string(m.Op),
-			Subject: m.Subject,
-			Label:   m.Label,
-			Object:  m.Object,
-		}
-	}
-	return out
-}
-
-// FromReplicationBatches converts the engine's feed records to the wire
-// shape.
-func FromReplicationBatches(batches []lscr.ReplicationBatch) []ReplicateBatch {
-	out := make([]ReplicateBatch, len(batches))
-	for i, b := range batches {
-		out[i] = ReplicateBatch{Epoch: b.Epoch, Seal: b.Seal, Mutations: FromMutations(b.Mutations)}
-	}
-	return out
-}
-
-// ToReplicationBatch converts one wire feed record back to the engine's
-// shape (the follower side).
-func (b ReplicateBatch) ToReplicationBatch() lscr.ReplicationBatch {
-	return lscr.ReplicationBatch{Epoch: b.Epoch, Seal: b.Seal, Mutations: ToEngineMutations(b.Mutations)}
-}
-
-// FromApplyResult converts the engine's apply report to the wire shape.
-func FromApplyResult(res lscr.ApplyResult) MutateResponse {
-	return MutateResponse{
-		Epoch:             res.Epoch,
-		Added:             res.Added,
-		Deleted:           res.Deleted,
-		NewVertices:       res.NewVertices,
-		NewLabels:         res.NewLabels,
-		OverlayOps:        res.OverlayOps,
-		CompactionStarted: res.CompactionStarted,
-	}
-}
+// FromMutations returns its argument: the wire shape of a mutation
+// batch is the engine's.
+func FromMutations(ms []lscr.Mutation) []lscr.Mutation { return ms }
 
 // FromResponse converts the engine's Response to the wire shape.
 func FromResponse(resp lscr.Response) QueryResponse {
-	out := QueryResponse{
+	return QueryResponse{
 		Reachable:          resp.Reachable,
 		ElapsedUS:          resp.Elapsed.Microseconds(),
 		PassedVertices:     resp.Stats.PassedVertices,
 		SearchTreeNodes:    resp.Stats.SearchTreeNodes,
 		SatisfyingVertices: resp.SatisfyingVertices,
 		Algorithm:          AlgorithmName(resp.Algorithm),
+		Witness:            resp.Witness,
 		TraceDOT:           resp.TraceDOT,
 	}
-	if w := resp.Witness; w != nil {
-		ww := &Witness{SatisfiedBy: w.SatisfiedBy}
-		for _, h := range w.Hops {
-			ww.Hops = append(ww.Hops, Hop{From: h.From, Label: h.Label, To: h.To})
-		}
-		out.Witness = ww
-	}
-	return out
 }

@@ -38,6 +38,7 @@ import (
 	"strings"
 	"time"
 
+	"lscr"
 	"lscr/api"
 )
 
@@ -154,8 +155,8 @@ func (c *Client) Batch(ctx context.Context, req api.BatchRequest) (api.BatchResp
 // was sent leaves the commit status unknown, and re-sending a batch
 // that did commit would apply it twice. Callers who need to resolve
 // the ambiguity compare the engine epoch (Health) before re-issuing.
-func (c *Client) Mutate(ctx context.Context, muts []api.Mutation) (api.MutateResponse, error) {
-	var out api.MutateResponse
+func (c *Client) Mutate(ctx context.Context, muts []lscr.Mutation) (lscr.ApplyResult, error) {
+	var out lscr.ApplyResult
 	err := c.post(ctx, "/"+api.Version+"/mutate", api.MutateRequest{Mutations: muts}, &out, false)
 	return out, err
 }

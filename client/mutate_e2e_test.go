@@ -44,7 +44,7 @@ func TestClientMutateRoundTrip(t *testing.T) {
 		t.Fatal("query to unknown vertex succeeded before mutation")
 	}
 
-	res, err := c.Mutate(ctx, []api.Mutation{
+	res, err := c.Mutate(ctx, []lscr.Mutation{
 		{Op: "add-edge", Subject: "P", Label: "apr", Object: "Y"},
 	})
 	if err != nil {
@@ -60,7 +60,7 @@ func TestClientMutateRoundTrip(t *testing.T) {
 
 	// Deleting the bridge makes the same query answer false; deleting it
 	// again is a 400 and changes nothing.
-	if _, err := c.Mutate(ctx, []api.Mutation{
+	if _, err := c.Mutate(ctx, []lscr.Mutation{
 		{Op: "delete-edge", Subject: "X", Label: "apr", Object: "P"},
 	}); err != nil {
 		t.Fatal(err)
@@ -69,7 +69,7 @@ func TestClientMutateRoundTrip(t *testing.T) {
 	if err != nil || resp.Reachable {
 		t.Fatalf("after delete: %+v, %v", resp, err)
 	}
-	_, err = c.Mutate(ctx, []api.Mutation{
+	_, err = c.Mutate(ctx, []lscr.Mutation{
 		{Op: "delete-edge", Subject: "X", Label: "apr", Object: "P"},
 	})
 	var apiErr *client.APIError
@@ -94,7 +94,7 @@ func TestClientMutateAtomicBatch(t *testing.T) {
 	ctx := context.Background()
 	before := eng.Epoch()
 
-	_, err := c.Mutate(ctx, []api.Mutation{
+	_, err := c.Mutate(ctx, []lscr.Mutation{
 		{Op: "add-edge", Subject: "C", Label: "apr", Object: "Z1"},
 		{Op: "add-edge", Subject: "Z1", Label: "apr", Object: "Z2"},
 		{Op: "delete-edge", Subject: "Z9", Label: "apr", Object: "C"}, // unknown vertex
@@ -152,7 +152,7 @@ func TestClientMutateMidFlightDisconnect(t *testing.T) {
 // nothing.
 func TestClientMutateReadOnly(t *testing.T) {
 	c, eng, _ := liveMutableServer(t, server.ReadOnly())
-	_, err := c.Mutate(context.Background(), []api.Mutation{
+	_, err := c.Mutate(context.Background(), []lscr.Mutation{
 		{Op: "add-vertex", Subject: "nope"},
 	})
 	var apiErr *client.APIError

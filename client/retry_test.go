@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"lscr"
 	"lscr/api"
 	"lscr/client"
 )
@@ -81,7 +82,7 @@ func TestClientNoRetryOnDefinitiveError(t *testing.T) {
 // batch twice.
 func TestClientMutateNeverRetried(t *testing.T) {
 	c, hits := flakyServer(t, 100, http.StatusBadGateway, `{}`)
-	_, err := c.Mutate(context.Background(), []api.Mutation{
+	_, err := c.Mutate(context.Background(), []lscr.Mutation{
 		{Op: "add-vertex", Subject: "v"},
 	})
 	var apiErr *client.APIError

@@ -36,6 +36,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"lscr"
 	"lscr/api"
 	"lscr/client"
 	"lscr/internal/buildinfo"
@@ -50,7 +51,8 @@ const (
 	DefaultFailThreshold = 3
 	DefaultCooldown      = time.Second
 	// maxRelayBody caps what the coordinator buffers of one backend
-	// response before relaying it.
+	// response before relaying it; the streamed replication endpoints
+	// are not capped.
 	maxRelayBody = 64 << 20
 )
 
@@ -327,13 +329,13 @@ func (res *attemptResult) failureErr() error {
 // backend were unreachable, exercising redispatch and breaker paths.
 const FPGatewayDispatch = "gateway-dispatch"
 
-// attempt forwards one buffered request to b and buffers the reply.
-// The remaining context budget travels in api.BudgetHeader, so a
-// backend's admission queue spends the caller's time, not its own
+// send forwards one request to b and returns the backend's reply
+// unread. The remaining context budget travels in api.BudgetHeader, so
+// a backend's admission queue spends the caller's time, not its own
 // unbounded patience.
-func (co *Coordinator) attempt(ctx context.Context, b *backend, method, path, rawQuery string, body []byte, contentType string) attemptResult {
+func (co *Coordinator) send(ctx context.Context, b *backend, method, path, rawQuery string, body []byte, contentType string) (*http.Response, error) {
 	if fp := failpoint.Eval(FPGatewayDispatch); fp != nil {
-		return attemptResult{b: b, err: fp}
+		return nil, fp
 	}
 	url := b.url + path
 	if rawQuery != "" {
@@ -345,7 +347,7 @@ func (co *Coordinator) attempt(ctx context.Context, b *backend, method, path, ra
 	}
 	hreq, err := http.NewRequestWithContext(ctx, method, url, rd)
 	if err != nil {
-		return attemptResult{b: b, err: err}
+		return nil, err
 	}
 	if contentType != "" {
 		hreq.Header.Set("Content-Type", contentType)
@@ -355,8 +357,14 @@ func (co *Coordinator) attempt(ctx context.Context, b *backend, method, path, ra
 			hreq.Header.Set(api.BudgetHeader, strconv.FormatInt(ms, 10))
 		}
 	}
+	return co.hc.Do(hreq)
+}
+
+// attempt forwards one buffered request to b and buffers the reply, up
+// to maxRelayBody.
+func (co *Coordinator) attempt(ctx context.Context, b *backend, method, path, rawQuery string, body []byte, contentType string) attemptResult {
 	start := time.Now()
-	resp, err := co.hc.Do(hreq)
+	resp, err := co.send(ctx, b, method, path, rawQuery, body, contentType)
 	if err != nil {
 		return attemptResult{b: b, err: err, elapsed: time.Since(start)}
 	}
@@ -374,19 +382,21 @@ func (co *Coordinator) attempt(ctx context.Context, b *backend, method, path, ra
 	}
 }
 
-// relay writes a backend reply through to the client, preserving the
-// Retry-After hint of a shedding or poisoned backend.
+// relayHeader writes a backend reply's status through to the client,
+// with its Content-Type, segment epoch and the Retry-After hint of a
+// shedding or poisoned backend.
+func relayHeader(w http.ResponseWriter, status int, h http.Header) {
+	for _, k := range []string{"Content-Type", api.SegmentEpochHeader, "Retry-After"} {
+		if v := h.Get(k); v != "" {
+			w.Header().Set(k, v)
+		}
+	}
+	w.WriteHeader(status)
+}
+
+// relay writes a buffered backend reply through to the client.
 func relay(w http.ResponseWriter, res attemptResult) {
-	if ct := res.header.Get("Content-Type"); ct != "" {
-		w.Header().Set("Content-Type", ct)
-	}
-	if eh := res.header.Get(api.SegmentEpochHeader); eh != "" {
-		w.Header().Set(api.SegmentEpochHeader, eh)
-	}
-	if ra := res.header.Get("Retry-After"); ra != "" {
-		w.Header().Set("Retry-After", ra)
-	}
-	w.WriteHeader(res.status)
+	relayHeader(w, res.status, res.header)
 	w.Write(res.body)
 }
 
@@ -625,7 +635,7 @@ func (co *Coordinator) v1Mutate(w http.ResponseWriter, r *http.Request) {
 		// The reply carries the committed epoch: advance the cluster
 		// head immediately so staleness checks see the write without
 		// waiting for the next probe.
-		var mr api.MutateResponse
+		var mr lscr.ApplyResult
 		if json.Unmarshal(res.body, &mr) == nil && mr.Epoch > co.writerEpoch.Load() {
 			co.writerEpoch.Store(mr.Epoch)
 		}
@@ -633,15 +643,24 @@ func (co *Coordinator) v1Mutate(w http.ResponseWriter, r *http.Request) {
 	relay(w, res)
 }
 
-// toWriter forwards a request to the writer verbatim (replication
-// endpoints).
+// toWriter streams a request's reply from the writer verbatim
+// (replication endpoints). Nothing is buffered, so no cap applies: a
+// segment image grows with the graph, far past maxRelayBody.
 func (co *Coordinator) toWriter(w http.ResponseWriter, r *http.Request) {
-	res := co.attempt(r.Context(), co.writer, r.Method, r.URL.Path, r.URL.RawQuery, nil, "")
-	if res.err != nil {
-		writeError(w, http.StatusBadGateway, fmt.Errorf("writer unavailable: %v", res.err))
+	resp, err := co.send(r.Context(), co.writer, r.Method, r.URL.Path, r.URL.RawQuery, nil, "")
+	if err != nil {
+		writeError(w, http.StatusBadGateway, fmt.Errorf("writer unavailable: %v", err))
 		return
 	}
-	relay(w, res)
+	defer resp.Body.Close()
+	if n := resp.Header.Get("Content-Length"); n != "" {
+		w.Header().Set("Content-Length", n)
+	}
+	relayHeader(w, resp.StatusCode, resp.Header)
+	if _, err := io.Copy(w, resp.Body); err != nil {
+		// Headers are gone; the short body is the client's signal.
+		co.logf("relay %s from writer: %v", r.URL.Path, err)
+	}
 }
 
 // healthz reports the gateway's routing view of the cluster.

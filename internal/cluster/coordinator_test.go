@@ -5,13 +5,16 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"lscr"
 	"lscr/api"
 	"lscr/client"
 )
@@ -302,14 +305,14 @@ func TestReplicaMutateFansInToWriter(t *testing.T) {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/mutate", func(w http.ResponseWriter, r *http.Request) {
 		mutates.Add(1)
-		writeJSON(w, http.StatusOK, api.MutateResponse{Epoch: 7, Added: 1})
+		writeJSON(w, http.StatusOK, lscr.ApplyResult{Epoch: 7, Added: 1})
 	})
 	writer := httptest.NewServer(mux)
 	t.Cleanup(writer.Close)
 	replica := newFakeBackend(t, "r", 0)
 
 	co := NewCoordinator(Config{Writer: writer.URL, Replicas: []string{replica.url()}})
-	w := postJSON(t, co, "/v1/mutate", api.MutateRequest{Mutations: []api.Mutation{{Op: "add-vertex", Subject: "v"}}})
+	w := postJSON(t, co, "/v1/mutate", api.MutateRequest{Mutations: []lscr.Mutation{{Op: "add-vertex", Subject: "v"}}})
 	if w.Code != http.StatusOK {
 		t.Fatalf("mutate answered %d: %s", w.Code, w.Body)
 	}
@@ -330,7 +333,7 @@ func TestReplicaMutateWriterDown(t *testing.T) {
 	replica := newFakeBackend(t, "r", 0)
 
 	co := NewCoordinator(Config{Writer: writer.srv.URL, Replicas: []string{replica.url()}})
-	w := postJSON(t, co, "/v1/mutate", api.MutateRequest{Mutations: []api.Mutation{{Op: "add-vertex", Subject: "v"}}})
+	w := postJSON(t, co, "/v1/mutate", api.MutateRequest{Mutations: []lscr.Mutation{{Op: "add-vertex", Subject: "v"}}})
 	if w.Code != http.StatusBadGateway {
 		t.Fatalf("mutate against dead writer answered %d", w.Code)
 	}
@@ -347,5 +350,47 @@ func TestReplicaTransientErrClassification(t *testing.T) {
 	}
 	if transientErr(&client.APIError{StatusCode: http.StatusBadRequest}) {
 		t.Fatal("400 classified transient")
+	}
+}
+
+// TestReplicaSegmentThroughGatewayUncapped: the gateway streams GET
+// /v1/segment from the writer rather than buffering it, so a segment
+// image larger than the cap on buffered replies reaches a bootstrapping
+// follower whole, with its epoch header.
+func TestReplicaSegmentThroughGatewayUncapped(t *testing.T) {
+	const size = maxRelayBody + 1
+	mux := http.NewServeMux()
+	mux.HandleFunc("GET /v1/segment", func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Type", "application/octet-stream")
+		w.Header().Set(api.SegmentEpochHeader, "42")
+		w.Header().Set("Content-Length", strconv.Itoa(size))
+		chunk := make([]byte, 1<<20)
+		for left := size; left > 0; {
+			n := min(left, len(chunk))
+			if _, err := w.Write(chunk[:n]); err != nil {
+				return
+			}
+			left -= n
+		}
+	})
+	writer := httptest.NewServer(mux)
+	t.Cleanup(writer.Close)
+	gw := httptest.NewServer(NewCoordinator(Config{Writer: writer.URL}))
+	t.Cleanup(gw.Close)
+
+	resp, err := http.Get(gw.URL + "/v1/segment")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	n, err := io.Copy(io.Discard, resp.Body)
+	if err != nil {
+		t.Fatalf("segment body after %d bytes: %v", n, err)
+	}
+	if resp.StatusCode != http.StatusOK || n != size {
+		t.Fatalf("segment through the gateway: status %d, %d bytes; want 200, %d bytes", resp.StatusCode, n, size)
+	}
+	if got := resp.Header.Get(api.SegmentEpochHeader); got != "42" {
+		t.Fatalf("segment epoch header = %q, want 42", got)
 	}
 }

@@ -188,14 +188,14 @@ func newHarness(t *testing.T) *harness {
 
 // mutate commits one batch through the gateway AND on the oracle, then
 // waits for both followers to replicate past the committed epoch.
-func (h *harness) mutate(t *testing.T, muts []api.Mutation) uint64 {
+func (h *harness) mutate(t *testing.T, muts []lscr.Mutation) uint64 {
 	t.Helper()
 	ctx := context.Background()
 	resp, err := client.New(h.gwSrv.URL).Mutate(ctx, muts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := h.oracle.Apply(ctx, api.ToEngineMutations(muts)); err != nil {
+	if _, err := h.oracle.Apply(ctx, muts); err != nil {
 		t.Fatal(err)
 	}
 	waitEpoch(t, h.f1, resp.Epoch)
@@ -235,7 +235,7 @@ func (h *harness) seal(t *testing.T) {
 	waitEpoch(t, h.f2, head)
 }
 
-var e2eRounds = [][]api.Mutation{
+var e2eRounds = [][]lscr.Mutation{
 	{
 		{Op: "add-edge", Subject: "P", Label: "apr", Object: "N1"},
 		{Op: "add-edge", Subject: "N1", Label: "married", Object: "Amy"},
@@ -351,14 +351,14 @@ func TestReplicaFollowerCrashRetail(t *testing.T) {
 
 // mutateSansF1 is h.mutate for the phase in which follower 1 is down:
 // only follower 2 is waited on.
-func (h *harness) mutateSansF1(t *testing.T, muts []api.Mutation) uint64 {
+func (h *harness) mutateSansF1(t *testing.T, muts []lscr.Mutation) uint64 {
 	t.Helper()
 	ctx := context.Background()
 	resp, err := client.New(h.gwSrv.URL).Mutate(ctx, muts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := h.oracle.Apply(ctx, api.ToEngineMutations(muts)); err != nil {
+	if _, err := h.oracle.Apply(ctx, muts); err != nil {
 		t.Fatal(err)
 	}
 	waitEpoch(t, h.f2, resp.Epoch)

@@ -152,8 +152,7 @@ func (f *Follower) tail(ctx context.Context) {
 		}
 		eng := f.state.Load().eng
 		diverged := false
-		for _, b := range resp.Batches {
-			rb := b.ToReplicationBatch()
+		for _, rb := range resp.Batches {
 			if rb.Seal {
 				err = eng.SealReplicated(ctx, rb.Epoch)
 			} else {

@@ -19,6 +19,7 @@ package pattern
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sort"
 	"strings"
 
@@ -174,22 +175,19 @@ func NewMatcher(g *graph.Graph, c *Constraint) (*Matcher, error) {
 // constraint.
 func (m *Matcher) Check(v graph.VertexID) bool {
 	bind := map[string]graph.VertexID{m.c.Focus: v}
-	return m.solve(bind, newPatternSet(len(m.c.Patterns)))
+	return !m.enumerate(bind, newPatternSet(len(m.c.Patterns)), stopAtFirst)
 }
+
+// stopAtFirst is Check's emit: the first solution settles the answer.
+func stopAtFirst() bool { return false }
 
 // MatchAll computes V(S, G): every vertex that satisfies the constraint,
 // in ascending ID order. This is the repository's stand-in for the exact
 // SPARQL engine the paper configures (UNIMax = Max = +∞, Eδ = 1 ⇒ the full
 // exact result set).
 func (m *Matcher) MatchAll() []graph.VertexID {
-	cands := m.focusCandidates()
-	var out []graph.VertexID
-	for _, v := range cands {
-		if m.Check(v) {
-			out = append(out, v)
-		}
-	}
-	return out
+	vs, _ := m.MatchCapped(math.MaxInt)
+	return vs
 }
 
 // MatchCapped is MatchAll with an early exit: it stops scanning as soon
@@ -278,85 +276,6 @@ func (s patternSet) remove(i int) patternSet { return s &^ (1 << uint(i)) }
 func (s patternSet) has(i int) bool          { return s&(1<<uint(i)) != 0 }
 func (s patternSet) empty() bool             { return s == 0 }
 
-// solve reports whether the remaining patterns are satisfiable under bind.
-// It picks the cheapest remaining pattern (fully bound < one-bound by
-// degree < unbound), verifies or enumerates it, and recurses.
-func (m *Matcher) solve(bind map[string]graph.VertexID, remaining patternSet) bool {
-	if remaining.empty() {
-		return true
-	}
-	g := m.g
-	bestIdx, bestCost := -1, int(^uint(0)>>1)
-	for i, p := range m.c.Patterns {
-		if !remaining.has(i) {
-			continue
-		}
-		cost := m.patternCost(p, bind)
-		if cost < bestCost {
-			bestIdx, bestCost = i, cost
-		}
-	}
-	p := m.c.Patterns[bestIdx]
-	rest := remaining.remove(bestIdx)
-
-	sv, sBound := resolve(p.Subject, bind)
-	ov, oBound := resolve(p.Object, bind)
-	switch {
-	case sBound && oBound:
-		return g.HasEdge(sv, p.Label, ov) && m.solve(bind, rest)
-	case sBound:
-		for _, e := range g.OutWith(sv, p.Label) {
-			bind[p.Object.Name] = e.To
-			if m.solve(bind, rest) {
-				delete(bind, p.Object.Name)
-				return true
-			}
-		}
-		delete(bind, p.Object.Name)
-		return false
-	case oBound:
-		for _, e := range g.InWith(ov, p.Label) {
-			bind[p.Subject.Name] = e.To
-			if m.solve(bind, rest) {
-				delete(bind, p.Subject.Name)
-				return true
-			}
-		}
-		delete(bind, p.Subject.Name)
-		return false
-	default:
-		// Neither endpoint bound: enumerate all edges with the label,
-		// one label run per vertex. This is the worst case; the cost
-		// ordering avoids it whenever a cheaper pattern exists.
-		sameVar := p.Subject.Kind == Var && p.Object.Kind == Var && p.Subject.Name == p.Object.Name
-		for s := 0; s < g.NumVertices(); s++ {
-			for _, e := range g.OutWith(graph.VertexID(s), p.Label) {
-				if sameVar {
-					if graph.VertexID(s) != e.To {
-						continue
-					}
-					bind[p.Subject.Name] = graph.VertexID(s)
-				} else {
-					bind[p.Subject.Name] = graph.VertexID(s)
-					bind[p.Object.Name] = e.To
-				}
-				if m.solve(bind, rest) {
-					delete(bind, p.Subject.Name)
-					if !sameVar {
-						delete(bind, p.Object.Name)
-					}
-					return true
-				}
-			}
-		}
-		delete(bind, p.Subject.Name)
-		if !sameVar {
-			delete(bind, p.Object.Name)
-		}
-		return false
-	}
-}
-
 // EnumerateBindings enumerates the distinct assignments of vars over all
 // solutions of the constraint's pattern, calling fn with one tuple per
 // distinct assignment (slice reused between calls; copy to retain). fn
@@ -393,9 +312,11 @@ func (m *Matcher) EnumerateBindings(vars []string, fn func([]graph.VertexID) boo
 	return nil
 }
 
-// enumerate is solve generalised to visit every solution; emit is called
-// with m's bind fully covering the remaining patterns' variables and
-// returns false to stop. enumerate returns false when stopped.
+// enumerate visits every solution of the remaining patterns under bind.
+// It picks the cheapest remaining pattern (fully bound < one-bound by
+// degree < unbound), verifies or enumerates it, and recurses; emit is
+// called with bind covering every pattern's variables and returns false
+// to stop. enumerate returns false when stopped.
 func (m *Matcher) enumerate(bind map[string]graph.VertexID, remaining patternSet, emit func() bool) bool {
 	if remaining.empty() {
 		return emit()

@@ -39,8 +39,8 @@ const (
 
 // Record kinds.
 const (
-	// RecordBatch carries one committed Apply batch (EncodeMutations
-	// payload) published at Seq.
+	// RecordBatch carries one committed Apply batch (EncodeOps payload)
+	// published at Seq.
 	RecordBatch byte = 1
 	// RecordSeal carries a compaction swap: the epoch bump to Seq that
 	// sealed the segment at the previous state. Payload is the sealed

@@ -259,8 +259,8 @@ type commit struct {
 }
 
 // commitMutations stages muts onto cur's view and derives the
-// maintained index — the one commit core behind Apply, WAL replay and
-// replicated apply. It publishes nothing and touches no counter: the
+// maintained index — the one commit core behind Apply and applyLogged
+// (WAL replay and replicated apply). It publishes nothing and touches no counter: the
 // caller publishes the epoch and then counts c.maint. c.g equals cur's
 // graph when every mutation was an idempotent no-op; the caller decides
 // whether that is legal.

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"time"
@@ -113,7 +114,7 @@ type store struct {
 // logBatch makes one committed Apply batch durable. It runs before the
 // epoch publish, so a batch is never visible without being logged.
 func (s *store) logBatch(seq uint64, muts []Mutation) error {
-	if err := s.wal.Append(segment.RecordBatch, seq, segment.EncodeOps(walOps(muts)), s.syncEach); err != nil {
+	if err := s.wal.Append(segment.RecordBatch, seq, encodeBatch(muts), s.syncEach); err != nil {
 		return err
 	}
 	if s.syncEach {
@@ -299,51 +300,44 @@ func (e *Engine) replayWAL(recs []segment.WALRecord, baseSeq uint64) error {
 		if rec.Seq != expected+1 {
 			return fmt.Errorf("lscr: %w: wal gap: record at epoch %d follows %d", ErrCorruptStore, rec.Seq, expected)
 		}
-		switch rec.Kind {
-		case segment.RecordBatch:
-			ops, err := segment.DecodeOps(rec.Payload)
-			if err != nil {
-				return fmt.Errorf("lscr: wal batch at epoch %d: %w", rec.Seq, err)
-			}
-			muts, err := walMutations(ops)
-			if err != nil {
-				return fmt.Errorf("lscr: wal batch at epoch %d: %w", rec.Seq, err)
-			}
-			if err := e.applyReplay(rec.Seq, muts); err != nil {
-				return err
-			}
-		case segment.RecordSeal:
+		b, err := decodeWALRecord(rec)
+		if err != nil {
+			return err
+		}
+		if b.Seal {
 			// The pre-crash engine published a compacted epoch here. The
 			// replayed view (base + overlay) answers identically to the
 			// folded CSR it never got to map, so recovery just takes the
 			// epoch bump; the next compaction re-seals.
 			cur := e.ep.Load()
 			e.publishEpoch(e.newEpoch(rec.Seq, cur.kg.g, cur.idx, cur.idxSeq))
-		default:
-			return fmt.Errorf("lscr: %w: wal record kind %d at epoch %d", ErrCorruptStore, rec.Kind, rec.Seq)
+		} else if err := e.applyLogged(b.Epoch, b.Mutations); err != nil {
+			return fmt.Errorf("lscr: %w: wal %v", ErrCorruptStore, err)
 		}
 		expected = rec.Seq
 	}
 	return nil
 }
 
-// applyReplay is Apply's commit path for one logged batch: same
-// staging, same interning order, same index maintenance — minus the
-// WAL append (the batch is already durable) and the compaction
-// trigger. Divergence from the logged epoch number, or a batch that
-// stages to a no-op (Apply never logs those), means the store does not
-// describe a real engine history.
-func (e *Engine) applyReplay(seq uint64, muts []Mutation) error {
+// applyLogged is Apply's commit path for one logged batch — a WAL
+// record at recovery, a feed record on a replica: same staging, same
+// interning order, same index maintenance, minus the WAL append (the
+// batch is already durable) and the compaction trigger. A batch that
+// does not extend the current epoch by one, fails to stage, or stages
+// to a no-op (Apply never logs those) does not describe a real engine
+// history; the caller wraps the error in its own sentinel. The caller
+// serializes publishers (e.mu, or sole ownership during Open).
+func (e *Engine) applyLogged(seq uint64, muts []Mutation) error {
 	cur := e.ep.Load()
 	if seq != cur.seq+1 {
-		return fmt.Errorf("lscr: %w: wal batch at epoch %d onto epoch %d", ErrCorruptStore, seq, cur.seq)
+		return fmt.Errorf("batch at epoch %d onto epoch %d", seq, cur.seq)
 	}
 	c, err := e.commitMutations(cur, muts)
 	if err != nil {
-		return fmt.Errorf("lscr: %w: wal batch at epoch %d: %v", ErrCorruptStore, seq, err)
+		return fmt.Errorf("batch at epoch %d: %v", seq, err)
 	}
 	if c.g == cur.kg.g {
-		return fmt.Errorf("lscr: %w: wal batch at epoch %d is a no-op", ErrCorruptStore, seq)
+		return fmt.Errorf("batch at epoch %d is a no-op", seq)
 	}
 	e.publishEpoch(e.newEpoch(seq, c.g, c.idx, cur.idxSeq))
 	e.countMaint(c.maint)
@@ -428,57 +422,47 @@ func (e *Engine) Durability() DurabilityInfo {
 	return info
 }
 
-// walOps maps an Apply batch to the WAL codec's op list.
-func walOps(muts []Mutation) []segment.Op {
+// opKinds maps the WAL codec's op kind bytes to mutation ops (index =
+// kind; 0 is no op). Logging and decoding both read it.
+var opKinds = [...]MutationOp{
+	segment.OpAddEdge:    OpAddEdge,
+	segment.OpDeleteEdge: OpDeleteEdge,
+	segment.OpAddVertex:  OpAddVertex,
+	segment.OpAddLabel:   OpAddLabel,
+}
+
+// encodeBatch is the WAL payload of an Apply batch. Apply validates
+// every op before logging, so each has a kind.
+func encodeBatch(muts []Mutation) []byte {
 	ops := make([]segment.Op, len(muts))
 	for i, m := range muts {
-		ops[i] = segment.Op{
-			Kind:    walKind(m.Op),
-			Subject: m.Subject,
-			Label:   m.Label,
-			Object:  m.Object,
+		ops[i] = segment.Op{Kind: byte(slices.Index(opKinds[:], m.Op)), Subject: m.Subject, Label: m.Label, Object: m.Object}
+	}
+	return segment.EncodeOps(ops)
+}
+
+// decodeWALRecord is the one reader of a WAL record, for recovery and
+// the replication feed alike: the feed record it stands for, a batch's
+// mutations or a seal marker.
+func decodeWALRecord(rec segment.WALRecord) (ReplicationBatch, error) {
+	b := ReplicationBatch{Epoch: rec.Seq}
+	switch rec.Kind {
+	case segment.RecordBatch:
+		ops, err := segment.DecodeOps(rec.Payload)
+		if err != nil {
+			return b, fmt.Errorf("lscr: wal batch at epoch %d: %w", rec.Seq, err)
 		}
-	}
-	return ops
-}
-
-// walMutations maps a decoded WAL batch back to Apply mutations.
-func walMutations(ops []segment.Op) ([]Mutation, error) {
-	muts := make([]Mutation, len(ops))
-	for i, op := range ops {
-		mop, ok := walOpName(op.Kind)
-		if !ok {
-			return nil, fmt.Errorf("%w: op kind %d", ErrCorruptStore, op.Kind)
+		b.Mutations = make([]Mutation, len(ops))
+		for i, op := range ops {
+			if int(op.Kind) >= len(opKinds) || opKinds[op.Kind] == "" {
+				return b, fmt.Errorf("lscr: %w: wal batch at epoch %d: op kind %d", ErrCorruptStore, rec.Seq, op.Kind)
+			}
+			b.Mutations[i] = Mutation{Op: opKinds[op.Kind], Subject: op.Subject, Label: op.Label, Object: op.Object}
 		}
-		muts[i] = Mutation{Op: mop, Subject: op.Subject, Label: op.Label, Object: op.Object}
+	case segment.RecordSeal:
+		b.Seal = true
+	default:
+		return b, fmt.Errorf("lscr: %w: wal record kind %d at epoch %d", ErrCorruptStore, rec.Kind, rec.Seq)
 	}
-	return muts, nil
-}
-
-func walKind(op MutationOp) byte {
-	switch op {
-	case OpAddEdge:
-		return segment.OpAddEdge
-	case OpDeleteEdge:
-		return segment.OpDeleteEdge
-	case OpAddVertex:
-		return segment.OpAddVertex
-	case OpAddLabel:
-		return segment.OpAddLabel
-	}
-	return 0 // unreachable: Apply validates ops before logging
-}
-
-func walOpName(kind byte) (MutationOp, bool) {
-	switch kind {
-	case segment.OpAddEdge:
-		return OpAddEdge, true
-	case segment.OpDeleteEdge:
-		return OpDeleteEdge, true
-	case segment.OpAddVertex:
-		return OpAddVertex, true
-	case segment.OpAddLabel:
-		return OpAddLabel, true
-	}
-	return "", false
+	return b, nil
 }

@@ -2,13 +2,16 @@ package lscr_test
 
 import (
 	"context"
+	"encoding/hex"
 	"errors"
 	"io"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	pub "lscr"
+	"lscr/internal/segment"
 )
 
 // The persistence equivalence tier: an engine served from an on-disk
@@ -418,5 +421,45 @@ func TestMutatePersistRefusedCreateLeavesNoStore(t *testing.T) {
 			eng.Close()
 		}
 		t.Fatalf("Open after refused Create = %v, want ErrNoStore", err)
+	}
+}
+
+// TestMutatePersistWALBatchBytesFrozen pins the WAL encoding of a
+// committed batch holding one op of each kind: recovery and the
+// replication feed decode exactly these bytes, so a store written
+// before a refactor must still open after it.
+func TestMutatePersistWALBatchBytesFrozen(t *testing.T) {
+	kg, err := pub.Load(strings.NewReader("<a> <l> <b> .\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	eng, err := pub.Create(dir, kg, mutOpts)
+	if err != nil {
+		t.Fatalf("Create: %v", err)
+	}
+	batch := []pub.Mutation{
+		{Op: pub.OpAddEdge, Subject: "b", Label: "m", Object: "c"},
+		{Op: pub.OpDeleteEdge, Subject: "a", Label: "l", Object: "b"},
+		{Op: pub.OpAddVertex, Subject: "d"},
+		{Op: pub.OpAddLabel, Label: "n"},
+	}
+	if _, err := eng.Apply(context.Background(), batch); err != nil {
+		t.Fatalf("Apply: %v", err)
+	}
+	if err := eng.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	wal, recs, err := segment.OpenWAL(segment.WALPath(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer wal.Close()
+	if len(recs) != 1 || recs[0].Kind != segment.RecordBatch || recs[0].Seq != 1 {
+		t.Fatalf("wal records = %+v, want one batch at epoch 1", recs)
+	}
+	const want = "04000000010100000062010000006d0100000063020100000061010000006c010000006203010000006400000000000000000400000000010000006e00000000"
+	if got := hex.EncodeToString(recs[0].Payload); got != want {
+		t.Fatalf("wal batch payload changed:\n got: %s\nwant: %s", got, want)
 	}
 }

@@ -69,9 +69,9 @@ func (r Request) constraintTexts() ([]string, error) {
 // request order — a walk vertex satisfying it. For the paper's
 // crime-detection scenario this is the evidence chain itself.
 type Witness struct {
-	Hops []PathHop
+	Hops []PathHop `json:"hops"`
 	// SatisfiedBy[i] is the walk vertex satisfying the i'th constraint.
-	SatisfiedBy []string
+	SatisfiedBy []string `json:"satisfied_by"`
 }
 
 // String renders the walk as "a -[l]-> b -[m]-> c".
@@ -92,7 +92,9 @@ func (w *Witness) String() string {
 
 // PathHop is one edge of a witness path, in vertex/label names.
 type PathHop struct {
-	From, Label, To string
+	From  string `json:"from"`
+	Label string `json:"label"`
+	To    string `json:"to"`
 }
 
 // Response is a query answer.

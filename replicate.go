@@ -115,21 +115,9 @@ func (e *Engine) ApplyReplicated(ctx context.Context, seq uint64, muts []Mutatio
 	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	cur := e.ep.Load()
-	if seq != cur.seq+1 {
-		return fmt.Errorf("%w: batch at epoch %d onto epoch %d", ErrReplicaCursor, seq, cur.seq)
+	if err := e.applyLogged(seq, muts); err != nil {
+		return fmt.Errorf("%w: %v", ErrReplicaCursor, err)
 	}
-	c, err := e.commitMutations(cur, muts)
-	if err != nil {
-		return fmt.Errorf("%w: batch at epoch %d: %v", ErrReplicaCursor, seq, err)
-	}
-	if c.g == cur.kg.g {
-		// The writer never logs no-op batches; receiving one means the
-		// feed does not describe the writer's history.
-		return fmt.Errorf("%w: batch at epoch %d is a no-op", ErrReplicaCursor, seq)
-	}
-	e.publishEpoch(e.newEpoch(seq, c.g, c.idx, cur.idxSeq))
-	e.countMaint(c.maint)
 	return nil
 }
 
@@ -216,22 +204,9 @@ func (e *Engine) ReplicationRead(from uint64, max int) ([]ReplicationBatch, erro
 			// receive a torn feed.
 			return nil, ErrReplicaLag
 		}
-		b := ReplicationBatch{Epoch: rec.Seq}
-		switch rec.Kind {
-		case segment.RecordBatch:
-			ops, err := segment.DecodeOps(rec.Payload)
-			if err != nil {
-				return nil, fmt.Errorf("lscr: replication read at epoch %d: %w", rec.Seq, err)
-			}
-			muts, err := walMutations(ops)
-			if err != nil {
-				return nil, fmt.Errorf("lscr: replication read at epoch %d: %w", rec.Seq, err)
-			}
-			b.Mutations = muts
-		case segment.RecordSeal:
-			b.Seal = true
-		default:
-			return nil, fmt.Errorf("lscr: %w: wal record kind %d at epoch %d", ErrCorruptStore, rec.Kind, rec.Seq)
+		b, err := decodeWALRecord(rec)
+		if err != nil {
+			return nil, err
 		}
 		out = append(out, b)
 		expected = rec.Seq

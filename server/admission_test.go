@@ -228,7 +228,7 @@ func TestAdmissionPoisonedHealthz(t *testing.T) {
 		t.Fatal(err)
 	}
 	mutate := func() *http.Response {
-		raw, _ := json.Marshal(api.MutateRequest{Mutations: []api.Mutation{
+		raw, _ := json.Marshal(api.MutateRequest{Mutations: []lscr.Mutation{
 			{Op: "add-edge", Subject: "C", Label: "apr", Object: "P"},
 		}})
 		resp, err := http.Post(srv.URL+"/v1/mutate", "application/json", bytes.NewReader(raw))

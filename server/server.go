@@ -209,12 +209,12 @@ func (s *server) v1Mutate(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("empty mutation batch"))
 		return
 	}
-	res, err := s.eng.Apply(r.Context(), wire.ToMutations())
+	res, err := s.eng.Apply(r.Context(), wire.Mutations)
 	if err != nil {
 		engineError(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, api.FromApplyResult(res))
+	writeJSON(w, http.StatusOK, res)
 }
 
 func (s *server) v1Query(w http.ResponseWriter, r *http.Request) {
@@ -337,7 +337,7 @@ func (s *server) v1Replicate(w http.ResponseWriter, r *http.Request) {
 			dur := s.eng.Durability()
 			writeJSON(w, http.StatusOK, api.ReplicateResponse{
 				From:         from,
-				Batches:      api.FromReplicationBatches(batches),
+				Batches:      batches,
 				Epoch:        s.eng.Epoch().Epoch,
 				DurableEpoch: dur.DurableEpoch,
 			})
