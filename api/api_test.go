@@ -117,5 +117,5 @@ func TestWireShapesFrozen(t *testing.T) {
 		t.Fatal(err)
 	}
 	frozenShape(t, "ReplicateResponse", feed,
-		`{"from":1,"batches":[{"epoch":2,"seal":true},{"epoch":3,"mutations":[{"op":"add-edge","subject":"b","label":"n","object":"d"}]}],"epoch":3,"durable_epoch":3}`)
+		`{"from":1,"batches":[{"epoch":2,"seal":true,"base":1},{"epoch":3,"mutations":[{"op":"add-edge","subject":"b","label":"n","object":"d"}]}],"epoch":3,"durable_epoch":3}`)
 }

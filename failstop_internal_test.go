@@ -237,11 +237,13 @@ func TestFailstopCompactSealErrorPoisonsAndRecovers(t *testing.T) {
 	if _, err := eng.Apply(ctx, []Mutation{{Op: OpAddEdge, Subject: "b", Label: "m", Object: "f"}}); !errors.Is(err, ErrPoisoned) {
 		t.Fatalf("Apply after failed seal = %v, want ErrPoisoned", err)
 	}
-	failstopCompare(t, "poisoned reads", eng.QueryBatch(ctx, reqs, BatchOptions{Concurrency: 2}), want, reqs)
+	sealed, sealedOps := eng.QueryBatch(ctx, reqs, BatchOptions{Concurrency: 2}), eng.Epoch().OverlayOps
+	failstopCompare(t, "poisoned reads", sealed, want, reqs)
 
 	// Restart: the seal record is durable but the image never appeared —
-	// crash window B. Recovery replays the batches plus the seal bump
-	// and must answer identically at the post-seal epoch.
+	// crash window B. Recovery replays the batches plus the seal, which
+	// folds the prefix it names, and must serve the post-seal epoch the
+	// poisoned engine served: same overlay, same answers and Stats.
 	failpoint.DisarmAll()
 	eng.Close()
 	rec, err := Open(dir, opts)
@@ -252,7 +254,10 @@ func TestFailstopCompactSealErrorPoisonsAndRecovers(t *testing.T) {
 	if got := rec.Epoch().Epoch; got != ackedEpoch+1 {
 		t.Fatalf("recovered epoch %d, want %d (batches + durable seal)", got, ackedEpoch+1)
 	}
-	failstopCompare(t, "recovered reads", rec.QueryBatch(ctx, reqs, BatchOptions{Concurrency: 2}), want, reqs)
+	if got := rec.Epoch().OverlayOps; got != sealedOps {
+		t.Fatalf("recovered overlay holds %d ops, the sealed engine %d", got, sealedOps)
+	}
+	failstopCompare(t, "recovered reads", rec.QueryBatch(ctx, reqs, BatchOptions{Concurrency: 2}), sealed, reqs)
 	// And the recovered engine can seal successfully this time.
 	if _, err := rec.Apply(ctx, []Mutation{{Op: OpAddEdge, Subject: "f", Label: "l", Object: "a"}}); err != nil {
 		t.Fatalf("Apply after recovery: %v", err)

@@ -339,13 +339,9 @@ func outcome(o lscr.QueryOutcome) string {
 }
 
 // chaosProbes rotates the paper's constraints over random vertex pairs
-// and all four algorithms. UIS, UIS* and the conjunctive search run over
-// the whole label universe, so their searches cover most of the graph
-// and their Stats expose any divergence in it. INS probes draw two
-// random labels and mostly stop near the source: over the whole
-// universe their Stats differ after a seal whose segment rename failed,
-// because the recovered writer keeps its maintained index over the
-// unfolded overlay while the oracle compacts and rebuilds its index.
+// and all four algorithms, each over the whole label universe, so the
+// searches cover most of the graph and their Stats expose any
+// divergence in it — INS's included, which also read the index.
 func chaosProbes(g *graph.Graph) []api.QueryRequest {
 	consts := lubm.Constraints()
 	r := rand.New(rand.NewSource(chaosSeed))
@@ -355,11 +351,7 @@ func chaosProbes(g *graph.Graph) []api.QueryRequest {
 		q := api.QueryRequest{
 			Source:    g.VertexName(graph.VertexID(r.Intn(g.NumVertices()))),
 			Target:    g.VertexName(graph.VertexID(r.Intn(g.NumVertices()))),
-			Labels:    []string{g.LabelName(graph.Label(r.Intn(g.NumLabels()))), g.LabelName(graph.Label(r.Intn(g.NumLabels())))},
 			Algorithm: api.AlgorithmName(algos[i%len(algos)]),
-		}
-		if algos[i%len(algos)] != lscr.INS {
-			q.Labels = nil
 		}
 		if algos[i%len(algos)] == lscr.Conjunctive {
 			q.Constraints = []string{consts[i%len(consts)].SPARQL, consts[(i+1)%len(consts)].SPARQL}

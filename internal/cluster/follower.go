@@ -153,12 +153,7 @@ func (f *Follower) tail(ctx context.Context) {
 		eng := f.state.Load().eng
 		diverged := false
 		for _, rb := range resp.Batches {
-			if rb.Seal {
-				err = eng.SealReplicated(ctx, rb.Epoch)
-			} else {
-				err = eng.ApplyReplicated(ctx, rb.Epoch, rb.Mutations)
-			}
-			if err != nil {
+			if err = eng.ApplyReplicated(ctx, rb); err != nil {
 				if ctx.Err() != nil {
 					return
 				}

@@ -12,8 +12,9 @@
 //
 // Activation:
 //
-//   - programmatic: failpoint.Set("wal-append", "torn=8,once")
-//   - engine options: lscr.Options.Failpoints = "wal-append=error;seg-rename=error-once"
+//   - programmatic: failpoint.Set("wal-append", "torn=8,once"), or
+//     failpoint.Arm("wal-append=error;seg-rename=error-once") for
+//     several sites at once
 //   - environment: LSCR_FAILPOINTS with the same multi-site spec,
 //     parsed at process init (the CLIs need no flag plumbing)
 //
@@ -204,7 +205,7 @@ func DisarmAll() {
 }
 
 // Arm parses a multi-site activation string — "site=spec;site2=spec" —
-// the format of LSCR_FAILPOINTS and lscr.Options.Failpoints.
+// the format of LSCR_FAILPOINTS.
 func Arm(multiSpec string) error {
 	for _, part := range strings.Split(multiSpec, ";") {
 		part = strings.TrimSpace(part)

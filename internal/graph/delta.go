@@ -456,22 +456,39 @@ func (g *Graph) Compact() *Graph {
 	return b.Build()
 }
 
-// replayOnto re-applies the overlay suffix cur.log[fromOps:] (plus any
-// dictionary entries the suffix needs) onto base, which must be an
-// observationally identical rebuild of cur's state at fromOps — the
-// compactor's catch-up step for mutations that landed while it was
-// rebuilding. Vertex and label IDs are stable across the replay.
-func replayOnto(base, cur *Graph, fromOps int) (*Graph, error) {
+// Cut is one point of a view's overlay history: the overlay op count
+// and the dictionary sizes a commit left behind (see ReplayOnto).
+type Cut struct{ Ops, Vertices, Labels int }
+
+// Cut returns g's current point in its overlay history.
+func (g *Graph) Cut() Cut {
+	return Cut{Ops: g.OverlaySize(), Vertices: g.NumVertices(), Labels: g.NumLabels()}
+}
+
+// ReplayOnto re-applies cur's overlay ops log[from:to.Ops] onto base,
+// after interning cur's dictionary entries from base's sizes up to
+// to's; base must be an observationally identical rebuild of cur's
+// state at from ops, and IDs are stable across the replay. A seal
+// catches up with from = its fold's op count and to = cur.Cut(), and
+// rebuilds an earlier epoch's state with from = 0 and that epoch's cut.
+func ReplayOnto(base, cur *Graph, from int, to Cut) (*Graph, error) {
+	if b, c := base.Cut(), cur.Cut(); from < 0 || from > to.Ops || to.Ops > c.Ops ||
+		to.Vertices < b.Vertices || to.Vertices > c.Vertices || to.Labels < b.Labels || to.Labels > c.Labels {
+		return nil, fmt.Errorf("graph: replay bounds: from %d to %+v, base at %+v, cur at %+v", from, to, b, c)
+	}
 	d := NewDelta(base)
-	for l := base.NumLabels(); l < cur.NumLabels(); l++ {
+	for l := base.NumLabels(); l < to.Labels; l++ {
 		if _, err := d.Label(cur.LabelName(Label(l))); err != nil {
 			return nil, err
 		}
 	}
-	for v := base.NumVertices(); v < cur.NumVertices(); v++ {
+	for v := base.NumVertices(); v < to.Vertices; v++ {
 		d.Vertex(cur.VertexName(VertexID(v)))
 	}
-	log := cur.ov.log[fromOps:]
+	var log []deltaOp
+	if cur.ov != nil {
+		log = cur.ov.log[from:to.Ops]
+	}
 	for _, op := range log {
 		var err error
 		if op.del {
@@ -484,15 +501,6 @@ func replayOnto(base, cur *Graph, fromOps int) (*Graph, error) {
 		}
 	}
 	return d.Commit()
-}
-
-// ReplayOnto is replayOnto for the engine layer: it requires cur to
-// carry an overlay with at least fromOps logged operations.
-func ReplayOnto(base, cur *Graph, fromOps int) (*Graph, error) {
-	if cur.ov == nil || fromOps > len(cur.ov.log) {
-		return nil, fmt.Errorf("graph: replay bounds: have %d ops, from %d", cur.OverlaySize(), fromOps)
-	}
-	return replayOnto(base, cur, fromOps)
 }
 
 // countEdge returns the multiplicity of (s, l, t) in the view. Vertices

@@ -296,11 +296,24 @@ func TestDeltaChainOverlayLog(t *testing.T) {
 	// Compact g1's state, then replay g2's suffix onto it: the result
 	// must observe identically to g2.
 	base := g1.Compact()
-	caught, err := ReplayOnto(base, g2, g1.OverlaySize())
+	caught, err := ReplayOnto(base, g2, g1.OverlaySize(), g2.Cut())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(observe(t, g2), observe(t, caught)) {
 		t.Fatal("replayed suffix diverges from the live overlay view")
+	}
+
+	// The prefix up to g1's cut, replayed from g2 onto the shared base,
+	// is g1's state again — the fold a replayed seal record runs.
+	prefix, err := ReplayOnto(g0, g2, 0, g1.Cut())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(observe(t, g1), observe(t, prefix)) {
+		t.Fatal("replayed prefix diverges from the view at its cut")
+	}
+	if _, err := ReplayOnto(g0, g1, 0, g2.Cut()); err == nil {
+		t.Fatal("replay past the view's overlay accepted")
 	}
 }

@@ -30,8 +30,8 @@ import (
 // a deletion (idx.Dirty) is expanded like an ordinary vertex over the
 // exact merged adjacency, while every clean landmark keeps the full
 // Check/Cut/Push pruning. Only when the index is stale for the view as a
-// whole (!idx.ExactFor(g) — maintenance disabled, or an index loaded for
-// a different view) are the shortcuts disabled outright; H and Q keep
+// whole (!idx.ExactFor(g) — an index built or maintained for a
+// different view) are the shortcuts disabled outright; H and Q keep
 // using the index's ρ/region estimates as (deterministic) heuristics
 // either way, and answers remain exact in every mode. Compaction
 // rebuilds the index and clears all dirtiness.

@@ -42,9 +42,9 @@ const (
 	// RecordBatch carries one committed Apply batch (EncodeOps payload)
 	// published at Seq.
 	RecordBatch byte = 1
-	// RecordSeal carries a compaction swap: the epoch bump to Seq that
-	// sealed the segment at the previous state. Payload is the sealed
-	// segment's base seq (u64).
+	// RecordSeal carries a compaction swap published at Seq: the fold of
+	// every batch up to the sealed segment's base seq, which is the
+	// payload (u64, below Seq), plus the batches after it.
 	RecordSeal byte = 2
 )
 

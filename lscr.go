@@ -195,22 +195,6 @@ type Options struct {
 	// leaves flushing to the OS, trading the most recent batches on a
 	// crash for much cheaper writes. See persist.go.
 	Durability Durability
-	// Failpoints arms fault-injection sites before a persistent engine
-	// touches its files: a ";"-separated list of site=policy activations
-	// (see internal/failpoint for sites and the policy grammar, e.g.
-	// "wal-sync=error-once;seg-rename=error,every=3"). Applied by Open
-	// and Create only; the registry is process-global, so in-memory
-	// engines and running processes arm sites via the failpoint package
-	// or the LSCR_FAILPOINTS environment variable instead. Empty — the
-	// default — arms nothing and costs nothing on the I/O paths.
-	Failpoints string
-
-	// noIndexMaintenance disables incremental local-index maintenance:
-	// Apply then publishes epochs that keep the pre-mutation index as a
-	// heuristic only, so INS loses its landmark pruning until the next
-	// compaction. Only tests set it, to pin that a stale index still
-	// answers exactly and that the index epoch lags until a compaction.
-	noIndexMaintenance bool
 }
 
 // Engine answers LSCR queries over one KG and accepts live mutations.
@@ -224,8 +208,15 @@ type Engine struct {
 	// works against that snapshot for its whole duration.
 	ep atomic.Pointer[epoch]
 
-	// mu serializes epoch publication (Apply and the compactor's swap).
+	// mu serializes epoch publication (Apply and the compactor's swap)
+	// and guards sealed and cuts.
 	mu sync.Mutex
+	// sealed is the fold every published overlay grows from — the epoch
+	// the engine was opened at or last sealed to — and cuts[i] is epoch
+	// sealed.seq+1+i's place above it, so a logged seal record can fold
+	// exactly the prefix it names (see sealLogged in mutate.go).
+	sealed sealBase
+	cuts   []graph.Cut
 	// compactMu serializes whole compactions; compacting dedups the
 	// background trigger; compactions counts completed ones.
 	compactMu   sync.Mutex
@@ -251,7 +242,7 @@ type Engine struct {
 
 	// replica marks an engine fed exclusively through the replication
 	// feed (OpenReplicaSegment): Apply and Compact refuse, and
-	// ApplyReplicated/SealReplicated drive the epochs instead.
+	// ApplyReplicated drives the epochs instead.
 	replica bool
 
 	// poisonp, once set, pins the engine in fail-stop mode: the first
@@ -266,10 +257,10 @@ type Engine struct {
 // over the view, and the constraint cache whose memoized V(S,G) is
 // valid exactly for this view. idxSeq is the index epoch threaded
 // alongside the graph epoch: the seq of the last epoch whose view the
-// index is exact for. With maintenance on it tracks seq; with
-// maintenance off it lags until the next compaction, and idx is then
-// only a heuristic (readers always get the (kg, idx, idxSeq) triple
-// from one atomic load, so the pair they see is mutually consistent).
+// index is exact for. Every commit and seal keeps the index exact, so
+// it tracks seq whenever the engine has an index (readers always get
+// the (kg, idx, idxSeq) triple from one atomic load, so the pair they
+// see is mutually consistent).
 type epoch struct {
 	seq    uint64
 	idxSeq uint64
@@ -295,8 +286,10 @@ func NewEngine(kg *KG, opts Options) *Engine {
 
 // start is every constructor's tail: it stores the engine's first epoch
 // — seq 0 for a fresh engine, the segment's base epoch for an opened
-// store or replica — and prewarms the pooled per-query scratch for g.
+// store or replica — as its sealed base, and prewarms the pooled
+// per-query scratch for g.
 func (e *Engine) start(seq uint64, g *graph.Graph, idx *core.LocalIndex) {
+	e.sealed = sealBase{seq: seq, g: g, idx: idx}
 	e.ep.Store(e.newEpoch(seq, g, idx, seq))
 	prewarmScratch(g)
 }
@@ -406,8 +399,8 @@ func (e *Engine) CacheStats() CacheStats {
 // plus the serving epoch's index state. The server's /healthz surfaces
 // it next to CacheStats.
 type MaintStats struct {
-	// Enabled is false when the engine has no index (SkipIndex) or index
-	// maintenance is disabled; the cumulative counters are then zero.
+	// Enabled is false when the engine has no index (SkipIndex); the
+	// cumulative counters are then zero.
 	Enabled bool `json:"enabled"`
 	// Batches counts Apply batches whose index was maintained through.
 	Batches int64 `json:"batches"`
@@ -438,7 +431,7 @@ func (e *Engine) IndexMaintenance() MaintStats {
 
 func (e *Engine) maintStats(ep *epoch) MaintStats {
 	ms := MaintStats{
-		Enabled:              ep.idx != nil && !e.opts.noIndexMaintenance,
+		Enabled:              ep.idx != nil,
 		Batches:              e.maintBatches.Load(),
 		LandmarksExtended:    e.maintExtended.Load(),
 		EntriesAdded:         e.maintEntries.Load(),

@@ -191,54 +191,6 @@ func TestMutateMaintainedEquivalence(t *testing.T) {
 	}
 }
 
-// TestMutateMaintenanceDisabled pins the maintenance-disabled mode: with
-// index maintenance off the engine still answers exactly (INS falls back
-// to unpruned search on a stale index), the index epoch lags the graph
-// epoch until a compaction makes the index current again.
-func TestMutateMaintenanceDisabled(t *testing.T) {
-	const n, nLabels = 40, 3
-	opts := Options{Landmarks: 16, IndexSeed: 7, CompactAfter: -1, noIndexMaintenance: true}
-	kg, script := maintSeed(87, n, nLabels, 200, 4, 10)
-	em := NewEngine(kg, opts)
-	reqs := maintRequests(n, nLabels)
-	ctx := context.Background()
-	bo := BatchOptions{Concurrency: 4}
-
-	for step, batch := range script {
-		if _, err := em.Apply(ctx, batch); err != nil {
-			t.Fatalf("step %d: Apply: %v", step, err)
-		}
-		info := em.Epoch()
-		if info.IndexEpoch != 0 {
-			t.Fatalf("step %d: maintenance disabled but index epoch advanced to %d", step, info.IndexEpoch)
-		}
-		maint := em.IndexMaintenance()
-		if maint.Enabled || maint.Batches != 0 || maint.IndexCurrent {
-			t.Fatalf("step %d: maintenance ran while disabled: %+v", step, maint)
-		}
-		er := NewEngine(&KG{g: em.current().kg.g.Compact()}, opts)
-		want := er.QueryBatch(ctx, reqs, bo)
-		got := em.QueryBatch(ctx, reqs, bo)
-		for i := range reqs {
-			withStats := reqs[i].Algorithm != INS
-			if err := maintOutcomeEqual(got[i], want[i], withStats); err != nil {
-				t.Fatalf("step %d, request %d (%v): %v", step, i, reqs[i].Algorithm, err)
-			}
-		}
-	}
-	// Compaction rebuilds the index and catches the index epoch up.
-	if did, err := em.Compact(ctx); err != nil || !did {
-		t.Fatalf("Compact = %v, %v", did, err)
-	}
-	info := em.Epoch()
-	if info.IndexEpoch != info.Epoch {
-		t.Fatalf("compaction left index epoch %d behind graph epoch %d", info.IndexEpoch, info.Epoch)
-	}
-	if !em.IndexMaintenance().IndexCurrent {
-		t.Fatal("index not current after compaction")
-	}
-}
-
 // TestMutateMaintainedCompactionCatchUp drives the compactBarrier seam
 // with maintenance ON: a batch committed while the compactor rebuilds
 // must be folded into the swapped epoch's index by the catch-up
@@ -271,10 +223,6 @@ func TestMutateMaintainedCompactionCatchUp(t *testing.T) {
 		t.Fatal("catch-up left the index bound to a stale view")
 	}
 	if err := ep.idx.EqualStructure(ep.idx.RebuildFrozen(ep.kg.g)); err != nil {
-		// The catch-up path may process several batches' ops in one
-		// maintenance call; only dirty landmarks may differ from a
-		// batch-by-batch derivation, and those never prune. Structural
-		// equality holds here because the barrier batch is insert-only.
 		t.Fatalf("caught-up index diverged from frozen rebuild: %v", err)
 	}
 }

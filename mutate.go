@@ -49,12 +49,16 @@ import (
 //
 // Once the overlay accumulates Options.CompactAfter edge operations, a
 // background compactor folds it into a fresh base CSR, rebuilds the
-// local index with the engine's original parameters, replays any
-// mutations that landed mid-rebuild, and swaps the result in. After a
-// compaction the engine is bit-for-bit the engine NewEngine would build
-// on the current edge set: compaction preserves vertex/label IDs and
-// the index build is deterministic per (graph, seed) — the property the
-// mutate equivalence tier pins under -race.
+// local index with the engine's original parameters, and swaps the
+// result in. A seal has one meaning wherever it is published — the
+// writer's swap, WAL recovery, a replica: epoch S is the fold of every
+// batch up to the seal's base epoch B with a fresh index, plus the
+// batches B+1..S-1 that landed mid-rebuild, replayed onto it in one
+// graph.ReplayOnto and maintained in one ApplyMutations call (seal).
+// After a quiet compaction the engine is bit-for-bit the engine
+// NewEngine would build on the current edge set: compaction preserves
+// vertex/label IDs and the index build is deterministic per (graph,
+// seed) — the property the mutate equivalence tier pins under -race.
 
 // MutationOp names one mutation kind on the wire and in the Go API.
 type MutationOp string
@@ -127,9 +131,7 @@ type EpochInfo struct {
 	// +1 per Apply or compaction swap).
 	Epoch uint64 `json:"epoch"`
 	// IndexEpoch is the last epoch whose graph view the local index is
-	// exact for; it equals Epoch while incremental maintenance keeps up
-	// (always, unless disabled) and lags until the next compaction
-	// otherwise.
+	// exact for; it equals Epoch whenever the engine has an index.
 	IndexEpoch uint64 `json:"index_epoch"`
 	// OverlayOps is the serving epoch's uncompacted operation count.
 	OverlayOps int `json:"overlay_ops"`
@@ -280,11 +282,8 @@ func (e *Engine) commitMutations(cur *epoch, muts []Mutation) (commit, error) {
 	}
 	// Maintain the local index through the batch so the published epoch
 	// pairs the new view with an index exact for it. The derivation never
-	// touches cur.idx, so readers on older epochs are unaffected. If the
-	// index already lagged (maintenance disabled, which only tests do, or
-	// an index loaded for another view), it is left as-is — deriving from
-	// a stale base would launder staleness into an index INS would trust.
-	if c.g != cur.kg.g && c.idx != nil && !e.opts.noIndexMaintenance && c.idx.ExactFor(cur.kg.g) {
+	// touches cur.idx, so readers on older epochs are unaffected.
+	if c.g != cur.kg.g && c.idx != nil {
 		var mb core.MaintBatch
 		c.idx, mb = c.idx.ApplyMutations(c.g, d.EdgeOps())
 		c.maint = &mb
@@ -435,21 +434,15 @@ func (e *Engine) compact() (bool, error) {
 	if !snap.kg.g.HasOverlay() {
 		return false, nil
 	}
-	snapOps := snap.kg.g.OverlaySize()
 	// The heavy phase runs against the immutable snapshot with no lock
-	// held: fold the overlay into a fresh CSR, then rebuild the local
-	// index for it exactly as NewEngine would.
-	base := snap.kg.g.Compact()
-	var idx *core.LocalIndex
-	if !e.opts.SkipIndex {
-		idx = core.NewLocalIndex(base, e.indexParams())
-	}
+	// held.
+	base := e.fold(snap.seq, snap.kg.g)
 	// Seal the rebuilt state as an unpublished segment image, still
 	// outside the engine lock (a full serialisation pass).
 	var tmpSeg string
 	if e.store != nil {
 		var err error
-		tmpSeg, err = segment.WriteTemp(e.store.dir, snap.seq, base, idx, e.opts.Landmarks, e.opts.IndexSeed)
+		tmpSeg, err = segment.WriteTemp(e.store.dir, snap.seq, base.g, base.idx, e.opts.Landmarks, e.opts.IndexSeed)
 		if err != nil {
 			// No swap happened: the serving state is untouched, but the
 			// store may hold a partial temp image and the seal cannot be
@@ -462,7 +455,12 @@ func (e *Engine) compact() (bool, error) {
 		compactBarrier()
 	}
 
-	if err := e.compactSwap(snap, snapOps, base, idx, tmpSeg); err != nil {
+	// The locked phase: catch up on batches that landed mid-rebuild,
+	// make the seal durable, publish the epoch.
+	e.mu.Lock()
+	err := e.seal(e.ep.Load(), base, snap.kg.g.OverlaySize(), e.store)
+	e.mu.Unlock()
+	if err != nil {
 		if tmpSeg != "" {
 			os.Remove(tmpSeg)
 		}
@@ -471,6 +469,7 @@ func (e *Engine) compact() (bool, error) {
 		// behind the serving state in ways only a restart resolves.
 		return false, e.fatal(err)
 	}
+	e.compactions.Add(1)
 
 	if sealBarrier != nil {
 		sealBarrier()
@@ -499,42 +498,79 @@ func (e *Engine) compact() (bool, error) {
 	return true, nil
 }
 
-// compactSwap is compact's locked phase: catch up on batches that
-// landed mid-rebuild, make the seal durable, publish the epoch.
-func (e *Engine) compactSwap(snap *epoch, snapOps int, base *graph.Graph, idx *core.LocalIndex, tmpSeg string) error {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	cur := e.ep.Load()
-	g := base
-	if cur.seq != snap.seq {
-		// Applies landed while we rebuilt. Their edge ops are the
-		// suffix of the current overlay log (bases only change here,
-		// under compactMu), and a batch may also have grown only the
-		// dictionaries (add-vertex/add-label stage no log entry), so
-		// the seq comparison — not the log length — decides whether to
-		// catch up. Replay onto the fresh base is exact: IDs are stable
-		// across compaction.
+// sealBase is a seal's fold: the overlay-free graph of every batch up
+// to epoch seq and the index freshly built for it (nil under SkipIndex).
+type sealBase struct {
+	seq uint64
+	g   *graph.Graph
+	idx *core.LocalIndex
+}
+
+// fold folds g, the view at epoch seq, into a fresh base CSR and
+// rebuilds the local index for it exactly as NewEngine would.
+func (e *Engine) fold(seq uint64, g *graph.Graph) sealBase {
+	b := sealBase{seq: seq, g: g.Compact()}
+	if !e.opts.SkipIndex {
+		b.idx = core.NewLocalIndex(b.g, e.indexParams())
+	}
+	return b
+}
+
+// seal is the locked half of every seal, the writer's compaction swap
+// and a logged seal record (sealLogged) alike: it publishes epoch
+// cur.seq+1 as base plus cur's batches after base.seq, whose ops are
+// cur's overlay log from baseOps on. A batch may have grown only the
+// dictionaries, so the seq comparison — not the log length — decides
+// whether to catch up; the index is maintained through the whole suffix
+// in one call. st, when non-nil, makes the seal record durable first.
+// The caller holds e.mu.
+func (e *Engine) seal(cur *epoch, base sealBase, baseOps int, st *store) error {
+	g, idx := base.g, base.idx
+	if cur.seq != base.seq {
 		var err error
-		g, err = graph.ReplayOnto(base, cur.kg.g, snapOps)
+		if g, err = graph.ReplayOnto(base.g, cur.kg.g, baseOps, cur.kg.g.Cut()); err != nil {
+			return err
+		}
+		if idx != nil {
+			idx, _ = idx.ApplyMutations(g, cur.kg.g.OverlayEdgeOps(baseOps))
+		}
+	}
+	if st != nil {
+		// The seal record carries the epoch bump and the covered prefix;
+		// it must be durable before the segment can become the newest.
+		if err := st.sealAppend(cur.seq+1, base.seq); err != nil {
+			return err
+		}
+	}
+	// Rebase the cut record onto the fold: the epochs after base.seq
+	// keep their places, minus the folded ops.
+	cuts := make([]graph.Cut, 0, cur.seq-base.seq+1)
+	for _, c := range e.cuts[base.seq-e.sealed.seq:] {
+		c.Ops -= baseOps
+		cuts = append(cuts, c)
+	}
+	e.sealed, e.cuts = base, cuts
+	e.publishEpoch(e.newEpoch(cur.seq+1, g, idx, cur.idxSeq))
+	return nil
+}
+
+// sealLogged publishes a logged seal record folding the prefix up to
+// epoch baseSeq. At the engine's own sealed base (a normal restart, a
+// follower bootstrapped from the seal's segment) the fold is at hand;
+// otherwise (a restart after a failed segment publish, a follower
+// bootstrapped before the compaction) it is rebuilt from baseSeq's cut.
+func (e *Engine) sealLogged(cur *epoch, baseSeq uint64) error {
+	base, baseOps := e.sealed, 0
+	if baseSeq != base.seq {
+		if baseSeq < base.seq || baseSeq-base.seq > uint64(len(e.cuts)) {
+			return fmt.Errorf("seal at epoch %d covers epoch %d, outside the records since epoch %d", cur.seq+1, baseSeq, base.seq)
+		}
+		cut := e.cuts[baseSeq-base.seq-1]
+		prefix, err := graph.ReplayOnto(base.g, cur.kg.g, 0, cut)
 		if err != nil {
 			return err
 		}
-		// The fresh index describes base; maintain it through the
-		// caught-up suffix so pruning is live immediately after a racy
-		// compaction too, not just after a quiet one. (The segment image
-		// keeps the fresh index — ApplyMutations is copy-on-write.)
-		if idx != nil && !e.opts.noIndexMaintenance {
-			idx, _ = idx.ApplyMutations(g, cur.kg.g.OverlayEdgeOps(snapOps))
-		}
+		base, baseOps = e.fold(baseSeq, prefix), cut.Ops
 	}
-	if e.store != nil {
-		// The seal record carries the epoch bump and the covered prefix;
-		// it must be durable before the segment can become the newest.
-		if err := e.store.sealAppend(cur.seq+1, snap.seq); err != nil {
-			return err
-		}
-	}
-	e.publishEpoch(e.newEpoch(cur.seq+1, g, idx, cur.idxSeq))
-	e.compactions.Add(1)
-	return nil
+	return e.seal(cur, base, baseOps, nil)
 }

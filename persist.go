@@ -11,7 +11,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"lscr/internal/failpoint"
 	"lscr/internal/graph"
 	"lscr/internal/segment"
 )
@@ -37,10 +36,11 @@ import (
 // the swap is recorded in the WAL, and the log is truncated to the
 // suffix the new segment does not cover — an LSM-style rewrite that
 // keeps the WAL short and the next boot instant. Recovery replays
-// batches by name through the same interning path as Apply, which
-// makes the recovered engine's vertex and label IDs — and therefore
-// its answers, epoch numbers and INS statistics — identical to the
-// pre-crash run's.
+// batches by name through the same interning path as Apply, and each
+// seal record through the same seal the compaction ran, which makes
+// the recovered engine's vertex and label IDs, overlay and index — and
+// therefore its answers, epoch numbers and INS statistics — identical
+// to the pre-crash run's.
 //
 // A persistence I/O failure — a WAL append or fsync inside Apply, or
 // any write inside a compaction seal — poisons the engine (fail-stop,
@@ -144,9 +144,6 @@ func (s *store) sealAppend(seq, baseSeq uint64) error {
 // non-empty WAL but no segment rather than silently discarding logged
 // batches.
 func Create(dir string, kg *KG, opts Options) (*Engine, error) {
-	if err := armFailpoints(opts); err != nil {
-		return nil, err
-	}
 	dir, err := resolveDataDir(dir, opts)
 	if err != nil {
 		return nil, err
@@ -183,11 +180,14 @@ func Create(dir string, kg *KG, opts Options) (*Engine, error) {
 }
 
 // Open maps the newest segment in dir (Options.DataDir when dir is
-// empty), replays the WAL tail through the normal commit path, and
-// returns an engine identical — answers, epoch numbers, INS statistics
-// — to the one that last served the store. It returns ErrNoStore when
-// the directory holds no segment and an error wrapping ErrCorruptStore
-// when checksums, framing or replay consistency fail.
+// empty), replays the WAL tail — batches through the normal commit
+// path, seal records through the writer's own seal over the prefix each
+// names — and returns an engine identical — answers, epoch numbers,
+// overlay, index and INS statistics — to the one that last served the
+// store, even when that engine's last seal never published its
+// segment. It returns ErrNoStore when the directory holds no segment
+// and an error wrapping ErrCorruptStore when checksums, framing or
+// replay consistency fail.
 //
 // The index build parameters recorded in the segment override the
 // corresponding Options fields, so later compactions rebuild the same
@@ -195,9 +195,6 @@ func Create(dir string, kg *KG, opts Options) (*Engine, error) {
 // honoured. Close must be called (after draining queries) to release
 // the mapping and the WAL.
 func Open(dir string, opts Options) (*Engine, error) {
-	if err := armFailpoints(opts); err != nil {
-		return nil, err
-	}
 	dir, err := resolveDataDir(dir, opts)
 	if err != nil {
 		return nil, err
@@ -249,17 +246,6 @@ func Open(dir string, opts Options) (*Engine, error) {
 	return e, nil
 }
 
-// armFailpoints applies Options.Failpoints before the store's files are
-// touched. The registry is process-global (see internal/failpoint), so
-// the option is a convenience for wiring faults through Open/Create;
-// tests and the chaos tier arm sites directly.
-func armFailpoints(opts Options) error {
-	if opts.Failpoints == "" {
-		return nil
-	}
-	return failpoint.Arm(opts.Failpoints)
-}
-
 // resolveDataDir applies the Options.DataDir default.
 func resolveDataDir(dir string, opts Options) (string, error) {
 	if dir == "" {
@@ -304,14 +290,7 @@ func (e *Engine) replayWAL(recs []segment.WALRecord, baseSeq uint64) error {
 		if err != nil {
 			return err
 		}
-		if b.Seal {
-			// The pre-crash engine published a compacted epoch here. The
-			// replayed view (base + overlay) answers identically to the
-			// folded CSR it never got to map, so recovery just takes the
-			// epoch bump; the next compaction re-seals.
-			cur := e.ep.Load()
-			e.publishEpoch(e.newEpoch(rec.Seq, cur.kg.g, cur.idx, cur.idxSeq))
-		} else if err := e.applyLogged(b.Epoch, b.Mutations); err != nil {
+		if err := e.applyLogged(b); err != nil {
 			return fmt.Errorf("lscr: %w: wal %v", ErrCorruptStore, err)
 		}
 		expected = rec.Seq
@@ -319,27 +298,32 @@ func (e *Engine) replayWAL(recs []segment.WALRecord, baseSeq uint64) error {
 	return nil
 }
 
-// applyLogged is Apply's commit path for one logged batch — a WAL
-// record at recovery, a feed record on a replica: same staging, same
-// interning order, same index maintenance, minus the WAL append (the
-// batch is already durable) and the compaction trigger. A batch that
-// does not extend the current epoch by one, fails to stage, or stages
-// to a no-op (Apply never logs those) does not describe a real engine
-// history; the caller wraps the error in its own sentinel. The caller
-// serializes publishers (e.mu, or sole ownership during Open).
-func (e *Engine) applyLogged(seq uint64, muts []Mutation) error {
+// applyLogged publishes one logged record — a WAL record at recovery, a
+// feed record on a replica. A batch takes Apply's commit path: same
+// staging, same interning order, same index maintenance, minus the WAL
+// append (the batch is already durable) and the compaction trigger. A
+// seal takes the writer's seal (sealLogged). A record that does not
+// extend the current epoch by one, fails to stage, stages to a no-op
+// (Apply never logs those) or names a prefix the engine has no record
+// of does not describe a real engine history; the caller wraps the
+// error in its own sentinel. The caller serializes publishers (e.mu,
+// or sole ownership during Open).
+func (e *Engine) applyLogged(b ReplicationBatch) error {
 	cur := e.ep.Load()
-	if seq != cur.seq+1 {
-		return fmt.Errorf("batch at epoch %d onto epoch %d", seq, cur.seq)
+	if b.Epoch != cur.seq+1 {
+		return fmt.Errorf("record at epoch %d onto epoch %d", b.Epoch, cur.seq)
 	}
-	c, err := e.commitMutations(cur, muts)
+	if b.Seal {
+		return e.sealLogged(cur, b.Base)
+	}
+	c, err := e.commitMutations(cur, b.Mutations)
 	if err != nil {
-		return fmt.Errorf("batch at epoch %d: %v", seq, err)
+		return fmt.Errorf("batch at epoch %d: %v", b.Epoch, err)
 	}
 	if c.g == cur.kg.g {
-		return fmt.Errorf("batch at epoch %d is a no-op", seq)
+		return fmt.Errorf("batch at epoch %d is a no-op", b.Epoch)
 	}
-	e.publishEpoch(e.newEpoch(seq, c.g, c.idx, cur.idxSeq))
+	e.publishEpoch(e.newEpoch(b.Epoch, c.g, c.idx, cur.idxSeq))
 	e.countMaint(c.maint)
 	return nil
 }
@@ -443,7 +427,7 @@ func encodeBatch(muts []Mutation) []byte {
 
 // decodeWALRecord is the one reader of a WAL record, for recovery and
 // the replication feed alike: the feed record it stands for, a batch's
-// mutations or a seal marker.
+// mutations or a seal with the base epoch of the prefix it folded.
 func decodeWALRecord(rec segment.WALRecord) (ReplicationBatch, error) {
 	b := ReplicationBatch{Epoch: rec.Seq}
 	switch rec.Kind {
@@ -460,7 +444,13 @@ func decodeWALRecord(rec segment.WALRecord) (ReplicationBatch, error) {
 			b.Mutations[i] = Mutation{Op: opKinds[op.Kind], Subject: op.Subject, Label: op.Label, Object: op.Object}
 		}
 	case segment.RecordSeal:
-		b.Seal = true
+		if len(rec.Payload) != 8 {
+			return b, fmt.Errorf("lscr: %w: wal seal at epoch %d: %d-byte payload", ErrCorruptStore, rec.Seq, len(rec.Payload))
+		}
+		b.Seal, b.Base = true, binary.LittleEndian.Uint64(rec.Payload)
+		if b.Base >= rec.Seq {
+			return b, fmt.Errorf("lscr: %w: wal seal at epoch %d covers epoch %d", ErrCorruptStore, rec.Seq, b.Base)
+		}
 	default:
 		return b, fmt.Errorf("lscr: %w: wal record kind %d at epoch %d", ErrCorruptStore, rec.Kind, rec.Seq)
 	}

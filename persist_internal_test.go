@@ -20,8 +20,9 @@ import (
 //     engine.
 //   - window B (sealBarrier): the seal record is durable and the epoch
 //     swapped, but the image was never renamed into place. Recovery
-//     replays the batches and then the seal — an epoch bump on the
-//     replayed graph — landing on the exact post-compaction epoch.
+//     replays the batches and then the seal, folding the prefix the
+//     record names as the live compaction did — the exact
+//     post-compaction epoch, overlay and INS statistics included.
 //
 // The name carries "Mutate" so the race-enabled CI tier runs it.
 func TestMutateCrashRecoveryCompactionWindows(t *testing.T) {
@@ -81,13 +82,17 @@ func TestMutateCrashRecoveryCompactionWindows(t *testing.T) {
 	reqs := persistCrashRequests()
 	want := eng.QueryBatch(ctx, reqs, BatchOptions{Concurrency: 2})
 
+	liveOps := eng.Epoch().OverlayOps
 	for _, tc := range []struct {
 		name      string
 		dir       string
 		wantEpoch uint64
+		// exact: the recovered engine is the live one — same overlay,
+		// same Stats — not only answer-identical.
+		exact bool
 	}{
-		{"before-seal", crashA, liveEpoch - 1},
-		{"after-seal", crashB, liveEpoch},
+		{"before-seal", crashA, liveEpoch - 1, false},
+		{"after-seal", crashB, liveEpoch, true},
 	} {
 		rec, err := Open(tc.dir, opts)
 		if err != nil {
@@ -96,6 +101,9 @@ func TestMutateCrashRecoveryCompactionWindows(t *testing.T) {
 		if got := rec.Epoch().Epoch; got != tc.wantEpoch {
 			rec.Close()
 			t.Fatalf("%s: recovered epoch %d, want %d", tc.name, got, tc.wantEpoch)
+		}
+		if got := rec.Epoch().OverlayOps; tc.exact && got != liveOps {
+			t.Errorf("%s: recovered overlay holds %d ops, live %d", tc.name, got, liveOps)
 		}
 		got := rec.QueryBatch(ctx, reqs, BatchOptions{Concurrency: 2})
 		for i := range reqs {
@@ -106,6 +114,10 @@ func TestMutateCrashRecoveryCompactionWindows(t *testing.T) {
 			if got[i].Err == nil && got[i].Response.Reachable != want[i].Response.Reachable {
 				t.Errorf("%s: request %d (%v): reachable %v, live says %v",
 					tc.name, i, reqs[i].Algorithm, got[i].Response.Reachable, want[i].Response.Reachable)
+			}
+			if got[i].Err == nil && tc.exact && got[i].Response.Stats != want[i].Response.Stats {
+				t.Errorf("%s: request %d (%v): stats %+v, live %+v",
+					tc.name, i, reqs[i].Algorithm, got[i].Response.Stats, want[i].Response.Stats)
 			}
 		}
 		// The recovered engine keeps accepting durable writes.

@@ -7,7 +7,6 @@ import (
 	"os"
 
 	"lscr/internal/failpoint"
-	core "lscr/internal/lscr"
 	"lscr/internal/segment"
 )
 
@@ -24,13 +23,15 @@ const fpReplicateRead = "replicate-read"
 // ReplicationRead streams the intact records above a cursor;
 // SegmentFile hands out the newest sealed segment for bootstrap. A
 // follower process opens that segment image with OpenReplicaSegment and
-// replays the feed through ApplyReplicated/SealReplicated — the same
-// staging, interning and index-maintenance path Apply runs — so for
-// every replicated epoch the follower's vertex and label IDs, and
-// therefore its answers, are bit-identical to the writer's at that
-// epoch (the cluster e2e tier pins this against a single-engine
-// oracle). A replica engine refuses direct Apply/Compact: its epochs
-// advance only with the feed.
+// replays the feed through ApplyReplicated — batches on the same
+// staging, interning and index-maintenance path Apply runs, seals on
+// the writer's own seal over the prefix the record names, as Open's WAL
+// recovery does — so for every replicated epoch the follower's vertex
+// and label IDs, overlay and index, and therefore its answers and INS
+// statistics, are bit-identical to the writer's at that epoch (the
+// cluster e2e tier pins this against a single-engine oracle). A
+// replica engine refuses direct Apply/Compact: its epochs advance only
+// with the feed.
 //
 // The feed carries name-level mutations, not physical pages, which is
 // what makes replay through the normal commit path possible — and what
@@ -46,12 +47,13 @@ var (
 	// ErrReplicaWrite marks a direct Apply or Compact on a replica
 	// engine, whose state advances only through the replication feed.
 	ErrReplicaWrite = errors.New("lscr: replica engines take writes only through the replication feed")
-	// ErrNotReplica marks ApplyReplicated/SealReplicated on an engine
-	// that is not a replica (the writer must use Apply).
+	// ErrNotReplica marks ApplyReplicated on an engine that is not a
+	// replica (the writer must use Apply).
 	ErrNotReplica = errors.New("lscr: not a replica engine")
 	// ErrReplicaCursor marks a replicated record that does not fit the
-	// replica's state — wrong epoch, a batch that fails to stage, or a
-	// no-op batch the writer would never have logged. The follower's
+	// replica's state — wrong epoch, a batch that fails to stage, a
+	// no-op batch the writer would never have logged, or a seal over a
+	// prefix the replica holds no record of. The follower's
 	// response is to re-bootstrap, never to guess.
 	ErrReplicaCursor = errors.New("lscr: replicated record does not extend the replica's epoch")
 	// ErrNoReplicationLog marks ReplicationRead/SegmentFile on an
@@ -64,11 +66,14 @@ var (
 const MaxReplicationBatches = 4096
 
 // ReplicationBatch is one record of the replication feed: the epoch it
-// publishes and either the batch's mutations or a seal marker (the
-// writer compacted; the follower folds its overlay at the same epoch).
+// publishes and either the batch's mutations or a seal. A seal means
+// the writer compacted: the epoch is the fold of every batch up to
+// Base with a fresh index, plus the batches after Base replayed onto
+// it, and the follower folds exactly that prefix.
 type ReplicationBatch struct {
 	Epoch     uint64     `json:"epoch"`
 	Seal      bool       `json:"seal,omitempty"`
+	Base      uint64     `json:"base,omitempty"`
 	Mutations []Mutation `json:"mutations,omitempty"`
 }
 
@@ -96,14 +101,17 @@ func OpenReplicaSegment(data []byte, opts Options) (*Engine, error) {
 	return e, nil
 }
 
-// ApplyReplicated commits one replicated batch: epoch seq's mutations
-// as shipped by the writer's feed. It runs the same commit path as
-// Apply (staging, interning order, index maintenance), which is what
-// makes the replica's IDs and answers at epoch seq bit-identical to
-// the writer's. seq must extend the replica's current epoch by exactly
-// one; anything else — including a batch that fails to stage — returns
-// an error wrapping ErrReplicaCursor and leaves the engine unchanged.
-func (e *Engine) ApplyReplicated(ctx context.Context, seq uint64, muts []Mutation) error {
+// ApplyReplicated publishes one feed record as shipped by the writer's
+// ReplicationRead. A batch runs the same commit path as Apply (staging,
+// interning order, index maintenance); a seal folds the prefix up to
+// b.Base and catches up the later batches exactly as the writer's
+// compaction did. That is what makes the replica's IDs, answers and
+// INS statistics at epoch b.Epoch bit-identical to the writer's.
+// b.Epoch must extend the replica's current epoch by exactly one;
+// anything else — a batch that fails to stage, a seal whose base the
+// replica holds no record of — returns an error wrapping
+// ErrReplicaCursor and leaves the engine unchanged.
+func (e *Engine) ApplyReplicated(ctx context.Context, b ReplicationBatch) error {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -115,43 +123,9 @@ func (e *Engine) ApplyReplicated(ctx context.Context, seq uint64, muts []Mutatio
 	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if err := e.applyLogged(seq, muts); err != nil {
+	if err := e.applyLogged(b); err != nil {
 		return fmt.Errorf("%w: %v", ErrReplicaCursor, err)
 	}
-	return nil
-}
-
-// SealReplicated mirrors a writer compaction at epoch seq: the replica
-// folds its overlay into a fresh base CSR and rebuilds the local index
-// with the writer's recorded parameters, publishing the result at the
-// same epoch the writer's swap did (a seal bumps the epoch by exactly
-// one on both sides, so the sequences stay aligned). With no overlay
-// accumulated — a seal arriving right after bootstrap — only the epoch
-// advances.
-func (e *Engine) SealReplicated(ctx context.Context, seq uint64) error {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	if !e.replica {
-		return ErrNotReplica
-	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	cur := e.ep.Load()
-	if seq != cur.seq+1 {
-		return fmt.Errorf("%w: seal at epoch %d onto epoch %d", ErrReplicaCursor, seq, cur.seq)
-	}
-	g, idx := cur.kg.g, cur.idx
-	if g.HasOverlay() {
-		g = g.Compact()
-		if idx != nil {
-			idx = core.NewLocalIndex(g, e.indexParams())
-		}
-	}
-	e.publishEpoch(e.newEpoch(seq, g, idx, cur.idxSeq))
 	return nil
 }
 
@@ -239,7 +213,7 @@ func (e *Engine) SegmentFile() (*os.File, uint64, error) {
 }
 
 // EpochPublished returns a channel closed by the next epoch publish
-// (Apply commit, compaction swap, or replicated apply/seal) — the
+// (Apply commit, compaction swap, or replicated record) — the
 // wake-up behind the server's /v1/replicate long poll. Each publish
 // consumes the channel; callers re-arm by calling EpochPublished again
 // after it fires.
@@ -256,8 +230,10 @@ func (e *Engine) EpochPublished() <-chan struct{} {
 }
 
 // publishEpoch is the single post-construction epoch publish point: it
-// swaps the serving epoch and wakes EpochPublished waiters.
+// records the epoch's cut for a later seal, swaps the serving epoch and
+// wakes EpochPublished waiters.
 func (e *Engine) publishEpoch(ep *epoch) {
+	e.cuts = append(e.cuts, ep.kg.g.Cut())
 	e.ep.Store(ep)
 	if ch := e.pubCh.Swap(nil); ch != nil {
 		close(*ch)

@@ -2,6 +2,7 @@ package lscr_test
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
 	"os"
 	"path/filepath"
@@ -33,14 +34,14 @@ func refusalStore(t *testing.T) string {
 	return dir
 }
 
-// appendBatchRecord hand-appends one batch record to dir's WAL.
-func appendBatchRecord(t *testing.T, dir string, seq uint64, ops []segment.Op) {
+// appendRecord hand-appends one record to dir's WAL.
+func appendRecord(t *testing.T, dir string, kind byte, seq uint64, payload []byte) {
 	t.Helper()
 	wal, _, err := segment.OpenWAL(segment.WALPath(dir))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := wal.Append(segment.RecordBatch, seq, segment.EncodeOps(ops), true); err != nil {
+	if err := wal.Append(kind, seq, payload, true); err != nil {
 		t.Fatal(err)
 	}
 	if err := wal.Close(); err != nil {
@@ -73,14 +74,14 @@ func TestReplicaLogRefusals(t *testing.T) {
 	}
 	for _, tc := range []struct {
 		name string
-		seq  uint64
-		muts []pub.Mutation
+		rb   pub.ReplicationBatch
 	}{
-		{"wrong epoch", 2, valid},
-		{"no-op batch", 1, []pub.Mutation{{Op: pub.OpAddVertex, Subject: "a"}}},
-		{"absent-edge delete", 1, []pub.Mutation{{Op: pub.OpDeleteEdge, Subject: "b", Label: "l", Object: "a"}}},
+		{"wrong epoch", pub.ReplicationBatch{Epoch: 2, Mutations: valid}},
+		{"no-op batch", pub.ReplicationBatch{Epoch: 1, Mutations: []pub.Mutation{{Op: pub.OpAddVertex, Subject: "a"}}}},
+		{"absent-edge delete", pub.ReplicationBatch{Epoch: 1, Mutations: []pub.Mutation{{Op: pub.OpDeleteEdge, Subject: "b", Label: "l", Object: "a"}}}},
+		{"seal beyond the records", pub.ReplicationBatch{Epoch: 1, Seal: true, Base: 1}},
 	} {
-		if err := replica.ApplyReplicated(ctx, tc.seq, tc.muts); !errors.Is(err, pub.ErrReplicaCursor) {
+		if err := replica.ApplyReplicated(ctx, tc.rb); !errors.Is(err, pub.ErrReplicaCursor) {
 			t.Errorf("ApplyReplicated(%s) = %v, want ErrReplicaCursor", tc.name, err)
 		}
 		if got := replica.Epoch().Epoch; got != 0 {
@@ -90,14 +91,14 @@ func TestReplicaLogRefusals(t *testing.T) {
 	if _, err := replica.Apply(ctx, valid); !errors.Is(err, pub.ErrReplicaWrite) {
 		t.Errorf("Apply on a replica = %v, want ErrReplicaWrite", err)
 	}
-	if err := replica.ApplyReplicated(ctx, 1, valid); err != nil {
+	if err := replica.ApplyReplicated(ctx, pub.ReplicationBatch{Epoch: 1, Mutations: valid}); err != nil {
 		t.Fatalf("ApplyReplicated(valid) after the refusals: %v", err)
 	}
 	writer, err := pub.Open(dir, mutOpts)
 	if err != nil {
 		t.Fatalf("Open: %v", err)
 	}
-	if err := writer.ApplyReplicated(ctx, 1, valid); !errors.Is(err, pub.ErrNotReplica) {
+	if err := writer.ApplyReplicated(ctx, pub.ReplicationBatch{Epoch: 1, Mutations: valid}); !errors.Is(err, pub.ErrNotReplica) {
 		t.Errorf("ApplyReplicated on a writer = %v, want ErrNotReplica", err)
 	}
 	if err := writer.Close(); err != nil {
@@ -114,7 +115,7 @@ func TestReplicaLogRefusals(t *testing.T) {
 		{"absent-edge delete", 1, segment.Op{Kind: segment.OpDeleteEdge, Subject: "b", Label: "l", Object: "a"}},
 	} {
 		dir := refusalStore(t)
-		appendBatchRecord(t, dir, tc.seq, []segment.Op{tc.op})
+		appendRecord(t, dir, segment.RecordBatch, tc.seq, segment.EncodeOps([]segment.Op{tc.op}))
 		if eng, err := pub.Open(dir, mutOpts); !errors.Is(err, pub.ErrCorruptStore) {
 			if err == nil {
 				eng.Close()
@@ -123,30 +124,42 @@ func TestReplicaLogRefusals(t *testing.T) {
 		}
 	}
 
-	// An unknown op kind: the live writer's feed refuses the record
-	// rather than ship an op it cannot name, and recovery refuses the
-	// store.
+	// Records the feed cannot ship faithfully: the live writer's feed
+	// refuses each rather than ship it, and recovery refuses the store.
+	// An unknown op kind names no mutation; a seal must carry the 8-byte
+	// base epoch of the prefix it folded, below its own epoch, or it
+	// would replay as a bare epoch bump.
 	kg, err := pub.Load(strings.NewReader(refusalKG))
 	if err != nil {
 		t.Fatal(err)
 	}
-	dir = t.TempDir()
-	live, err := pub.Create(dir, kg, mutOpts)
-	if err != nil {
-		t.Fatalf("Create: %v", err)
-	}
-	appendBatchRecord(t, dir, 1, []segment.Op{{Kind: 9, Subject: "a"}})
-	batches, err := live.ReplicationRead(0, 0)
-	if !errors.Is(err, pub.ErrCorruptStore) || batches != nil {
-		t.Errorf("ReplicationRead over op kind 9 = %+v, %v; want an ErrCorruptStore error", batches, err)
-	}
-	if err := live.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if eng, err := pub.Open(dir, mutOpts); !errors.Is(err, pub.ErrCorruptStore) {
-		if err == nil {
-			eng.Close()
+	for _, tc := range []struct {
+		name    string
+		kind    byte
+		payload []byte
+	}{
+		{"op kind 9", segment.RecordBatch, segment.EncodeOps([]segment.Op{{Kind: 9, Subject: "a"}})},
+		{"4-byte seal", segment.RecordSeal, []byte{0, 0, 0, 0}},
+		{"seal covering its own epoch", segment.RecordSeal, binary.LittleEndian.AppendUint64(nil, 1)},
+	} {
+		dir := t.TempDir()
+		live, err := pub.Create(dir, kg, mutOpts)
+		if err != nil {
+			t.Fatalf("Create: %v", err)
 		}
-		t.Errorf("Open over a WAL with op kind 9 = %v, want ErrCorruptStore", err)
+		appendRecord(t, dir, tc.kind, 1, tc.payload)
+		batches, err := live.ReplicationRead(0, 0)
+		if !errors.Is(err, pub.ErrCorruptStore) || batches != nil {
+			t.Errorf("ReplicationRead over a %s = %+v, %v; want an ErrCorruptStore error", tc.name, batches, err)
+		}
+		if err := live.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if eng, err := pub.Open(dir, mutOpts); !errors.Is(err, pub.ErrCorruptStore) {
+			if err == nil {
+				eng.Close()
+			}
+			t.Errorf("Open over a WAL with a %s = %v, want ErrCorruptStore", tc.name, err)
+		}
 	}
 }

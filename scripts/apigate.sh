@@ -15,9 +15,9 @@ cd "$(dirname "$0")/.."
 # Besides Query/QueryBatch: stats, SPARQL standalone,
 # the mutation family Apply/Compact with its KG/Epoch/Health observers,
 # the persistence lifecycle Close/Durability, the replication feed
-# ApplyReplicated/SealReplicated/ReplicationRead/SegmentFile/
-# EpochPublished, and the fail-stop observer Poisoned.
-ALLOW='^(Query|QueryBatch|CacheStats|IndexMaintenance|Index|Select|SelectAll|Apply|Compact|KG|Epoch|Health|Close|Durability|ApplyReplicated|SealReplicated|ReplicationRead|SegmentFile|EpochPublished|Poisoned)$'
+# ApplyReplicated/ReplicationRead/SegmentFile/EpochPublished, and the
+# fail-stop observer Poisoned.
+ALLOW='^(Query|QueryBatch|CacheStats|IndexMaintenance|Index|Select|SelectAll|Apply|Compact|KG|Epoch|Health|Close|Durability|ApplyReplicated|ReplicationRead|SegmentFile|EpochPublished|Poisoned)$'
 
 status=0
 for f in *.go; do
