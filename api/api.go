@@ -179,6 +179,9 @@ type Health struct {
 	// counters plus the serving epoch's dirty-landmark count and index
 	// epoch, consistent with Epoch.
 	Maintenance lscr.MaintStats `json:"maintenance"`
+	// Index reports the serving local index's size by structure; absent
+	// when the engine runs without an index.
+	Index *lscr.IndexStats `json:"index,omitempty"`
 	// Durability reports the persistence state: sealed-segment epoch,
 	// WAL tail size and last-fsync time for a persistent engine
 	// (lscrd -data), Persistent=false for an in-memory one.

@@ -349,66 +349,94 @@ func (d *Delta) Commit() (*Graph, error) {
 // buildPatch materialises one direction's patch mini-CSR from the full
 // overlay log: for every vertex an op touches, its complete merged row
 // (base minus deletions plus insertions, (label, head)-sorted).
+//
+// The log is grouped by vertex with one sort instead of per-vertex maps
+// of slices, and every output array is sized before it is filled: the
+// patch is rebuilt from the whole log on every commit, so per-vertex
+// allocations and growth by doubling would be paid again each time.
 func buildPatch(log []deltaOp, base *adjacency, baseV, nV int, inDir bool) (patchAdj, error) {
-	adds := make(map[VertexID][]Edge)
-	dels := make(map[VertexID][]Edge)
-	for _, op := range log {
-		v, e := op.t.Subject, Edge{To: op.t.Object, Label: op.t.Label}
+	type rowOp struct {
+		v   VertexID
+		e   Edge
+		del bool
+	}
+	ops := make([]rowOp, len(log))
+	for i, op := range log {
+		ops[i] = rowOp{v: op.t.Subject, e: Edge{To: op.t.Object, Label: op.t.Label}, del: op.del}
 		if inDir {
-			v, e = op.t.Object, Edge{To: op.t.Subject, Label: op.t.Label}
+			ops[i].v, ops[i].e.To = op.t.Object, op.t.Subject
+		}
+	}
+	// Only the grouping matters: each row is sorted again below, and a
+	// deletion removes one instance of an edge wherever it sits.
+	slices.SortFunc(ops, func(a, b rowOp) int { return int(a.v) - int(b.v) })
+
+	nTouched, nEdges := 0, 0
+	for i, op := range ops {
+		if i == 0 || op.v != ops[i-1].v {
+			nTouched++
+			if int(op.v) < baseV {
+				nEdges += len(base.run(op.v))
+			}
 		}
 		if op.del {
-			dels[v] = append(dels[v], e)
+			nEdges--
 		} else {
-			adds[v] = append(adds[v], e)
+			nEdges++
 		}
 	}
-	touched := make([]VertexID, 0, len(adds)+len(dels))
-	for v := range adds {
-		touched = append(touched, v)
-	}
-	for v := range dels {
-		if _, ok := adds[v]; !ok {
-			touched = append(touched, v)
-		}
-	}
-	slices.Sort(touched)
-
 	p := patchAdj{
 		touched: make([]uint64, (nV+63)/64),
-		slot:    make(map[VertexID]uint32, len(touched)),
+		slot:    make(map[VertexID]uint32, nTouched),
 	}
-	p.a.off = make([]uint32, 1, len(touched)+1)
-	p.a.runOff = make([]uint32, 1, len(touched)+1)
-	for _, v := range touched {
+	p.a.off = make([]uint32, 1, nTouched+1)
+	p.a.runOff = make([]uint32, 1, nTouched+1)
+	p.a.edges = make([]Edge, 0, max(nEdges, 0))
+	var row []Edge
+	for i := 0; i < len(ops); {
+		v := ops[i].v
+		j := i
+		for j < len(ops) && ops[j].v == v {
+			j++
+		}
+		group := ops[i:j]
+		i = j
 		p.touched[uint(v)>>6] |= 1 << (uint(v) & 63)
 		p.slot[v] = uint32(len(p.a.off) - 1)
 
-		var row []Edge
+		row = row[:0]
 		if int(v) < baseV {
 			row = append(row, base.run(v)...)
 		}
-		row = append(row, adds[v]...)
+		for _, op := range group {
+			if !op.del {
+				row = append(row, op.e)
+			}
+		}
 		slices.SortFunc(row, func(a, b Edge) int {
 			if a.Label != b.Label {
 				return int(a.Label) - int(b.Label)
 			}
 			return int(a.To) - int(b.To)
 		})
-		for _, del := range dels[v] {
-			i := sort.Search(len(row), func(i int) bool {
-				e := row[i]
+		for _, op := range group {
+			if !op.del {
+				continue
+			}
+			del := op.e
+			k := sort.Search(len(row), func(k int) bool {
+				e := row[k]
 				return e.Label > del.Label || e.Label == del.Label && e.To >= del.To
 			})
-			if i >= len(row) || row[i] != del {
+			if k >= len(row) || row[k] != del {
 				return patchAdj{}, fmt.Errorf("%w: overlay rebuild lost (%v, %v)", ErrEdgeNotFound, v, del)
 			}
-			row = append(row[:i], row[i+1:]...)
+			row = append(row[:k], row[k+1:]...)
 		}
 
-		for i, e := range row {
-			if i == 0 || e.Label != row[i-1].Label {
-				p.a.runStart = append(p.a.runStart, uint32(len(p.a.edges)+i))
+		for k, e := range row {
+			if k == 0 || e.Label != row[k-1].Label {
+				p.a.runStart = append(p.a.runStart, uint32(len(p.a.edges)+k))
 				p.a.runLabel = append(p.a.runLabel, e.Label)
 			}
 		}

@@ -52,9 +52,9 @@ func insAllocFixture(tb testing.TB) (*graph.Graph, *LocalIndex, Query, []graph.V
 
 // maxINSSteadyStateAllocs bounds the per-query allocations of a warmed-up
 // INS run with a precomputed V(S,G). The steady state allocates only the
-// small fixed set of per-run objects (insRun, closeMap, the H lazyPQ and
-// its few-element heap); the frontier queue's heap backing lives in the
-// pooled scratch. Before the scratch pool absorbed Q's heap, growing it
+// small fixed set of per-run objects (insRun, closeMap, the H lazyPQ);
+// the heap backings of H and of the frontier queue live in the pooled
+// scratch. Before the scratch pool absorbed Q's heap, growing it
 // to a multi-thousand-vertex frontier cost ~10 extra allocations per
 // query — comfortably above this bound.
 const maxINSSteadyStateAllocs = 12

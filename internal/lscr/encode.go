@@ -22,7 +22,7 @@ import (
 //	dirty bitmap [ceil(k/8), zero-padded to a multiple of 8]u8
 //	per landmark: II count, (vertex u32, cms len u32, sets [..]u64)
 //	              EIT count, (labelset u64, count u32, vertices [..]u32)
-//	dmat [k*k]i32 (row-major)
+//	D offsets [k+1]u32 | D entries [nnz](landmark index u32, count i32)
 //
 // The payload carries no magic or checksum of its own: the segment's
 // magic versions it and the section table checksums it, so any layout
@@ -34,10 +34,14 @@ import (
 // vertices after the build), and the dirty bitmap records
 // deletion-invalidated landmarks, so an index sealed mid-life
 // round-trips with those landmarks still excluded from pruning. The
-// bitmap is padded so every later field — and in particular the k×k
-// distance matrix, which dominates the payload — sits at a 4-aligned
-// offset: the boot path adopts the matrix as a read-only view straight
-// over the mmap'd section instead of copying it out.
+// bitmap is padded so every later field sits at a 4-aligned offset.
+//
+// D is stored as compressed sparse rows: row i's entries are
+// entries[offsets[i]:offsets[i+1]], sorted by landmark index with zero
+// counts left out, and the entries run to the end of the payload, so
+// nnz = offsets[k] is implied by the payload length. The boot path
+// adopts the entry array as a read-only view straight over the mmap'd
+// section instead of copying it out.
 //
 // Two layout properties are load-bearing for the boot path:
 //
@@ -49,6 +53,9 @@ import (
 //   - each CMS is written as its Sorted() antichain, so the reader
 //     adopts the decoded sets verbatim (labelset.AdoptSets) instead of
 //     re-running Insert's subset filtering per set.
+//   - D rows are validated, not re-sorted: non-monotone offsets,
+//     offsets[k] ≠ nnz, a landmark index ≥ k, unsorted or duplicate
+//     columns and a non-positive count are all ErrIndexCorrupt.
 //
 // Every count in the payload is untrusted: the decoder works over the
 // full payload bytes, so each count is validated against the bytes
@@ -127,20 +134,27 @@ func WriteIndexPayload(w io.Writer, idx *LocalIndex) (int64, error) {
 			}
 		}
 	}
-	// The dense k×k matrix dominates the payload; write each row as one
-	// bulk move instead of k round-trips through the buffer.
+	var off uint32
+	put32(off)
+	for _, row := range idx.drows {
+		off += uint32(len(row))
+		put32(off)
+	}
+	// Each row's entries go out as one bulk move: dEntry's in-memory
+	// layout is the on-disk (u32, i32) pair on a little-endian host.
 	var rowBuf []byte
-	for _, row := range idx.dmat {
+	for _, row := range idx.drows {
 		if len(row) == 0 {
 			continue
 		}
 		if hostLittleEndian {
-			cw.write(unsafe.Slice((*byte)(unsafe.Pointer(&row[0])), 4*len(row)))
+			cw.write(unsafe.Slice((*byte)(unsafe.Pointer(&row[0])), 8*len(row)))
 			continue
 		}
 		rowBuf = rowBuf[:0]
-		for _, d := range row {
-			rowBuf = binary.LittleEndian.AppendUint32(rowBuf, uint32(d))
+		for _, e := range row {
+			rowBuf = binary.LittleEndian.AppendUint32(rowBuf, e.lm)
+			rowBuf = binary.LittleEndian.AppendUint32(rowBuf, uint32(e.n))
 		}
 		cw.write(rowBuf)
 	}
@@ -159,8 +173,8 @@ func WriteIndexPayload(w io.Writer, idx *LocalIndex) (int64, error) {
 // cold-boot hot path: counts validate against the bytes that actually
 // back them, CMS antichains are adopted verbatim, the sorted
 // enumeration arrays are materialised straight from the payload's
-// ascending-key layout and the distance matrix is adopted as a view
-// over b itself when alignment allows. The returned index may
+// ascending-key layout and D's entry array is adopted as a view over b
+// itself when alignment allows. The returned index may
 // therefore alias b, which must stay live and unmodified for the
 // index's lifetime — the segment mapping contract.
 func ReadIndexPayload(b []byte, g *graph.Graph) (*LocalIndex, error) {
@@ -326,33 +340,72 @@ func ReadIndexPayload(b []byte, g *graph.Graph) (*LocalIndex, error) {
 		idx.eitSorted[li] = eorder
 	}
 
-	kk := int(k) * int(k)
-	raw := in.bytes(4 * kk)
+	drows, err := readDRows(in, int(k))
+	if err != nil {
+		return nil, err
+	}
+	idx.drows = drows
+	return idx, nil
+}
+
+// readDRows decodes the D section, the payload's tail: k+1 offsets, then
+// nnz = offsets[k] entries filling the rest of the payload exactly. The
+// entry array is adopted as a read-only view over the payload when the
+// host is little-endian and the bytes are 4-aligned (the format
+// guarantees the alignment on any 8-aligned input); rows are never
+// written in place after a load — maintenance swaps whole rows (see
+// extendLandmark) — and each row is capacity-trimmed besides.
+func readDRows(in *byteCursor, k int) ([][]dEntry, error) {
+	offRaw := in.bytes(4 * (k + 1))
 	if in.err != nil {
 		return nil, in.fail()
 	}
-	var backing []int32
-	switch {
-	case kk == 0:
-	case hostLittleEndian && uintptr(unsafe.Pointer(&raw[0]))%4 == 0:
-		// Adopt the matrix as a read-only view over the payload — it
-		// dominates the payload's size and is never written in place
-		// after a load (maintenance swaps whole rows; see
-		// extendLandmark). The format guarantees the 4-alignment on any
-		// 8-aligned input; the runtime check keeps odd inputs (and odd
-		// hosts) on the copying path.
-		backing = unsafe.Slice((*int32)(unsafe.Pointer(&raw[0])), kk)
-	default:
-		backing = make([]int32, kk)
-		for i := range backing {
-			backing[i] = int32(binary.LittleEndian.Uint32(raw[4*i:]))
+	rest := len(in.b) - in.off
+	if rest%8 != 0 {
+		return nil, fmt.Errorf("%w: D entries are %d bytes, not whole entries", ErrIndexCorrupt, rest)
+	}
+	nnz := rest / 8
+	offs := make([]uint32, k+1)
+	for i := range offs {
+		offs[i] = binary.LittleEndian.Uint32(offRaw[4*i:])
+		if (i == 0 && offs[i] != 0) || (i > 0 && offs[i] < offs[i-1]) {
+			return nil, fmt.Errorf("%w: D offsets not monotone at row %d", ErrIndexCorrupt, i)
 		}
 	}
-	idx.dmat = dmatRows(backing, int(k))
-	if in.off != len(in.b) {
-		return nil, fmt.Errorf("%w: %d trailing bytes", ErrIndexCorrupt, len(in.b)-in.off)
+	if int64(offs[k]) != int64(nnz) {
+		return nil, fmt.Errorf("%w: D offsets end at %d, payload holds %d entries", ErrIndexCorrupt, offs[k], nnz)
 	}
-	return idx, nil
+	raw := in.bytes(8 * nnz)
+	var entries []dEntry
+	switch {
+	case nnz == 0:
+	case hostLittleEndian && uintptr(unsafe.Pointer(&raw[0]))%4 == 0:
+		entries = unsafe.Slice((*dEntry)(unsafe.Pointer(&raw[0])), nnz)
+	default:
+		entries = make([]dEntry, nnz)
+		for i := range entries {
+			entries[i] = dEntry{
+				lm: binary.LittleEndian.Uint32(raw[8*i:]),
+				n:  int32(binary.LittleEndian.Uint32(raw[8*i+4:])),
+			}
+		}
+	}
+	rows := make([][]dEntry, k)
+	for i := range rows {
+		row := entries[offs[i]:offs[i+1]:offs[i+1]]
+		for j, e := range row {
+			switch {
+			case e.lm >= uint32(k):
+				return nil, fmt.Errorf("%w: D row %d names landmark index %d of %d", ErrIndexCorrupt, i, e.lm, k)
+			case j > 0 && e.lm <= row[j-1].lm:
+				return nil, fmt.Errorf("%w: D row %d columns unsorted or duplicate", ErrIndexCorrupt, i)
+			case e.n <= 0:
+				return nil, fmt.Errorf("%w: D row %d stores count %d", ErrIndexCorrupt, i, e.n)
+			}
+		}
+		rows[i] = row
+	}
+	return rows, nil
 }
 
 // capHint bounds a map/slice pre-size taken from an untrusted count: a

@@ -2,8 +2,10 @@ package lscr
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -152,6 +154,60 @@ func TestIndexReadRejectsCorruption(t *testing.T) {
 	if _, err := ReadIndexPayload(append(data[:len(data):len(data)], 0), g); !errors.Is(err, ErrIndexCorrupt) {
 		t.Errorf("trailing byte: err = %v, want ErrIndexCorrupt", err)
 	}
+
+	// One hand-built case per sparse-D rejection. D is the payload's
+	// tail: k+1 u32 offsets, then nnz (landmark index u32, count i32)
+	// entries.
+	rng := rand.New(rand.NewSource(8))
+	rg := testkg.Random(rng, 60, 240, 3)
+	ridx := NewLocalIndex(rg, IndexParams{K: 6, Seed: 3})
+	k, nnz, wide := len(ridx.drows), 0, -1
+	for _, row := range ridx.drows {
+		if len(row) >= 2 && wide < 0 {
+			wide = nnz
+		}
+		nnz += len(row)
+	}
+	if wide < 0 {
+		t.Fatal("no D row with two entries; change the graph")
+	}
+	good := payload(t, ridx)
+	offAt := len(good) - 8*nnz - 4*(k+1)
+	entAt := len(good) - 8*nnz
+	for _, c := range []struct {
+		name, want string
+		mutate     func(b []byte)
+	}{
+		{"non-monotone offsets", "not monotone", func(b []byte) {
+			binary.LittleEndian.PutUint32(b[offAt+4:], binary.LittleEndian.Uint32(b[offAt+8:])+1)
+		}},
+		{"offsets[k] ≠ nnz", "offsets end", func(b []byte) {
+			binary.LittleEndian.PutUint32(b[offAt+4*k:], uint32(nnz+1))
+		}},
+		{"landmark index ≥ k", "names landmark index", func(b []byte) {
+			binary.LittleEndian.PutUint32(b[entAt:], uint32(k))
+		}},
+		{"duplicate column", "unsorted or duplicate", func(b []byte) {
+			copy(b[entAt+8*(wide+1):entAt+8*(wide+1)+4], b[entAt+8*wide:])
+		}},
+		{"unsorted columns", "unsorted or duplicate", func(b []byte) {
+			x, y := b[entAt+8*wide:entAt+8*wide+4], b[entAt+8*(wide+1):entAt+8*(wide+1)+4]
+			var tmp [4]byte
+			copy(tmp[:], x)
+			copy(x, y)
+			copy(y, tmp[:])
+		}},
+		{"zero count", "stores count 0", func(b []byte) {
+			binary.LittleEndian.PutUint32(b[entAt+4:], 0)
+		}},
+	} {
+		b := bytes.Clone(good)
+		c.mutate(b)
+		_, err := ReadIndexPayload(b, rg)
+		if !errors.Is(err, ErrIndexCorrupt) || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: err = %v, want ErrIndexCorrupt mentioning %q", c.name, err, c.want)
+		}
+	}
 }
 
 func TestIndexReadRejectsWrongGraph(t *testing.T) {
@@ -171,4 +227,47 @@ func TestIndexWriteDeterministic(t *testing.T) {
 	if !bytes.Equal(payload(t, idx), payload(t, idx)) {
 		t.Fatal("serialisation is not deterministic")
 	}
+}
+
+// FuzzReadIndexPayload feeds the index decoder arbitrary bytes directly
+// (segment section checksums reject mutated bytes before the decoder
+// ever sees them, so FuzzSegmentOpen cannot reach it). Every input must
+// either fail with ErrIndexCorrupt or ErrIndexMismatch, or decode to an
+// index whose D, Rho and Check answer over all landmark pairs without
+// panicking. which picks the graph the payload is bound to.
+func FuzzReadIndexPayload(f *testing.F) {
+	ex, _ := testkg.RunningExample()
+	rng := rand.New(rand.NewSource(11))
+	rg := testkg.Random(rng, 50, 200, 4)
+	maint := NewLocalIndex(testkg.Random(rng, 40, 160, 3), IndexParams{K: 8, Seed: 17})
+	for batch := 0; batch < 4 || maint.DirtyLandmarks() == 0; batch++ {
+		g2, ops := mutStep(rng, maint.Graph(), 8)
+		maint, _ = maint.ApplyMutations(g2, ops)
+	}
+	seeds := []*LocalIndex{
+		NewLocalIndex(ex, IndexParams{K: 3, Seed: 7}),
+		NewLocalIndex(rg, IndexParams{K: 7, Seed: 2, LiteralRho: true}),
+		maint,
+	}
+	for i, idx := range seeds {
+		f.Add(uint8(i), payload(f, idx))
+	}
+	f.Fuzz(func(t *testing.T, which uint8, data []byte) {
+		g := seeds[int(which)%len(seeds)].Graph()
+		idx, err := ReadIndexPayload(data, g)
+		if err != nil {
+			if !errors.Is(err, ErrIndexCorrupt) && !errors.Is(err, ErrIndexMismatch) {
+				t.Fatalf("untyped decode error: %v", err)
+			}
+			return
+		}
+		universe := g.LabelUniverse()
+		for _, u := range idx.Landmarks() {
+			for _, x := range idx.Landmarks() {
+				idx.D(u, x)
+				idx.Rho(u, x)
+				idx.Check(u, x, universe)
+			}
+		}
+	})
 }

@@ -76,6 +76,8 @@ func insImpl(g *graph.Graph, idx *LocalIndex, q Query, vsOrder []graph.VertexID,
 	// Line 1: H initialized by V(S,G). |V(S,G)| can approach |V|, so
 	// even initialization honours the interrupt.
 	h := newLazyPQ(r.hKey, false, true, g.NumVertices())
+	h.h = sc.h[:0] // H's backing array is pooled, like Q's
+	defer func() { sc.h = h.h[:0] }()
 	for _, v := range vs {
 		if err := r.ic.tick(); err != nil {
 			return false, Stats{}, err

@@ -1,9 +1,11 @@
 package lscr
 
 import (
+	"cmp"
 	"math"
 	"math/rand"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 
@@ -51,14 +53,17 @@ type LocalIndex struct {
 	iiSorted  [][]iiEntry
 	eitSorted [][]eitEntry
 
-	// D as a dense k×k matrix over landmark indices, stored as one row
-	// slice per landmark (all rows of a fresh build share one backing
-	// array for locality); lmIdx maps a landmark vertex to its
-	// row/column, -1 for non-landmarks. Query-time ρ lookups are on the
-	// hot path of INS's priority queue. Per-row storage lets incremental
-	// maintenance replace a single landmark's row without copying the
-	// whole k×k matrix.
-	dmat  [][]int32
+	// D as sorted sparse rows over landmark indices: drows[i] lists the
+	// landmarks x with D(landmarks[i], x) > 0, ascending by landmark
+	// index, and every absent pair is zero; lmIdx maps a landmark vertex
+	// to its row/column, -1 for non-landmarks. D is a k×k relation but
+	// holds about |EI| non-zero cells (0.1-0.3 % of k² on LUBM), so a
+	// dense matrix would grow as k² = |V|·log²|V| while these rows grow
+	// with the boundary edges. Rows are immutable once stored: query-time
+	// ρ lookups (INS's priority keys) binary-search one short row,
+	// maintenance replaces a landmark's whole row, and a loaded index's
+	// rows may alias the segment mapping.
+	drows [][]dEntry
 	lmIdx []int32
 
 	// dirty marks landmarks whose entries were invalidated by an edge
@@ -72,19 +77,65 @@ type LocalIndex struct {
 	literalRho bool
 }
 
-// newDMat allocates k rows of k int32 over a single backing array.
-func newDMat(k int) [][]int32 {
-	return dmatRows(make([]int32, k*k), k)
+// dEntry is one stored cell of D: the landmark index of x and the
+// boundary-pair count D(u, x), always positive. Its layout (u32, i32)
+// is also the on-disk entry layout, so a loaded row can be a view over
+// the payload (see ReadIndexPayload).
+type dEntry struct {
+	lm uint32
+	n  int32
 }
 
-// dmatRows slices a k*k backing array into k capacity-trimmed rows, so
-// a maintenance row swap can never scribble past its own row.
-func dmatRows(backing []int32, k int) [][]int32 {
-	rows := make([][]int32, k)
-	for i := range rows {
-		rows[i] = backing[i*k : (i+1)*k : (i+1)*k]
+// dAt returns the count a sorted D row of a k-landmark index stores
+// for landmark index ix, zero when the row has no entry for it. The row
+// holds n distinct columns below k in ascending order, so its j-th
+// entry is at least j and at most k-n+j: the binary search only covers
+// the positions where ix can sit, which on a nearly full row (small k)
+// is one or two entries.
+func dAt(row []dEntry, ix uint32, k int) int32 {
+	n := len(row)
+	lo, hi := max(0, int(ix)-(k-n)), min(int(ix)+1, n)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if row[mid].lm < ix {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
 	}
-	return rows
+	if lo < n && row[lo].lm == ix {
+		return row[lo].n
+	}
+	return 0
+}
+
+// dRow aggregates EI[u] into u's D row: one entry per landmark whose
+// region holds at least one boundary vertex of EI[u], counting those
+// vertices, sorted by landmark index. Rows are short (a few regions
+// border F(u)), so each boundary vertex is a binary search in the row
+// being built. buf is scratch space, returned for reuse; the row itself
+// is allocated at its exact length.
+func (idx *LocalIndex) dRow(ei map[graph.VertexID]*labelset.CMS, buf []dEntry) ([]dEntry, []dEntry) {
+	acc := buf[:0]
+	for w := range ei {
+		a := idx.Region(w)
+		if a == graph.NoVertex {
+			continue
+		}
+		col := uint32(idx.lmIdx[a])
+		i, found := slices.BinarySearchFunc(acc, col, func(e dEntry, c uint32) int { return cmp.Compare(e.lm, c) })
+		if found {
+			acc[i].n++
+		} else {
+			acc = slices.Insert(acc, i, dEntry{lm: col, n: 1})
+		}
+	}
+	if len(acc) == 0 {
+		return nil, acc
+	}
+	row := make([]dEntry, len(acc))
+	copy(row, acc)
+	return row, acc
 }
 
 // IndexParams configures construction.
@@ -151,12 +202,12 @@ func NewLocalIndex(g *graph.Graph, p IndexParams) *LocalIndex {
 	}
 	idx.iiSorted = make([][]iiEntry, len(idx.landmarks))
 	idx.eitSorted = make([][]eitEntry, len(idx.landmarks))
-	idx.dmat = newDMat(len(idx.landmarks))
+	idx.drows = make([][]dEntry, len(idx.landmarks))
 	idx.bfsTraverse() // Line 2.
 
 	// Lines 3-4: LocalFullIndex per landmark, parallelised. The passes
-	// are independent: each writes only its own landmark's ii/eit slot
-	// and D row, and reads only the immutable af/lmIdx arrays and the
+	// are independent: each writes only its own landmark's ii/eit/D
+	// slot, and reads only the immutable af/lmIdx arrays and the
 	// graph, so no locking is needed beyond the work queue. Each worker
 	// owns one liScratch, reused across its landmarks, so steady-state
 	// construction allocates little beyond the entries that end up in
@@ -351,9 +402,11 @@ type liState struct {
 }
 
 // liScratch is the per-worker reusable state of the parallel build: the
-// BFS queue's backing array survives across a worker's landmarks.
+// backing arrays of the BFS queue and of the D row being counted survive
+// across a worker's landmarks.
 type liScratch struct {
 	queue []liState
+	row   []dEntry
 }
 
 // localFullIndex implements LocalFullIndex(u) (Lines 5-15): a CMS BFS
@@ -398,19 +451,17 @@ func (idx *LocalIndex) localFullIndex(u graph.VertexID, sc *liScratch) {
 
 	// Line 15: EIT[u] and D[u] from EI[u].
 	eit := make(map[labelset.Set][]graph.VertexID)
-	row := idx.dmat[idx.lmIdx[u]]
 	for w, c := range ei {
 		for _, l := range c.Sets() {
 			eit[l] = append(eit[l], w)
-		}
-		if a := idx.Region(w); a != graph.NoVertex {
-			row[idx.lmIdx[a]]++
 		}
 	}
 	for _, ws := range eit {
 		sort.Slice(ws, func(i, j int) bool { return ws[i] < ws[j] })
 	}
-	idx.eitSorted[idx.lmIdx[u]] = sortedEITEntries(eit)
+	li := idx.lmIdx[u]
+	idx.eitSorted[li] = sortedEITEntries(eit)
+	idx.drows[li], sc.row = idx.dRow(ei, sc.row)
 }
 
 // Landmarks returns the chosen landmarks I.
@@ -565,7 +616,7 @@ func (idx *LocalIndex) D(u, x graph.VertexID) int {
 	if iu < 0 || ix < 0 {
 		return 0
 	}
-	return int(idx.dmat[iu][ix])
+	return int(dAt(idx.drows[iu], uint32(ix), len(idx.drows)))
 }
 
 // Rho is the estimated closeness used by INS's evaluation function. The
@@ -582,7 +633,7 @@ func (idx *LocalIndex) Rho(u, t graph.VertexID) int {
 	if au == at {
 		return -1 << 30 // same region: closest under either reading
 	}
-	d := int(idx.dmat[idx.lmIdx[au]][idx.lmIdx[at]])
+	d := int(dAt(idx.drows[idx.lmIdx[au]], uint32(idx.lmIdx[at]), len(idx.drows)))
 	if idx.literalRho {
 		return d
 	}
@@ -591,35 +642,52 @@ func (idx *LocalIndex) Rho(u, t graph.VertexID) int {
 
 // Entries returns the number of stored minimal label sets across II plus
 // boundary slots across EIT.
-func (idx *LocalIndex) Entries() int {
-	n := 0
-	for _, entries := range idx.iiSorted {
-		for _, e := range entries {
-			n += e.cms.Len()
-		}
-	}
-	for _, entries := range idx.eitSorted {
-		for _, e := range entries {
-			n += len(e.ws)
-		}
-	}
-	return n
+func (idx *LocalIndex) Entries() int { return idx.Footprint().Entries }
+
+// Footprint is the index's size: its stored entries and its memory by
+// structure, in bytes.
+type Footprint struct {
+	// Entries counts the stored minimal label sets across II plus the
+	// boundary slots across EIT.
+	Entries int
+	// Regions counts the per-vertex arrays: AF, the landmark flag and
+	// the landmark-index map (9 bytes per indexed vertex).
+	Regions int64
+	// II counts 16 bytes per II entry (vertex and CMS pointer) plus 8
+	// per stored label set.
+	II int64
+	// EIT counts 8 bytes per EIT key plus 4 per boundary vertex.
+	EIT int64
+	// D counts 8 bytes per stored (landmark, count) entry plus one
+	// 24-byte row header per landmark.
+	D int64
 }
 
-// SizeBytes estimates the index footprint: region arrays plus 8 bytes per
-// stored label set, 16 bytes per map slot, 4 bytes per boundary vertex.
-func (idx *LocalIndex) SizeBytes() int64 {
-	sz := int64(len(idx.af)) * 5 // af + isLandmark
+// Total is the sum of the byte counts, the index's SizeBytes.
+func (f Footprint) Total() int64 { return f.Regions + f.II + f.EIT + f.D }
+
+// Footprint sizes the index in one walk over its entries; the bytes
+// grow with the stored entries, O(|E| + k) for D, not with k².
+func (idx *LocalIndex) Footprint() Footprint {
+	f := Footprint{Regions: int64(len(idx.af)) * 9}
 	for _, entries := range idx.iiSorted {
 		for _, e := range entries {
-			sz += 16 + int64(e.cms.Len())*8
+			n := e.cms.Len()
+			f.Entries += n
+			f.II += 16 + int64(n)*8
 		}
 	}
 	for _, entries := range idx.eitSorted {
 		for _, e := range entries {
-			sz += 8 + int64(len(e.ws))*4
+			f.Entries += len(e.ws)
+			f.EIT += 8 + int64(len(e.ws))*4
 		}
 	}
-	sz += int64(len(idx.dmat)*len(idx.dmat)) * 4
-	return sz
+	for _, row := range idx.drows {
+		f.D += 24 + int64(len(row))*8
+	}
+	return f
 }
+
+// SizeBytes estimates the index footprint: Footprint().Total().
+func (idx *LocalIndex) SizeBytes() int64 { return idx.Footprint().Total() }

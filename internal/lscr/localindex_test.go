@@ -312,7 +312,7 @@ func TestIndexWorkerInvariance(t *testing.T) {
 		if !reflect.DeepEqual(par.af, seq.af) {
 			t.Fatalf("workers=%d: region assignment differs", workers)
 		}
-		if !reflect.DeepEqual(par.dmat, seq.dmat) {
+		if !reflect.DeepEqual(par.drows, seq.drows) {
 			t.Fatalf("workers=%d: D matrix differs", workers)
 		}
 		if !reflect.DeepEqual(par.eitSorted, seq.eitSorted) {
@@ -472,6 +472,130 @@ func TestLabelsetImportKept(t *testing.T) {
 			t.Log("v0 reachable under empty set — acceptable only via empty CMS")
 		} else {
 			t.Error("Check inconsistent under empty label set")
+		}
+	}
+}
+
+// TestDSparseFootprint: D is stored as sparse rows, so its memory grows
+// with the stored (landmark, count) entries and the landmark count, not
+// with k². At the default k for 20k vertices a dense k×k int32 matrix
+// alone would take 16 MB.
+func TestDSparseFootprint(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	g := testkg.Random(rng, 20000, 70000, 8)
+	idx := NewLocalIndex(g, IndexParams{Seed: 1})
+	k := len(idx.Landmarks())
+	if k != DefaultK(g.NumVertices()) {
+		t.Fatalf("k = %d, want the default %d", k, DefaultK(g.NumVertices()))
+	}
+	nnz, held := 0, int64(24*len(idx.drows))
+	for _, row := range idx.drows {
+		nnz += len(row)
+		held += int64(cap(row)) * 8
+	}
+	if nnz == 0 {
+		t.Fatal("D is empty; the graph has no boundary pairs to count")
+	}
+	if bound := int64(16*nnz + 32*k); held > bound {
+		t.Errorf("D holds %d bytes for %d entries over k=%d, want ≤ %d", held, nnz, k, bound)
+	}
+	fp := idx.Footprint()
+	if fp.D > held {
+		t.Errorf("Footprint().D = %d exceeds the %d bytes D holds", fp.D, held)
+	}
+	if sz := idx.SizeBytes(); sz != fp.Total() || sz >= 8<<20 {
+		t.Errorf("SizeBytes = %d (parts sum %d), want the parts' sum and under 8 MiB; dense D would be %d",
+			sz, fp.Total(), int64(4*k*k))
+	}
+	t.Logf("k=%d nnz=%d D=%d B (dense %d B) SizeBytes=%d", k, nnz, held, 4*k*k, idx.SizeBytes())
+}
+
+// TestDMatchesBoundaryCount checks D and Rho against an independent
+// dense recount: D(u, x) is the number of distinct boundary vertices
+// EITEntries(u, universe) enumerates whose region is F(x). It covers
+// fresh indexes and indexes maintained through insert and delete
+// batches (a dirty landmark keeps its stale EIT and D row together).
+// TestDAtEveryRow checks dAt's windowed search against the row itself
+// for every row shape a k-landmark index can store, k ≤ 10: each subset
+// of the columns [0, k), from the empty row to the full one.
+func TestDAtEveryRow(t *testing.T) {
+	for k := 1; k <= 10; k++ {
+		for mask := 0; mask < 1<<k; mask++ {
+			var row []dEntry
+			for x := 0; x < k; x++ {
+				if mask&(1<<x) != 0 {
+					row = append(row, dEntry{lm: uint32(x), n: int32(x + 1)})
+				}
+			}
+			for x := 0; x < k; x++ {
+				want := int32(0)
+				if mask&(1<<x) != 0 {
+					want = int32(x + 1)
+				}
+				if got := dAt(row, uint32(x), k); got != want {
+					t.Fatalf("k=%d row %b: dAt(%d) = %d, want %d", k, mask, x, got, want)
+				}
+			}
+		}
+	}
+}
+
+func TestDMatchesBoundaryCount(t *testing.T) {
+	dirty, extended := 0, 0
+	for seed := int64(1); seed <= 12; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		n := rng.Intn(60) + 10
+		g := testkg.Random(rng, n, rng.Intn(4*n)+n, rng.Intn(4)+1)
+		cur := NewLocalIndex(g, IndexParams{K: rng.Intn(n/2) + 1, Seed: seed, LiteralRho: seed%3 == 0})
+		checkDAgainstBoundary(t, cur)
+		for batch := 0; batch < 4; batch++ {
+			g2, ops := mutStep(rng, cur.Graph(), rng.Intn(10)+1)
+			var mb MaintBatch
+			cur, mb = cur.ApplyMutations(g2, ops)
+			extended += mb.LandmarksExtended
+			checkDAgainstBoundary(t, cur)
+		}
+		dirty += cur.DirtyLandmarks()
+	}
+	if dirty == 0 || extended == 0 {
+		t.Fatalf("scripts dirtied %d and extended %d landmarks; strengthen them", dirty, extended)
+	}
+}
+
+func checkDAgainstBoundary(t *testing.T, idx *LocalIndex) {
+	t.Helper()
+	lms := idx.Landmarks()
+	col := make(map[graph.VertexID]int, len(lms))
+	for i, x := range lms {
+		col[x] = i
+	}
+	universe := idx.Graph().LabelUniverse()
+	for _, u := range lms {
+		want := make([]int, len(lms))
+		seen := map[graph.VertexID]bool{}
+		idx.EITEntries(u, universe, func(w graph.VertexID) {
+			if seen[w] {
+				return
+			}
+			seen[w] = true
+			if a := idx.Region(w); a != graph.NoVertex {
+				want[col[a]]++
+			}
+		})
+		for i, x := range lms {
+			if got := idx.D(u, x); got != want[i] {
+				t.Fatalf("D(%d, %d) = %d, boundary recount %d", u, x, got, want[i])
+			}
+			rho := -want[i]
+			switch {
+			case u == x:
+				rho = -1 << 30
+			case idx.literalRho:
+				rho = want[i]
+			}
+			if got := idx.Rho(u, x); got != rho {
+				t.Fatalf("Rho(%d, %d) = %d, want %d", u, x, got, rho)
+			}
 		}
 	}
 }

@@ -107,6 +107,7 @@ func (idx *LocalIndex) ApplyMutations(g2 *graph.Graph, ops []graph.EdgeOp) (*Loc
 		lis = append(lis, li)
 	}
 	slices.Sort(lis)
+	extended := false
 	for _, li := range lis {
 		w := affected[li]
 		if w.invalid {
@@ -118,16 +119,25 @@ func (idx *LocalIndex) ApplyMutations(g2 *graph.Graph, ops []graph.EdgeOp) (*Loc
 		if d.dirty != nil && d.dirty[li] {
 			continue // already stale; stays dirty until compaction
 		}
+		if !extended {
+			// Copy-on-write: the first extension gives d its own outer
+			// per-landmark slices, so extendLandmark can swap one
+			// landmark's slots while the entry arrays stay shared.
+			d.iiSorted = slices.Clone(d.iiSorted)
+			d.eitSorted = slices.Clone(d.eitSorted)
+			d.drows = slices.Clone(d.drows)
+			extended = true
+		}
 		mb.EntriesAdded += d.extendLandmark(li, w.inserts)
 		mb.LandmarksExtended++
 	}
 	return d, mb
 }
 
-// derive returns a copy-on-write child of idx bound to g2: the outer
-// per-landmark slices are cloned so extendLandmark/markDirty can swap
-// individual slots, while every per-landmark entry array and D row
-// stays shared with the parent until actually replaced.
+// derive returns a child of idx bound to g2 that shares every
+// per-landmark slice with it; ApplyMutations clones the outer slices
+// only when a landmark is extended. The dirty flags are cloned here, so
+// markDirty can set one.
 func (idx *LocalIndex) derive(g2 *graph.Graph) *LocalIndex {
 	d := &LocalIndex{
 		g:          g2,
@@ -135,9 +145,9 @@ func (idx *LocalIndex) derive(g2 *graph.Graph) *LocalIndex {
 		isLandmark: idx.isLandmark,
 		af:         idx.af,
 		lmIdx:      idx.lmIdx,
-		iiSorted:   slices.Clone(idx.iiSorted),
-		eitSorted:  slices.Clone(idx.eitSorted),
-		dmat:       slices.Clone(idx.dmat),
+		iiSorted:   idx.iiSorted,
+		eitSorted:  idx.eitSorted,
+		drows:      idx.drows,
 		literalRho: idx.literalRho,
 	}
 	if idx.dirty != nil {
@@ -248,13 +258,9 @@ func (idx *LocalIndex) extendLandmark(li int32, ins []graph.Triple) int {
 	// Rebuild EIT[u] and the D row from the updated EI[u], exactly as
 	// the build tail does.
 	eit := make(map[labelset.Set][]graph.VertexID, len(idx.eitSorted[li]))
-	row := make([]int32, len(idx.landmarks))
 	for w, c := range ei {
 		for _, l := range c.Sets() {
 			eit[l] = append(eit[l], w)
-		}
-		if a := idx.Region(w); a != graph.NoVertex {
-			row[idx.lmIdx[a]]++
 		}
 	}
 	for _, ws := range eit {
@@ -262,7 +268,7 @@ func (idx *LocalIndex) extendLandmark(li int32, ins []graph.Triple) int {
 	}
 	idx.iiSorted[li] = sortedIIEntries(ii)
 	idx.eitSorted[li] = sortedEITEntries(eit)
-	idx.dmat[li] = row
+	idx.drows[li], _ = idx.dRow(ei, nil)
 	return added
 }
 
@@ -283,7 +289,7 @@ func (idx *LocalIndex) RebuildFrozen(g *graph.Graph) *LocalIndex {
 		lmIdx:      idx.lmIdx,
 		iiSorted:   make([][]iiEntry, len(idx.landmarks)),
 		eitSorted:  make([][]eitEntry, len(idx.landmarks)),
-		dmat:       newDMat(len(idx.landmarks)),
+		drows:      make([][]dEntry, len(idx.landmarks)),
 		literalRho: idx.literalRho,
 	}
 	if idx.dirty != nil {
@@ -294,7 +300,7 @@ func (idx *LocalIndex) RebuildFrozen(g *graph.Graph) *LocalIndex {
 		if o.dirty != nil && o.dirty[li] {
 			o.iiSorted[li] = idx.iiSorted[li]
 			o.eitSorted[li] = idx.eitSorted[li]
-			copy(o.dmat[li], idx.dmat[li])
+			o.drows[li] = idx.drows[li]
 			continue
 		}
 		o.localFullIndex(u, &sc)
@@ -342,7 +348,7 @@ func (idx *LocalIndex) EqualStructure(o *LocalIndex) error {
 				return fmt.Errorf("landmark %d: EIT[%v] = %v vs %v", u, ae[i].key, ae[i].ws, be[i].ws)
 			}
 		}
-		if !slices.Equal(idx.dmat[li], o.dmat[li]) {
+		if !slices.Equal(idx.drows[li], o.drows[li]) {
 			return fmt.Errorf("landmark %d: D rows differ", u)
 		}
 	}

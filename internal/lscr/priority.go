@@ -1,10 +1,6 @@
 package lscr
 
-import (
-	"container/heap"
-
-	"lscr/internal/graph"
-)
+import "lscr/internal/graph"
 
 // priorityKey orders both of INS's evaluation-function structures. Keys
 // compare lexicographically; smaller is better. Fields are filled
@@ -37,18 +33,48 @@ type pqItem struct {
 	seq int // insertion sequence; independent of key.seq
 }
 
+// pqHeap is a binary min-heap of pqItems, hand-rolled like the frontier
+// queue's so that pushes and pops neither box items into interfaces nor
+// allocate: INS pushes every vertex of V(S,G), tens of thousands on
+// LUBM's S3, into H, whose backing array lives in the pooled scratch.
 type pqHeap []pqItem
 
-func (h pqHeap) Len() int            { return len(h) }
-func (h pqHeap) Less(i, j int) bool  { return h[i].key.less(h[j].key) }
-func (h pqHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *pqHeap) Push(x interface{}) { *h = append(*h, x.(pqItem)) }
-func (h *pqHeap) Pop() interface{} {
+func (h pqHeap) up(j int) {
+	for j > 0 {
+		i := (j - 1) / 2
+		if !h[j].key.less(h[i].key) {
+			break
+		}
+		h[i], h[j] = h[j], h[i]
+		j = i
+	}
+}
+
+func (h pqHeap) down(i int) {
+	n := len(h)
+	for {
+		j := 2*i + 1
+		if j >= n {
+			return
+		}
+		if r := j + 1; r < n && h[r].key.less(h[j].key) {
+			j = r
+		}
+		if !h[j].key.less(h[i].key) {
+			return
+		}
+		h[i], h[j] = h[j], h[i]
+		i = j
+	}
+}
+
+// popTop removes the minimum item.
+func (h *pqHeap) popTop() {
 	old := *h
-	n := len(old)
-	it := old[n-1]
-	*h = old[:n-1]
-	return it
+	n := len(old) - 1
+	old[0] = old[n]
+	*h = old[:n]
+	(*h).down(0)
 }
 
 // lazyPQ is a priority structure whose element priorities depend on
@@ -92,7 +118,8 @@ func (q *lazyPQ) push(v graph.VertexID) {
 	if q.dedup {
 		q.version[v] = int32(q.seq)
 	}
-	heap.Push(&q.h, pqItem{v: v, key: q.keyOf(v, q.seq), seq: q.seq})
+	q.h = append(q.h, pqItem{v: v, key: q.keyOf(v, q.seq), seq: q.seq})
+	q.h.up(len(q.h) - 1)
 }
 
 // peek returns the best current element without removing it. It settles
@@ -105,14 +132,14 @@ func (q *lazyPQ) peek() (graph.VertexID, bool) {
 	for len(q.h) > 0 {
 		top := q.h[0]
 		if q.dedup && q.version[top.v] != int32(top.seq) {
-			heap.Pop(&q.h) // superseded duplicate
+			q.h.popTop() // superseded duplicate
 			continue
 		}
 		if q.revalidate {
 			cur := q.keyOf(top.v, top.key.seq)
 			if cur != top.key {
 				q.h[0].key = cur
-				heap.Fix(&q.h, 0)
+				q.h.down(0)
 				continue
 			}
 		}
@@ -127,7 +154,7 @@ func (q *lazyPQ) pop() (graph.VertexID, bool) {
 	if !ok {
 		return 0, false
 	}
-	heap.Pop(&q.h)
+	q.h.popTop()
 	return v, true
 }
 

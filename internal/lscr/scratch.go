@@ -70,6 +70,9 @@ type scratch struct {
 	// cut is INS's per-landmark Cut/Push-done table; it is zeroed on
 	// borrow (landmark counts are ~√|V|·log|V|, so the clear is cheap).
 	cut []uint8
+	// h is the backing array of INS's heap H, reused across queries
+	// like fq's.
+	h pqHeap
 	// fq is INS's frontier queue Q; its heap backing array is reused
 	// across queries (newFrontierQueue truncates it), so a steady stream
 	// of INS queries stops allocating a fresh heap per query.

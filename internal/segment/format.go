@@ -15,7 +15,7 @@
 //
 // # Segment layout
 //
-//	header    magic "LSCRSEG1" | baseSeq u64 | indexK i64 | indexSeed i64
+//	header    magic "LSCRSEG2" | baseSeq u64 | indexK i64 | indexSeed i64
 //	          flags u32 | sectionCount u32
 //	table     sectionCount × (id u32, crc32 u32, off u64, len u64)
 //	sections  8-byte aligned, zero-padded between
@@ -25,15 +25,16 @@
 // offset+blob string tables; the two CSR sections hold the five flat
 // arrays of one adjacency direction; the schema section is the
 // graph.WriteSchema codec; the index section is the local-index payload
-// (lscr.WriteIndexPayload). Neither embedded codec carries a version of
-// its own: the segment magic versions the whole file, so a layout change
-// in any section means bumping segMagic (TestSegmentFormatFrozen pins
-// the bytes). Every section is individually CRC32'd in
-// the table, and the footer CRC covers the header and table themselves,
-// so a truncated or bit-flipped file fails closed before any array is
-// trusted. Structural validation on top of the checksums
-// (graph.AdjView.Validate and the index payload's budget checks) makes
-// Open safe on hostile bytes, not just on torn writes.
+// (lscr.WriteIndexPayload), which stores D as compressed sparse rows.
+// Neither embedded codec carries a version of its own: the segment
+// magic versions the whole file, so a layout change in any section
+// means bumping segMagic (TestSegmentFormatFrozen pins the bytes).
+// Every section is individually CRC32'd in the table, and the footer
+// CRC covers the header and table themselves, so a truncated or
+// bit-flipped file fails closed before any array is trusted.
+// Structural validation on top of the checksums (graph.AdjView.Validate
+// and the index payload's budget checks) makes Open safe on hostile
+// bytes, not just on torn writes.
 package segment
 
 import (
@@ -48,7 +49,7 @@ import (
 
 // File-format constants.
 const (
-	segMagic    = "LSCRSEG1"
+	segMagic    = "LSCRSEG2"
 	footMagic   = "LSCRSEGF"
 	headerSize  = 40 // magic 8 + baseSeq 8 + indexK 8 + indexSeed 8 + flags 4 + count 4
 	tableEntry  = 24 // id 4 + crc 4 + off 8 + len 8
@@ -56,6 +57,11 @@ const (
 	maxSections = 16
 
 	flagHasIndex = 1 << 0
+
+	// retiredMagic is the previous format (D as a dense k×k matrix). It
+	// is refused with a message naming it, not converted: a store is
+	// re-created from its triples.
+	retiredMagic = "LSCRSEG1"
 )
 
 // Section ids.
@@ -144,7 +150,11 @@ func parseHeader(data []byte) (*header, error) {
 	if len(data) < headerSize+footerSize {
 		return nil, corruptf("file too small (%d bytes)", len(data))
 	}
-	if string(data[0:8]) != segMagic {
+	switch string(data[0:8]) {
+	case segMagic:
+	case retiredMagic:
+		return nil, corruptf("segment format %s is no longer readable; re-create the store", retiredMagic)
+	default:
 		return nil, corruptf("bad magic")
 	}
 	foot := data[len(data)-footerSize:]

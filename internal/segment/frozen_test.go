@@ -12,7 +12,7 @@ import (
 
 // frozenSegmentSHA256 is the SHA-256 of the segment Write produces for
 // the paper's running example with K=3, Seed=7.
-const frozenSegmentSHA256 = "060b380525f7ee24166af4b4a8d5f059e8ad96163a3334c0092987cc7cc58e5c"
+const frozenSegmentSHA256 = "cb6b7578eeaee29a55c71d99a43a041eb8ccb42b9352471df0c11575bab22f5f"
 
 // TestSegmentFormatFrozen pins the segment bytes for one fixed input.
 // The segment magic is the only version the on-disk format carries — it

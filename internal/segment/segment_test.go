@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"lscr/internal/graph"
@@ -190,6 +191,35 @@ func TestSegmentCorruptionDetected(t *testing.T) {
 		if _, err := OpenBytes(orig[:n]); err == nil {
 			t.Fatalf("truncation to %d bytes went undetected", n)
 		}
+	}
+}
+
+// TestSegmentRetiredFormatRefused: a store written in the retired
+// LSCRSEG1 format (dense D matrix) fails to open with a message naming
+// the format and the remedy, still classified as corruption.
+func TestSegmentRetiredFormatRefused(t *testing.T) {
+	g := testGraph(t)
+	idx := lscrcore.NewLocalIndex(g, lscrcore.IndexParams{K: 4, Seed: 1})
+	path, err := Write(t.TempDir(), 1, g, idx, 4, 1)
+	if err != nil {
+		t.Fatalf("Write: %v", err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	copy(data, "LSCRSEG1")
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	const want = "segment format LSCRSEG1 is no longer readable; re-create the store"
+	_, err = Open(path)
+	if !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), want) {
+		t.Fatalf("Open(LSCRSEG1 store) = %v, want ErrCorrupt with %q", err, want)
+	}
+	copy(data, "LSCRSEGX")
+	if _, err := OpenBytes(data); !errors.Is(err, ErrCorrupt) || strings.Contains(err.Error(), "LSCRSEG1") {
+		t.Fatalf("OpenBytes(unknown magic) = %v, want a plain bad-magic ErrCorrupt", err)
 	}
 }
 

@@ -182,6 +182,11 @@ func (s *server) healthz(w http.ResponseWriter, r *http.Request) {
 		Durability:  s.eng.Durability(),
 		Admission:   s.gate.stats(),
 	}
+	// The index footprint is read apart from the snapshot above, so
+	// under a concurrent Apply it may describe the next epoch's index.
+	if st, ok := s.eng.Index(); ok {
+		h.Index = &st
+	}
 	// A poisoned engine still serves reads from its last published
 	// epoch, but writes are refused until restart: report degraded so
 	// probes and the gateway can route writes elsewhere.

@@ -76,6 +76,13 @@ func TestHealthz(t *testing.T) {
 		if out.API != api.Version {
 			t.Errorf("%s api = %q, want %q", path, out.API, api.Version)
 		}
+		ix := out.Index
+		if ix == nil || ix.Landmarks == 0 || ix.SizeBytes <= 0 {
+			t.Fatalf("%s index = %+v, want the serving index's stats", path, ix)
+		}
+		if sum := ix.RegionBytes + ix.IIBytes + ix.EITBytes + ix.DBytes; sum != ix.SizeBytes {
+			t.Errorf("%s index parts sum to %d, size_bytes %d", path, sum, ix.SizeBytes)
+		}
 	}
 }
 
