@@ -8,8 +8,8 @@ import (
 	"lscr/internal/labelset"
 )
 
-func benchGraph(b *testing.B, n, m int) *Graph {
-	b.Helper()
+func benchGraph(tb testing.TB, n, m int) *Graph {
+	tb.Helper()
 	rng := rand.New(rand.NewSource(1))
 	gb := NewBuilder()
 	for i := 0; i < n; i++ {
@@ -119,6 +119,29 @@ func BenchmarkScan(b *testing.B) {
 			}
 			if total == 0 {
 				b.Fatal("no edges matched")
+			}
+		})
+	}
+}
+
+// BenchmarkDeltaCommit times one 16-op Commit on a 20k-vertex graph whose
+// overlay already holds the given number of ops. The persistent overlay
+// re-merges only the batch's rows, so the cost should not grow with the
+// overlay; staging the batch is outside the timer.
+func BenchmarkDeltaCommit(b *testing.B) {
+	for _, size := range []int{0, 1024, 4096} {
+		b.Run("overlay="+strconv.Itoa(size), func(b *testing.B) {
+			rng := rand.New(rand.NewSource(7))
+			g := commitBatches(b, benchGraph(b, 20000, 80000), rng, size)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				d := stageBatch(b, g, rng, 16)
+				b.StartTimer()
+				if _, err := d.Commit(); err != nil {
+					b.Fatal(err)
+				}
 			}
 		})
 	}

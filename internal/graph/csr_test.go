@@ -263,3 +263,54 @@ func FuzzCSREquivalence(f *testing.F) {
 		checkCSRAgainstRef(t, g, newRefGraph(n, edges), edges, nLabels)
 	})
 }
+
+// TestWithoutLabelIndexOverlay runs the labeled-versus-filtering scan
+// check on a view carrying committed batches of inserts and deletes, and
+// pins that WithoutLabelIndex degenerates the overlay's rows as well as
+// the base rows (one run per edge, same edges in the same order) while
+// the view it came from keeps one run per label.
+func TestWithoutLabelIndexOverlay(t *testing.T) {
+	main, _, err := runDeltaScript(3, 40, 300, 4, 3, 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, model := main.last()
+	checkCSRAgainstRef(t, g, newRefGraph(len(model.names), model.edges), model.edges, len(model.labels))
+
+	noIdx := g.WithoutLabelIndex()
+	touched := 0
+	for v := 0; v < g.NumVertices(); v++ {
+		id := VertexID(v)
+		if g.ov.out.get(id) != nil {
+			touched++
+		}
+		for _, dir := range []struct {
+			es         []Edge
+			runs, flat EdgeRuns
+		}{
+			{g.Out(id), g.OutRuns(id), noIdx.OutRuns(id)},
+			{g.In(id), g.InRuns(id), noIdx.InRuns(id)},
+		} {
+			labels := 0
+			for i, e := range dir.es {
+				if i == 0 || e.Label != dir.es[i-1].Label {
+					labels++
+				}
+			}
+			if dir.runs.Len() != labels {
+				t.Fatalf("vertex %d: %d runs over %d labels", v, dir.runs.Len(), labels)
+			}
+			if dir.flat.Len() != len(dir.es) {
+				t.Fatalf("vertex %d: %d degenerate runs over %d edges", v, dir.flat.Len(), len(dir.es))
+			}
+			for i, e := range dir.es {
+				if run := dir.flat.Run(i); len(run) != 1 || run[0] != e || dir.flat.Label(i) != e.Label {
+					t.Fatalf("vertex %d: degenerate run %d is %v, want [%v]", v, i, run, e)
+				}
+			}
+		}
+	}
+	if touched == 0 {
+		t.Fatal("the script touched no vertex")
+	}
+}

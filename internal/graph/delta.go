@@ -3,6 +3,7 @@ package graph
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"slices"
 	"sort"
 
@@ -22,12 +23,24 @@ import (
 // The overlay stores, per direction, the COMPLETE merged adjacency row of
 // every vertex touched by a mutation since the base was built: base edges
 // minus deletions plus insertions, (label, head)-sorted with a label-run
-// index — the exact shape of a base CSR row, packed into one mini-CSR
-// indexed by a dense slot number. OutRuns/InRuns and friends answer from
-// the patch row when the vertex is touched and from the base row
-// otherwise, so the hot loops keep their run-scan shape: merged label
-// runs, deletions already masked, zero per-edge branching. An untouched
-// read costs one nil check (no overlay) or one bitmap probe.
+// index — the exact shape of a base CSR row, held as a one-row adjacency
+// of its own. The rows sit in a copy-on-write radix array keyed by
+// VertexID: a spine of 256-way leaves, where a nil leaf or a nil entry
+// marks an untouched vertex. OutRuns/InRuns and friends answer from the
+// patch row when the vertex is touched and from the base row otherwise,
+// so the hot loops keep their run-scan shape: merged label runs,
+// deletions already masked, zero per-edge branching. An untouched read
+// costs one nil check (no overlay) or one or two nil checks on the spine.
+//
+// The overlay is persistent by path copying (Driscoll, Sarnak, Sleator &
+// Tarjan, "Making Data Structures Persistent", JCSS 1989). Commit copies
+// the spine and only the leaves its batch touches, and re-merges only the
+// batch's vertices, each from its previous overlay row or else its base
+// row; every other row and leaf is shared with the view it extends. The
+// op log is append-only in chunks, so a commit copies at most the partial
+// tail chunk, and the dictionaries are shared when a batch interns
+// nothing. A commit's cost is thus proportional to its batch and the rows
+// the batch touches, not to the overlay accumulated before it.
 //
 // Deletions use multiset semantics (the graph is a multigraph): one
 // DeleteEdge removes one instance of the triple and fails with
@@ -57,8 +70,9 @@ type deltaOp struct {
 	t   Triple
 }
 
-// overlay is the immutable delta layered over a base CSR. All slices and
-// maps are frozen at Commit; successive commits build new overlays.
+// overlay is the immutable delta layered over a base CSR. Nothing
+// reachable from a published overlay is ever written again; successive
+// commits build new overlays that share its unchanged parts.
 type overlay struct {
 	baseV int // vertex-dictionary size of the base
 	baseL int // label-dictionary size of the base
@@ -68,32 +82,85 @@ type overlay struct {
 	labels   []string // new labels: Label = baseL + position
 	labelIDs map[string]Label
 
-	log     []deltaOp
+	log     opLog
 	added   int // edge insertions in log
 	deleted int // edge deletions in log
 
 	out, in patchAdj
 }
 
-// patchAdj holds the merged adjacency rows of the touched vertices of one
-// direction as a mini-CSR: row i of a covers the vertex with slot i.
-type patchAdj struct {
-	touched []uint64 // bitmap over all view vertices
-	slot    map[VertexID]uint32
-	a       adjacency
+// logChunk is the number of ops in each full chunk of an opLog.
+const logChunk = 256
+
+// opLog is the overlay's append-only op log: full chunks of logChunk
+// ops, shared by every later overlay, then a partial tail that each
+// commit copies before appending to it. Two commits staged on one view
+// therefore never write the same backing array.
+type opLog struct {
+	full [][]deltaOp
+	tail []deltaOp // len < logChunk
 }
 
-// has reports whether v owns a patch row.
-func (p *patchAdj) has(v VertexID) bool {
-	w := uint(v) >> 6
-	return w < uint(len(p.touched)) && p.touched[w]&(1<<(uint(v)&63)) != 0
+// len returns the number of logged ops.
+func (l *opLog) len() int { return len(l.full)*logChunk + len(l.tail) }
+
+// at returns op i of the log.
+func (l *opLog) at(i int) deltaOp {
+	if c := i / logChunk; c < len(l.full) {
+		return l.full[c][i%logChunk]
+	}
+	return l.tail[i-len(l.full)*logChunk]
+}
+
+// appended returns the log extended by ops; l itself is unchanged.
+func (l opLog) appended(ops []deltaOp) opLog {
+	if len(ops) == 0 {
+		return l
+	}
+	tail := make([]deltaOp, 0, len(l.tail)+len(ops))
+	tail = append(append(tail, l.tail...), ops...)
+	for len(tail) >= logChunk {
+		l.full = append(l.full[:len(l.full):len(l.full)], tail[:logChunk:logChunk])
+		tail = tail[logChunk:]
+	}
+	l.tail = tail
+	return l
+}
+
+// Leaf geometry of patchAdj's radix array.
+const (
+	leafBits = 8
+	leafSize = 1 << leafBits
+)
+
+// rowLeaf holds the patch rows of leafSize consecutive vertex IDs; a nil
+// entry is an untouched vertex.
+type rowLeaf [leafSize]*adjacency
+
+// patchAdj is one direction's patch rows as a copy-on-write radix array:
+// spine[i] covers vertices [i*leafSize, (i+1)*leafSize), and a nil leaf
+// (or a vertex beyond the spine) is untouched. Each row is a one-row
+// adjacency (off = [0,n], runOff = [0,r]), so it answers run(0), runs(0)
+// and with(0, l) exactly as a base row does.
+type patchAdj struct {
+	spine []*rowLeaf
+}
+
+// get returns v's patch row, or nil when no mutation touched v.
+func (p *patchAdj) get(v VertexID) *adjacency {
+	if i := uint(v) >> leafBits; i < uint(len(p.spine)) {
+		if l := p.spine[i]; l != nil {
+			return l[v&(leafSize-1)]
+		}
+	}
+	return nil
 }
 
 // row returns the merged edge row of v, falling back to the base row for
 // untouched base vertices; untouched new vertices have no edges.
 func (p *patchAdj) row(v VertexID, base *adjacency, baseV int) []Edge {
-	if p.has(v) {
-		return p.a.run(VertexID(p.slot[v]))
+	if r := p.get(v); r != nil {
+		return r.run(0)
 	}
 	if int(v) < baseV {
 		return base.run(v)
@@ -103,8 +170,8 @@ func (p *patchAdj) row(v VertexID, base *adjacency, baseV int) []Edge {
 
 // runs is row as the raw label-run view.
 func (p *patchAdj) runs(v VertexID, base *adjacency, baseV int) EdgeRuns {
-	if p.has(v) {
-		return p.a.runs(VertexID(p.slot[v]))
+	if r := p.get(v); r != nil {
+		return r.runs(0)
 	}
 	if int(v) < baseV {
 		return base.runs(v)
@@ -114,13 +181,163 @@ func (p *patchAdj) runs(v VertexID, base *adjacency, baseV int) EdgeRuns {
 
 // with is row restricted to one exact label.
 func (p *patchAdj) with(v VertexID, l Label, base *adjacency, baseV int) []Edge {
-	if p.has(v) {
-		return p.a.with(VertexID(p.slot[v]), l)
+	if r := p.get(v); r != nil {
+		return r.with(0, l)
 	}
 	if int(v) < baseV {
 		return base.with(v, l)
 	}
 	return nil
+}
+
+// rowOp is one logged op as seen from the vertex whose row it changes.
+type rowOp struct {
+	v   VertexID
+	del bool
+	e   Edge
+}
+
+// cmpEdge orders edges by (label, head), the order of every row.
+func cmpEdge(a, b Edge) int {
+	if a.Label != b.Label {
+		return int(a.Label) - int(b.Label)
+	}
+	return int(a.To) - int(b.To)
+}
+
+// extend returns p with the rows of the vertices ops touch re-merged:
+// each from its row in p, or else its base row, plus the insertions and
+// minus the deletions. It copies the spine and the touched leaves and
+// shares everything else with p, which is unchanged.
+func (p patchAdj) extend(ops []deltaOp, base *adjacency, baseV int, inDir bool) (patchAdj, error) {
+	if len(ops) == 0 {
+		return p, nil
+	}
+	rops := make([]rowOp, len(ops))
+	for i, op := range ops {
+		rops[i] = rowOp{v: op.t.Subject, del: op.del, e: Edge{To: op.t.Object, Label: op.t.Label}}
+		if inDir {
+			rops[i].v, rops[i].e.To = op.t.Object, op.t.Subject
+		}
+	}
+	// Group by vertex, insertions before deletions, each part in row
+	// order, so mergeRow is one linear pass. Equal edges are
+	// indistinguishable, so the order among them does not matter.
+	slices.SortFunc(rops, func(a, b rowOp) int {
+		if a.v != b.v {
+			return int(a.v) - int(b.v)
+		}
+		if a.del != b.del {
+			if a.del {
+				return 1
+			}
+			return -1
+		}
+		return cmpEdge(a.e, b.e)
+	})
+	spine := make([]*rowLeaf, max(len(p.spine), int(rops[len(rops)-1].v>>leafBits)+1))
+	copy(spine, p.spine)
+	owned := -1 // the leaf this commit copied last; rops visit each leaf in one stretch
+	for i := 0; i < len(rops); {
+		v := rops[i].v
+		j := i
+		for j < len(rops) && rops[j].v == v {
+			j++
+		}
+		k := i
+		for k < j && !rops[k].del {
+			k++
+		}
+		prev := p.row(v, base, baseV)
+		r, err := mergeRow(prev, rops[i:k], rops[k:j])
+		if err != nil {
+			return patchAdj{}, fmt.Errorf("%w: overlay merge of vertex %d: %v", ErrEdgeNotFound, v, err)
+		}
+		li := int(v >> leafBits)
+		if li != owned {
+			leaf := new(rowLeaf)
+			if spine[li] != nil {
+				*leaf = *spine[li]
+			}
+			spine[li], owned = leaf, li
+		}
+		spine[li][v&(leafSize-1)] = r
+		i = j
+	}
+	return patchAdj{spine: spine}, nil
+}
+
+// mergeRow returns prev plus ins minus dels as a one-row adjacency with
+// its label-run index. prev, ins and dels are each (label, head)-sorted;
+// a deletion removes one instance, and one with no instance left is an
+// error.
+func mergeRow(prev []Edge, ins, dels []rowOp) (*adjacency, error) {
+	edges := make([]Edge, 0, max(len(prev)+len(ins)-len(dels), 0))
+	i, j, k := 0, 0, 0
+	for i < len(prev) || j < len(ins) {
+		var e Edge
+		if j == len(ins) || i < len(prev) && cmpEdge(prev[i], ins[j].e) <= 0 {
+			e = prev[i]
+			i++
+		} else {
+			e = ins[j].e
+			j++
+		}
+		if k < len(dels) {
+			if c := cmpEdge(dels[k].e, e); c == 0 {
+				k++
+				continue
+			} else if c < 0 {
+				break
+			}
+		}
+		edges = append(edges, e)
+	}
+	if k < len(dels) {
+		return nil, fmt.Errorf("no instance of %v left", dels[k].e)
+	}
+	runs := 0
+	for x := range edges {
+		if x == 0 || edges[x].Label != edges[x-1].Label {
+			runs++
+		}
+	}
+	// off, runOff and runStart share one allocation.
+	idx := make([]uint32, 4, 4+runs)
+	idx[1], idx[3] = uint32(len(edges)), uint32(runs)
+	a := &adjacency{
+		edges:    edges,
+		off:      idx[0:2:2],
+		runOff:   idx[2:4:4],
+		runStart: idx[4:4],
+		runLabel: make([]Label, 0, runs),
+	}
+	for x, e := range edges {
+		if x == 0 || e.Label != edges[x-1].Label {
+			a.runStart = append(a.runStart, uint32(x))
+			a.runLabel = append(a.runLabel, e.Label)
+		}
+	}
+	return a, nil
+}
+
+// degenerate returns p with every row's run index replaced by one run per
+// edge (see WithoutLabelIndex); p is unchanged.
+func (p patchAdj) degenerate() patchAdj {
+	q := patchAdj{spine: make([]*rowLeaf, len(p.spine))}
+	for i, leaf := range p.spine {
+		if leaf == nil {
+			continue
+		}
+		q.spine[i] = new(rowLeaf)
+		for j, r := range leaf {
+			if r != nil {
+				d := degenerateRuns(*r)
+				q.spine[i][j] = &d
+			}
+		}
+	}
+	return q
 }
 
 // Delta stages one batch of mutations against a Graph view. It is not
@@ -176,12 +393,12 @@ func (d *Delta) EdgeOps() []EdgeOp {
 // its epoch at from logged ops, which its rebuilt index must be
 // maintained through.
 func (g *Graph) OverlayEdgeOps(from int) []EdgeOp {
-	if g.ov == nil || from >= len(g.ov.log) {
+	if g.ov == nil || from >= g.ov.log.len() {
 		return nil
 	}
-	log := g.ov.log[from:]
-	ops := make([]EdgeOp, len(log))
-	for i, op := range log {
+	ops := make([]EdgeOp, g.ov.log.len()-from)
+	for i := range ops {
+		op := g.ov.log.at(from + i)
 		ops[i] = EdgeOp{Del: op.del, T: op.t}
 	}
 	return ops
@@ -291,54 +508,44 @@ func (d *Delta) DeleteEdge(s VertexID, l Label, t VertexID) error {
 }
 
 // Commit freezes the staged batch into a new Graph sharing the view's
-// base CSR, with the combined overlay (the view's overlay, if any, plus
-// this Delta) rebuilt. The receiver Graph is left untouched; the Delta
-// must not be reused. An error is an internal inconsistency (staging
-// validates every op), reported rather than swallowed so a corrupted
-// overlay can never be published.
+// base CSR, with the view's overlay (if any) extended by this Delta:
+// only the rows the batch touches are re-merged, and every other part of
+// the view's overlay is shared. The receiver Graph is left untouched;
+// the Delta must not be reused. An error is an internal inconsistency
+// (staging validates every op), reported rather than swallowed so a
+// corrupted overlay can never be published.
 func (d *Delta) Commit() (*Graph, error) {
 	g := d.g
 	if len(d.ops) == 0 && len(d.names) == 0 && len(d.labels) == 0 {
 		return g, nil // nothing staged: the view is already the result
 	}
-	ov := &overlay{
-		baseV: len(g.names),
-		baseL: len(g.labelNames),
+	ov := &overlay{baseV: len(g.names), baseL: len(g.labelNames)}
+	if g.ov != nil {
+		*ov = *g.ov
 	}
-	if old := g.ov; old != nil {
-		// Immutable-append: full slice expressions force a copy whenever
-		// the old backing array would be shared and overwritten.
-		ov.names = append(old.names[:len(old.names):len(old.names)], d.names...)
-		ov.labels = append(old.labels[:len(old.labels):len(old.labels)], d.labels...)
-		ov.log = append(old.log[:len(old.log):len(old.log)], d.ops...)
-	} else {
-		ov.names = d.names
-		ov.labels = d.labels
-		ov.log = d.ops
+	if len(d.names) > 0 {
+		// Immutable-append: the full slice expression forces a copy
+		// whenever the old backing array would be shared and overwritten.
+		ov.names = append(ov.names[:len(ov.names):len(ov.names)], d.names...)
+		ov.nameIDs = extended(ov.nameIDs, d.nameIDs)
 	}
-	ov.nameIDs = make(map[string]VertexID, len(ov.names))
-	for i, name := range ov.names {
-		ov.nameIDs[name] = VertexID(ov.baseV + i)
+	if len(d.labels) > 0 {
+		ov.labels = append(ov.labels[:len(ov.labels):len(ov.labels)], d.labels...)
+		ov.labelIDs = extended(ov.labelIDs, d.labelIDs)
 	}
-	ov.labelIDs = make(map[string]Label, len(ov.labels))
-	for i, name := range ov.labels {
-		ov.labelIDs[name] = Label(ov.baseL + i)
-	}
-	for _, op := range ov.log {
+	ov.log = ov.log.appended(d.ops)
+	for _, op := range d.ops {
 		if op.del {
 			ov.deleted++
 		} else {
 			ov.added++
 		}
 	}
-	nV := ov.baseV + len(ov.names)
 	var err error
-	ov.out, err = buildPatch(ov.log, &g.out, ov.baseV, nV, false)
-	if err != nil {
+	if ov.out, err = ov.out.extend(d.ops, &g.out, ov.baseV, false); err != nil {
 		return nil, err
 	}
-	ov.in, err = buildPatch(ov.log, &g.in, ov.baseV, nV, true)
-	if err != nil {
+	if ov.in, err = ov.in.extend(d.ops, &g.in, ov.baseV, true); err != nil {
 		return nil, err
 	}
 	h := *g
@@ -346,105 +553,16 @@ func (d *Delta) Commit() (*Graph, error) {
 	return &h, nil
 }
 
-// buildPatch materialises one direction's patch mini-CSR from the full
-// overlay log: for every vertex an op touches, its complete merged row
-// (base minus deletions plus insertions, (label, head)-sorted).
-//
-// The log is grouped by vertex with one sort instead of per-vertex maps
-// of slices, and every output array is sized before it is filled: the
-// patch is rebuilt from the whole log on every commit, so per-vertex
-// allocations and growth by doubling would be paid again each time.
-func buildPatch(log []deltaOp, base *adjacency, baseV, nV int, inDir bool) (patchAdj, error) {
-	type rowOp struct {
-		v   VertexID
-		e   Edge
-		del bool
+// extended returns a map holding m's entries plus add's, leaving m
+// unchanged; an empty m yields add itself.
+func extended[V any](m, add map[string]V) map[string]V {
+	if len(m) == 0 {
+		return add
 	}
-	ops := make([]rowOp, len(log))
-	for i, op := range log {
-		ops[i] = rowOp{v: op.t.Subject, e: Edge{To: op.t.Object, Label: op.t.Label}, del: op.del}
-		if inDir {
-			ops[i].v, ops[i].e.To = op.t.Object, op.t.Subject
-		}
-	}
-	// Only the grouping matters: each row is sorted again below, and a
-	// deletion removes one instance of an edge wherever it sits.
-	slices.SortFunc(ops, func(a, b rowOp) int { return int(a.v) - int(b.v) })
-
-	nTouched, nEdges := 0, 0
-	for i, op := range ops {
-		if i == 0 || op.v != ops[i-1].v {
-			nTouched++
-			if int(op.v) < baseV {
-				nEdges += len(base.run(op.v))
-			}
-		}
-		if op.del {
-			nEdges--
-		} else {
-			nEdges++
-		}
-	}
-	p := patchAdj{
-		touched: make([]uint64, (nV+63)/64),
-		slot:    make(map[VertexID]uint32, nTouched),
-	}
-	p.a.off = make([]uint32, 1, nTouched+1)
-	p.a.runOff = make([]uint32, 1, nTouched+1)
-	p.a.edges = make([]Edge, 0, max(nEdges, 0))
-	var row []Edge
-	for i := 0; i < len(ops); {
-		v := ops[i].v
-		j := i
-		for j < len(ops) && ops[j].v == v {
-			j++
-		}
-		group := ops[i:j]
-		i = j
-		p.touched[uint(v)>>6] |= 1 << (uint(v) & 63)
-		p.slot[v] = uint32(len(p.a.off) - 1)
-
-		row = row[:0]
-		if int(v) < baseV {
-			row = append(row, base.run(v)...)
-		}
-		for _, op := range group {
-			if !op.del {
-				row = append(row, op.e)
-			}
-		}
-		slices.SortFunc(row, func(a, b Edge) int {
-			if a.Label != b.Label {
-				return int(a.Label) - int(b.Label)
-			}
-			return int(a.To) - int(b.To)
-		})
-		for _, op := range group {
-			if !op.del {
-				continue
-			}
-			del := op.e
-			k := sort.Search(len(row), func(k int) bool {
-				e := row[k]
-				return e.Label > del.Label || e.Label == del.Label && e.To >= del.To
-			})
-			if k >= len(row) || row[k] != del {
-				return patchAdj{}, fmt.Errorf("%w: overlay rebuild lost (%v, %v)", ErrEdgeNotFound, v, del)
-			}
-			row = append(row[:k], row[k+1:]...)
-		}
-
-		for k, e := range row {
-			if k == 0 || e.Label != row[k-1].Label {
-				p.a.runStart = append(p.a.runStart, uint32(len(p.a.edges)+k))
-				p.a.runLabel = append(p.a.runLabel, e.Label)
-			}
-		}
-		p.a.edges = append(p.a.edges, row...)
-		p.a.off = append(p.a.off, uint32(len(p.a.edges)))
-		p.a.runOff = append(p.a.runOff, uint32(len(p.a.runStart)))
-	}
-	return p, nil
+	out := make(map[string]V, len(m)+len(add))
+	maps.Copy(out, m)
+	maps.Copy(out, add)
+	return out
 }
 
 // HasOverlay reports whether g carries uncompacted mutations.
@@ -457,7 +575,7 @@ func (g *Graph) OverlaySize() int {
 	if g.ov == nil {
 		return 0
 	}
-	return len(g.ov.log)
+	return g.ov.log.len()
 }
 
 // Compact folds the overlay into a fresh base CSR. The result is
@@ -513,11 +631,8 @@ func ReplayOnto(base, cur *Graph, from int, to Cut) (*Graph, error) {
 	for v := base.NumVertices(); v < to.Vertices; v++ {
 		d.Vertex(cur.VertexName(VertexID(v)))
 	}
-	var log []deltaOp
-	if cur.ov != nil {
-		log = cur.ov.log[from:to.Ops]
-	}
-	for _, op := range log {
+	for i := from; i < to.Ops; i++ {
+		op := cur.ov.log.at(i)
 		var err error
 		if op.del {
 			err = d.DeleteEdge(op.t.Subject, op.t.Label, op.t.Object)

@@ -4,7 +4,10 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"maps"
 	"math/rand"
+	"runtime"
+	"slices"
 	"testing"
 )
 
@@ -67,10 +70,72 @@ func observe(t *testing.T, g *Graph) []byte {
 	return buf.Bytes()
 }
 
-// runDeltaScript builds a random base graph, applies `batches` random
-// mutation batches through Delta.Commit (mirrored into the model), and
-// returns the final overlay view plus the model.
-func runDeltaScript(seed int64, n, m, nLabels, batches, opsPerBatch int) (*Graph, *deltaModel, error) {
+// clone returns an independent copy of the model.
+func (m *deltaModel) clone() *deltaModel {
+	return &deltaModel{
+		names:   slices.Clone(m.names),
+		nameIDs: maps.Clone(m.nameIDs),
+		labels:  slices.Clone(m.labels),
+		edges:   slices.Clone(m.edges),
+	}
+}
+
+// deltaChain is one line of commits: views[i] is the view after i
+// batches, models[i] a snapshot of the model it must observe as, and
+// ops[i] the edge ops batch i committed.
+type deltaChain struct {
+	views  []*Graph
+	models []*deltaModel
+	ops    [][]EdgeOp
+}
+
+// last returns the chain's final view and its model.
+func (c *deltaChain) last() (*Graph, *deltaModel) {
+	return c.views[len(c.views)-1], c.models[len(c.models)-1]
+}
+
+// commitRandomBatch stages one random batch of opsPerBatch ops on g,
+// mirrors it into the model (which it advances in place) and commits
+// it, returning the new view and the ops it committed.
+func commitRandomBatch(rng *rand.Rand, g *Graph, model *deltaModel, nLabels, bi, opsPerBatch int) (*Graph, []EdgeOp, error) {
+	d := NewDelta(g)
+	for oi := 0; oi < opsPerBatch; oi++ {
+		if len(model.edges) > 0 && rng.Intn(3) == 0 {
+			// Delete one random surviving instance.
+			i := rng.Intn(len(model.edges))
+			e := model.edges[i]
+			if err := d.DeleteEdge(e.Subject, e.Label, e.Object); err != nil {
+				return nil, nil, fmt.Errorf("batch %d op %d: DeleteEdge(%v): %w", bi, oi, e, err)
+			}
+			model.edges = append(model.edges[:i], model.edges[i+1:]...)
+			continue
+		}
+		// Insert, sometimes via a brand-new vertex name.
+		sName := model.names[rng.Intn(len(model.names))]
+		tName := model.names[rng.Intn(len(model.names))]
+		if rng.Intn(4) == 0 {
+			sName = fmt.Sprintf("w%d_%d", bi, oi)
+		}
+		l := Label(rng.Intn(nLabels))
+		if err := d.AddEdgeNames(sName, "l"+string(rune('a'+int(l))), tName); err != nil {
+			return nil, nil, fmt.Errorf("batch %d op %d: AddEdgeNames: %w", bi, oi, err)
+		}
+		model.edges = append(model.edges, Triple{model.vertex(sName), l, model.vertex(tName)})
+	}
+	ops := d.EdgeOps()
+	g, err := d.Commit()
+	if err != nil {
+		return nil, nil, fmt.Errorf("batch %d: Commit: %w", bi, err)
+	}
+	return g, ops, nil
+}
+
+// runDeltaScript builds a random base graph and applies `batches` random
+// mutation batches through Delta.Commit (mirrored into the model),
+// keeping every intermediate view. It then forks: from a view the main
+// chain has already extended, a second chain commits its own batches,
+// so two commits share each parent view from the fork point on.
+func runDeltaScript(seed int64, n, m, nLabels, batches, opsPerBatch int) (main, fork *deltaChain, err error) {
 	rng := rand.New(rand.NewSource(seed))
 	b, edges := randomTriples(seed, n, m, nLabels)
 	g := b.Build()
@@ -84,38 +149,37 @@ func runDeltaScript(seed int64, n, m, nLabels, batches, opsPerBatch int) (*Graph
 	}
 	model.edges = append(model.edges, edges...)
 
+	main = &deltaChain{views: []*Graph{g}, models: []*deltaModel{model.clone()}}
 	for bi := 0; bi < batches; bi++ {
-		d := NewDelta(g)
-		for oi := 0; oi < opsPerBatch; oi++ {
-			if len(model.edges) > 0 && rng.Intn(3) == 0 {
-				// Delete one random surviving instance.
-				i := rng.Intn(len(model.edges))
-				e := model.edges[i]
-				if err := d.DeleteEdge(e.Subject, e.Label, e.Object); err != nil {
-					return nil, nil, fmt.Errorf("batch %d op %d: DeleteEdge(%v): %w", bi, oi, e, err)
-				}
-				model.edges = append(model.edges[:i], model.edges[i+1:]...)
-				continue
-			}
-			// Insert, sometimes via a brand-new vertex name.
-			sName := model.names[rng.Intn(len(model.names))]
-			tName := model.names[rng.Intn(len(model.names))]
-			if rng.Intn(4) == 0 {
-				sName = fmt.Sprintf("w%d_%d", bi, oi)
-			}
-			l := Label(rng.Intn(nLabels))
-			if err := d.AddEdgeNames(sName, "l"+string(rune('a'+int(l))), tName); err != nil {
-				return nil, nil, fmt.Errorf("batch %d op %d: AddEdgeNames: %w", bi, oi, err)
-			}
-			model.edges = append(model.edges, Triple{model.vertex(sName), l, model.vertex(tName)})
+		var ops []EdgeOp
+		if g, ops, err = commitRandomBatch(rng, g, model, nLabels, bi, opsPerBatch); err != nil {
+			return nil, nil, err
 		}
-		var err error
-		g, err = d.Commit()
-		if err != nil {
-			return nil, nil, fmt.Errorf("batch %d: Commit: %w", bi, err)
-		}
+		main.views = append(main.views, g)
+		main.models = append(main.models, model.clone())
+		main.ops = append(main.ops, ops)
 	}
-	return g, model, nil
+
+	// The fork draws from its own stream, so the main chain's script is
+	// the same with or without it.
+	frng := rand.New(rand.NewSource(^seed))
+	at := frng.Intn(batches)
+	fork = &deltaChain{
+		views:  slices.Clone(main.views[:at+1]),
+		models: slices.Clone(main.models[:at+1]),
+		ops:    slices.Clone(main.ops[:at]),
+	}
+	g, model = main.views[at], main.models[at].clone()
+	for bi := at; bi < batches; bi++ {
+		var ops []EdgeOp
+		if g, ops, err = commitRandomBatch(frng, g, model, nLabels, bi, opsPerBatch); err != nil {
+			return nil, nil, fmt.Errorf("fork at %d: %w", at, err)
+		}
+		fork.views = append(fork.views, g)
+		fork.models = append(fork.models, model.clone())
+		fork.ops = append(fork.ops, ops)
+	}
+	return main, fork, nil
 }
 
 // checkDeltaAgainstModel asserts the overlay view and its compaction are
@@ -167,6 +231,48 @@ func checkDeltaAgainstModel(t *testing.T, g *Graph, model *deltaModel) {
 	}
 }
 
+// checkDeltaChain re-observes every view of a chain once the script,
+// fork included, has ended. Each view must still observe as its own
+// model snapshot, log exactly its chain's ops, and replay from the base
+// to itself: a commit that wrote into a row, leaf, log chunk or
+// dictionary it shares with its parent view would move one of them.
+func checkDeltaChain(t *testing.T, c *deltaChain) {
+	t.Helper()
+	base := c.views[0]
+	var ops []EdgeOp
+	for i, g := range c.views {
+		if i > 0 {
+			ops = append(ops, c.ops[i-1]...)
+		}
+		want := observe(t, c.models[i].build())
+		if !bytes.Equal(observe(t, g), want) {
+			t.Fatalf("view %d no longer observes as its model snapshot", i)
+		}
+		if got := g.OverlayEdgeOps(0); !slices.Equal(got, ops) {
+			t.Fatalf("view %d logs %v, want %v", i, got, ops)
+		}
+		replayed, err := ReplayOnto(base, g, 0, g.Cut())
+		if err != nil {
+			t.Fatalf("view %d: %v", i, err)
+		}
+		if !bytes.Equal(observe(t, replayed), want) {
+			t.Fatalf("view %d: replaying its log onto the base diverges", i)
+		}
+	}
+}
+
+// checkDeltaScript runs checkDeltaAgainstModel on the final view of the
+// main chain and of its fork, then re-observes both chains' history.
+func checkDeltaScript(t *testing.T, main, fork *deltaChain) {
+	t.Helper()
+	for _, c := range []*deltaChain{main, fork} {
+		g, model := c.last()
+		checkDeltaAgainstModel(t, g, model)
+	}
+	checkDeltaChain(t, main)
+	checkDeltaChain(t, fork)
+}
+
 // Property: for random mutation scripts, apply-then-compact is
 // observationally identical to building from the final edge set.
 func TestDeltaCompactEquivalenceProperty(t *testing.T) {
@@ -179,16 +285,17 @@ func TestDeltaCompactEquivalenceProperty(t *testing.T) {
 		ops := rng.Intn(24) + 1
 		seed := rng.Int63()
 		t.Logf("shape %d: seed=%d n=%d m=%d labels=%d batches=%d ops=%d", i, seed, n, m, nLabels, batches, ops)
-		g, model, err := runDeltaScript(seed, n, m, nLabels, batches, ops)
+		main, fork, err := runDeltaScript(seed, n, m, nLabels, batches, ops)
 		if err != nil {
 			t.Fatal(err)
 		}
-		checkDeltaAgainstModel(t, g, model)
+		checkDeltaScript(t, main, fork)
 	}
 }
 
-// FuzzDeltaCompactEquivalence drives the same equivalence from fuzzed
-// script shapes, mirroring FuzzCSREquivalence.
+// FuzzDeltaCompactEquivalence drives the same equivalence, fork and
+// history checks from fuzzed script shapes, mirroring
+// FuzzCSREquivalence.
 func FuzzDeltaCompactEquivalence(f *testing.F) {
 	f.Add(int64(1), uint8(5), uint8(40), uint8(3), uint8(2), uint8(10))
 	f.Add(int64(42), uint8(1), uint8(0), uint8(1), uint8(1), uint8(1))
@@ -199,11 +306,11 @@ func FuzzDeltaCompactEquivalence(f *testing.F) {
 		nLabels := int(lRaw%5) + 1
 		batches := int(bRaw%4) + 1
 		ops := int(oRaw%24) + 1
-		g, model, err := runDeltaScript(seed, n, m, nLabels, batches, ops)
+		main, fork, err := runDeltaScript(seed, n, m, nLabels, batches, ops)
 		if err != nil {
 			t.Fatal(err)
 		}
-		checkDeltaAgainstModel(t, g, model)
+		checkDeltaScript(t, main, fork)
 	})
 }
 
@@ -315,5 +422,76 @@ func TestDeltaChainOverlayLog(t *testing.T) {
 	}
 	if _, err := ReplayOnto(g0, g1, 0, g2.Cut()); err == nil {
 		t.Fatal("replay past the view's overlay accepted")
+	}
+}
+
+// stageBatch stages n random ops on g among its existing vertices: about
+// one in three deletes one instance of an existing out-edge, the rest
+// insert.
+func stageBatch(tb testing.TB, g *Graph, rng *rand.Rand, n int) *Delta {
+	tb.Helper()
+	d := NewDelta(g)
+	nV, nL := g.NumVertices(), g.NumLabels()
+	for d.Ops() < n {
+		s := VertexID(rng.Intn(nV))
+		if es := g.Out(s); len(es) > 0 && rng.Intn(3) == 0 {
+			e := es[rng.Intn(len(es))]
+			// ErrEdgeNotFound: this batch already deleted the last instance.
+			if err := d.DeleteEdge(s, e.Label, e.To); err != nil && !errors.Is(err, ErrEdgeNotFound) {
+				tb.Fatal(err)
+			}
+			continue
+		}
+		if err := d.AddEdge(s, Label(rng.Intn(nL)), VertexID(rng.Intn(nV))); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	return d
+}
+
+// commitBatches chains 16-op batches onto g until its overlay holds at
+// least ops ops.
+func commitBatches(tb testing.TB, g *Graph, rng *rand.Rand, ops int) *Graph {
+	tb.Helper()
+	for g.OverlaySize() < ops {
+		var err error
+		if g, err = stageBatch(tb, g, rng, 16).Commit(); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	return g
+}
+
+// TestDeltaCommitFlatInOverlay pins the persistent overlay's cost model:
+// a 16-op Commit allocates about as much at a 4096-op overlay as at a
+// 16-op one, because it copies only the spine, the leaves and rows its
+// batch touches and the log's partial tail chunk. A whole-overlay
+// rebuild allocates in proportion to the overlay and fails here.
+func TestDeltaCommitFlatInOverlay(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates")
+	}
+	// slack absorbs the log's partial tail chunk (at most logChunk ops of
+	// 16 B) and leaf-count jitter between the two batches.
+	const slack = 8 << 10
+	rng := rand.New(rand.NewSource(37))
+	commitBytes := func(g *Graph) uint64 {
+		d := stageBatch(t, g, rng, 16)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if _, err := d.Commit(); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	g := commitBatches(t, benchGraph(t, 20000, 80000), rng, 16)
+	small := commitBytes(g)
+	g = commitBatches(t, g, rng, 4096)
+	large := commitBytes(g)
+	t.Logf("16-op commit allocates %d B at a 16-op overlay, %d B at %d ops", small, large, g.OverlaySize())
+	if large > small*3/2+slack {
+		t.Fatalf("commit at a %d-op overlay allocates %d B, over 1.5 × %d B + %d B at a 16-op overlay",
+			g.OverlaySize(), large, small, slack)
 	}
 }

@@ -365,8 +365,8 @@ func (g *Graph) WithoutLabelIndex() *Graph {
 	h.in = degenerateRuns(g.in)
 	if g.ov != nil {
 		ov := *g.ov
-		ov.out.a = degenerateRuns(g.ov.out.a)
-		ov.in.a = degenerateRuns(g.ov.in.a)
+		ov.out = g.ov.out.degenerate()
+		ov.in = g.ov.in.degenerate()
 		h.ov = &ov
 	}
 	return &h

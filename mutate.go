@@ -177,7 +177,9 @@ func (e *Engine) Health() (*KG, CacheStats, EpochInfo, MaintStats) {
 //
 // Apply batches serialize with each other and with compaction swaps;
 // reads are never blocked. The per-batch cost is proportional to the
-// overlay size plus the degrees of the touched vertices, not to |G|.
+// batch plus the degrees of the touched vertices (and a spine copy of
+// |V|/256 pointers), not to |G| or to the overlay accumulated since the
+// last compaction.
 func (e *Engine) Apply(ctx context.Context, muts []Mutation) (ApplyResult, error) {
 	if ctx == nil {
 		ctx = context.Background()
