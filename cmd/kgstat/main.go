@@ -47,8 +47,13 @@ func run(w io.Writer, r io.Reader, top int) error {
 	fmt.Fprintf(w, "edges     %d\n", g.NumEdges())
 	fmt.Fprintf(w, "labels    %d\n", g.NumLabels())
 	fmt.Fprintf(w, "density   %.2f\n", g.Density())
-	fmt.Fprintf(w, "classes   %d (schema instances: %d)\n",
-		len(g.Schema().Classes()), g.Schema().NumInstances())
+	classes, instances := rdf.Classes(g), 0
+	if typ, ok := g.LabelByName(rdf.TypePredicate); ok {
+		for _, c := range classes {
+			instances += len(g.InWith(c, typ))
+		}
+	}
+	fmt.Fprintf(w, "classes   %d (instances: %d)\n", len(classes), instances)
 
 	// Label histogram.
 	counts := make([]int, g.NumLabels())

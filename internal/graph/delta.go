@@ -580,7 +580,7 @@ func (g *Graph) OverlaySize() int {
 
 // Compact folds the overlay into a fresh base CSR. The result is
 // observationally identical to g — same dictionaries in the same ID
-// order, same ordered Triples, same schema — with no overlay, so every
+// order, same ordered Triples — with no overlay, so every
 // read is a plain base-CSR access again. Without an overlay it returns g
 // itself.
 func (g *Graph) Compact() *Graph {
@@ -588,7 +588,6 @@ func (g *Graph) Compact() *Graph {
 		return g
 	}
 	b := NewBuilder()
-	b.schema = g.schema
 	for l := 0; l < g.NumLabels(); l++ {
 		b.Label(g.LabelName(Label(l)))
 	}

@@ -48,9 +48,9 @@ func (m *deltaModel) build() *Graph {
 }
 
 // observe renders a total observation of g: the vertex and label
-// dictionaries in ID order, the ordered Triples and the WriteSchema
-// bytes. An overlay view observes its merged state, so equal
-// observations mean observationally identical graphs.
+// dictionaries in ID order and the ordered Triples. An overlay view
+// observes its merged state, so equal observations mean observationally
+// identical graphs.
 func observe(t *testing.T, g *Graph) []byte {
 	t.Helper()
 	var buf bytes.Buffer
@@ -64,9 +64,6 @@ func observe(t *testing.T, g *Graph) []byte {
 		fmt.Fprintf(&buf, "e %d %d %d\n", tr.Subject, tr.Label, tr.Object)
 		return true
 	})
-	if _, err := WriteSchema(&buf, g.Schema()); err != nil {
-		t.Fatal(err)
-	}
 	return buf.Bytes()
 }
 

@@ -1,6 +1,8 @@
 // Package graph implements the knowledge-graph substrate of the paper: a
 // directed edge-labeled multigraph G = (V, E, ℒ, LS) (Definition 2.1) with
-// vertex and label dictionaries and an RDFS schema store LS.
+// vertex and label dictionaries. The RDFS store LS is not a separate
+// structure: its vocabulary triples (rdf:type, rdfs:subClassOf, ...) are
+// labeled edges like any other (see package rdf).
 //
 // Vertices are dense uint32 IDs assigned by a Builder; adjacency is stored
 // both forward and backward so search algorithms and the SPARQL engine can
@@ -131,8 +133,8 @@ func (r EdgeRuns) Run(i int) []Edge {
 	return a.edges[start:end:end]
 }
 
-// Graph is an immutable edge-labeled multigraph with dictionaries and an
-// RDFS schema. Build one with a Builder. A Graph produced by
+// Graph is an immutable edge-labeled multigraph with vertex and label
+// dictionaries. Build one with a Builder. A Graph produced by
 // Delta.Commit additionally carries an overlay (see delta.go); every
 // accessor below answers for the merged view, and the base arrays are
 // shared untouched across commits.
@@ -149,7 +151,6 @@ type Graph struct {
 	ov *overlay // nil for a plain base CSR
 
 	numEdges int // base edge count; overlay adds/deletes tracked in ov
-	schema   *Schema
 }
 
 // NumVertices returns |V|.
@@ -385,9 +386,6 @@ func degenerateRuns(a adjacency) adjacency {
 	return d
 }
 
-// Schema returns the RDFS schema store LS. It is never nil.
-func (g *Graph) Schema() *Schema { return g.schema }
-
 // Density returns |E|/|V|, the D of Figure 5.
 func (g *Graph) Density() float64 {
 	if g.NumVertices() == 0 {
@@ -409,8 +407,7 @@ type Builder struct {
 	labelNames []string
 	labelIDs   map[string]Label
 
-	edges  []Triple
-	schema *Schema
+	edges []Triple
 }
 
 // NewBuilder returns an empty Builder.
@@ -418,7 +415,6 @@ func NewBuilder() *Builder {
 	return &Builder{
 		vertexIDs: make(map[string]VertexID),
 		labelIDs:  make(map[string]Label),
-		schema:    NewSchema(),
 	}
 }
 
@@ -461,9 +457,6 @@ func (b *Builder) AddEdgeNames(s, label, t string) {
 	b.AddEdge(b.Vertex(s), b.Label(label), b.Vertex(t))
 }
 
-// Schema returns the mutable schema store being built.
-func (b *Builder) Schema() *Schema { return b.schema }
-
 // NumVertices returns the number of vertices interned so far.
 func (b *Builder) NumVertices() int { return len(b.names) }
 
@@ -481,7 +474,6 @@ func (b *Builder) Build() *Graph {
 		labelNames: b.labelNames,
 		labelIDs:   b.labelIDs,
 		numEdges:   len(b.edges),
-		schema:     b.schema,
 	}
 	// One in-place sort of the triple list per direction; the flat edge
 	// arrays then fill sequentially, so Build allocates exactly the final

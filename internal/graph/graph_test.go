@@ -159,49 +159,6 @@ func TestVertexInterning(t *testing.T) {
 	}
 }
 
-func TestSchema(t *testing.T) {
-	b := NewBuilder()
-	v := b.Vertex("Taylor")
-	w := b.Vertex("Walker")
-	s := b.Schema()
-	s.AddInstance("Researcher", v)
-	s.AddInstance("Researcher", w)
-	s.AddSubClassOf("Researcher", "Person")
-	s.SetDomain("workWith", "Researcher")
-	s.SetRange("workWith", "Researcher")
-	g := b.Build()
-
-	sc := g.Schema()
-	if got := sc.Instances("Researcher"); len(got) != 2 {
-		t.Fatalf("Instances = %v", got)
-	}
-	if !sc.IsInstance(v, "Researcher") || sc.IsInstance(v, "Person") {
-		t.Error("IsInstance misbehaves")
-	}
-	if got := sc.ClassesOf(v); len(got) != 1 || got[0] != "Researcher" {
-		t.Errorf("ClassesOf = %v", got)
-	}
-	if got := sc.SuperClasses("Researcher"); len(got) != 1 || got[0] != "Person" {
-		t.Errorf("SuperClasses = %v", got)
-	}
-	if d, ok := sc.Domain("workWith"); !ok || d != "Researcher" {
-		t.Errorf("Domain = %v %v", d, ok)
-	}
-	if r, ok := sc.Range("workWith"); !ok || r != "Researcher" {
-		t.Errorf("Range = %v %v", r, ok)
-	}
-	cs := sc.Classes()
-	if len(cs) != 2 || cs[0] != "Person" || cs[1] != "Researcher" {
-		t.Errorf("Classes = %v", cs)
-	}
-	if sc.NumInstances() != 2 {
-		t.Errorf("NumInstances = %d", sc.NumInstances())
-	}
-	if _, ok := sc.Domain("unknown"); ok {
-		t.Error("unknown property has a domain")
-	}
-}
-
 // Property: a random edge list builds into a graph whose out- and in-
 // adjacency agree edge-for-edge, and whose edge count matches.
 func TestBuildAdjacencyConsistencyProperty(t *testing.T) {

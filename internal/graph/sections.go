@@ -1,6 +1,15 @@
 package graph
 
-import "fmt"
+import (
+	"errors"
+	"fmt"
+)
+
+// ErrCorrupt reports untrusted input (an index payload, segment or WAL
+// stream) that is truncated, malformed or hostile. Every decoder in the
+// persistence stack wraps it, so callers can classify any bad-bytes
+// failure with one errors.Is regardless of which layer noticed first.
+var ErrCorrupt = errors.New("graph: corrupt or truncated input")
 
 // Section views: the raw flat arrays behind an overlay-free Graph,
 // exposed so the segment layer (internal/segment) can write them to disk
@@ -119,7 +128,7 @@ func (v AdjView) Validate(nV, nLabels int) error {
 // the dictionaries) are aliased, not copied, so they may point into
 // mmap'd storage; they must never be mutated afterwards. Both views are
 // validated (see AdjView.Validate) and must describe the same edge
-// multiset size. A nil schema means an empty one.
+// multiset size.
 //
 // nameOrder, when non-nil, is the vertex ids permuted into strictly
 // ascending name order (a segment's name-index section): Vertex then
@@ -127,7 +136,7 @@ func (v AdjView) Validate(nV, nLabels int) error {
 // allocates no per-name storage at all. It is validated here — in-range,
 // strictly ascending — which both proves it a permutation and rejects
 // duplicate names. A nil nameOrder falls back to building the map.
-func FromParts(names, labelNames []string, nameOrder []uint32, out, in AdjView, schema *Schema) (*Graph, error) {
+func FromParts(names, labelNames []string, nameOrder []uint32, out, in AdjView) (*Graph, error) {
 	nV, nL := len(names), len(labelNames)
 	if err := out.Validate(nV, nL); err != nil {
 		return nil, fmt.Errorf("out adjacency: %w", err)
@@ -138,15 +147,11 @@ func FromParts(names, labelNames []string, nameOrder []uint32, out, in AdjView, 
 	if len(out.Edges) != len(in.Edges) {
 		return nil, fmt.Errorf("%w: direction edge counts disagree (%d vs %d)", ErrCorrupt, len(out.Edges), len(in.Edges))
 	}
-	if schema == nil {
-		schema = NewSchema()
-	}
 	g := &Graph{
 		names:      names,
 		labelNames: labelNames,
 		numEdges:   len(out.Edges),
 		labelIDs:   make(map[string]Label, nL),
-		schema:     schema,
 	}
 	if nameOrder != nil {
 		if len(nameOrder) != nV {

@@ -77,7 +77,7 @@ func NewLandmarkIndex(g *graph.Graph, p LandmarkParams) *LandmarkIndex {
 		rl:         make(map[graph.VertexID]map[labelset.Set][]graph.VertexID, k),
 	}
 	// Highest-degree landmark selection ([19]; contrast with the local
-	// index's schema-driven selection, §5.1.2).
+	// index's class-driven selection, §5.1.2).
 	order := make([]graph.VertexID, n)
 	for i := range order {
 		order[i] = graph.VertexID(i)

@@ -11,6 +11,7 @@ import (
 
 	"lscr/internal/graph"
 	"lscr/internal/labelset"
+	"lscr/internal/rdf"
 )
 
 // LocalIndex is the paper's lightweight index (Algorithm 3, §5.1). Unlike
@@ -146,9 +147,9 @@ type IndexParams struct {
 	// Seed drives the random class selection of LandmarkSelect; fixed
 	// seeds give reproducible indexes.
 	Seed int64
-	// ClassFraction is the fraction of schema classes randomly selected
-	// to draw landmark instances from; 0 means 0.5. Ignored when the
-	// schema is empty (degree-based fallback).
+	// ClassFraction is the fraction of classes (rdf.Classes) randomly
+	// selected to draw landmark instances from; 0 means 0.5. Ignored
+	// when the graph has no classes (degree-based fallback).
 	ClassFraction float64
 	// LiteralRho makes Rho return D(s.AF, t.AF) verbatim, the paper's
 	// literal definition, instead of the repository's default negated
@@ -281,14 +282,16 @@ func sortedEITEntries(m map[labelset.Set][]graph.VertexID) []eitEntry {
 	return out
 }
 
-// landmarkSelect implements the schema-driven selection of §5.1.2: pick a
+// landmarkSelect implements the class-driven selection of §5.1.2: pick a
 // random set of classes from LS, then evenly mark k instances of the
-// selected classes as landmarks. Selecting by raw degree would favour
-// vertices whose incident edges carry only RDF vocabulary labels, making
-// the index useless for constraints without those labels (§5.1.2). When
-// the schema records no instances, it falls back to highest-degree
-// selection and, in either case, pads with high-degree vertices if the
-// selected classes provide fewer than k instances.
+// selected classes as landmarks. LS is read off the graph's own
+// rdf:type/rdfs:subClassOf edges (rdf.Classes), and a class's instances
+// are the tails of its rdf:type in-edges. Selecting by raw degree would
+// favour vertices whose incident edges carry only RDF vocabulary labels,
+// making the index useless for constraints without those labels
+// (§5.1.2). When the graph has no class instances, it falls back to
+// highest-degree selection and, in either case, pads with high-degree
+// vertices if the selected classes provide fewer than k instances.
 func (idx *LocalIndex) landmarkSelect(k int, p IndexParams) {
 	g := idx.g
 	rng := rand.New(rand.NewSource(p.Seed))
@@ -297,8 +300,10 @@ func (idx *LocalIndex) landmarkSelect(k int, p IndexParams) {
 		frac = 0.5
 	}
 	var pool []graph.VertexID
-	classes := g.Schema().Classes()
-	if len(classes) > 0 {
+	// Without an rdf:type label no class has instances: the pool stays
+	// empty and selection falls back to degree order.
+	typ, hasType := g.LabelByName(rdf.TypePredicate)
+	if classes := rdf.Classes(g); hasType && len(classes) > 0 {
 		nSel := int(float64(len(classes)) * frac)
 		if nSel < 1 {
 			nSel = 1
@@ -306,10 +311,10 @@ func (idx *LocalIndex) landmarkSelect(k int, p IndexParams) {
 		perm := rng.Perm(len(classes))
 		seen := make(map[graph.VertexID]bool)
 		for _, ci := range perm[:nSel] {
-			for _, v := range g.Schema().Instances(classes[ci]) {
-				if !seen[v] {
-					seen[v] = true
-					pool = append(pool, v)
+			for _, e := range g.InWith(classes[ci], typ) {
+				if !seen[e.To] {
+					seen[e.To] = true
+					pool = append(pool, e.To)
 				}
 			}
 		}
@@ -333,7 +338,7 @@ func (idx *LocalIndex) landmarkSelect(k int, p IndexParams) {
 		}
 	}
 	if len(idx.landmarks) < k {
-		// Degree-ordered padding (also the schema-free fallback).
+		// Degree-ordered padding (also the class-free fallback).
 		order := make([]graph.VertexID, g.NumVertices())
 		for i := range order {
 			order[i] = graph.VertexID(i)

@@ -10,6 +10,7 @@ import (
 	"lscr/internal/labelset"
 	"lscr/internal/lcr"
 	"lscr/internal/pattern"
+	"lscr/internal/rdf"
 	"lscr/internal/testkg"
 )
 
@@ -265,7 +266,7 @@ func TestINSPrunesViaIndex(t *testing.T) {
 	mark := b.Label("mark")
 	key := b.Vertex("key")
 	b.AddEdge(s, mark, key)
-	b.Schema().AddInstance("K", lm)
+	b.AddEdgeNames("landmark", rdf.TypePredicate, "K")
 	g := b.Build()
 
 	cons := &pattern.Constraint{Focus: "x",
@@ -274,7 +275,7 @@ func TestINSPrunesViaIndex(t *testing.T) {
 
 	idx := NewLocalIndex(g, IndexParams{K: 1, Seed: 1, ClassFraction: 1})
 	if idx.Landmarks()[0] != lm {
-		t.Fatalf("landmark selection picked %v, want the schema instance", idx.Landmarks())
+		t.Fatalf("landmark selection picked %v, want the class instance", idx.Landmarks())
 	}
 	ansINS, stINS, err := INS(g, idx, q, nil)
 	if err != nil || !ansINS {
@@ -396,8 +397,8 @@ func TestIndexDeterminism(t *testing.T) {
 }
 
 func TestIndexSchemaDrivenSelection(t *testing.T) {
-	// Landmarks must come from schema instances when the schema is rich
-	// enough, not from raw degree.
+	// Landmarks must come from class instances, the tails of rdf:type
+	// edges, when there are enough of them, not from raw degree.
 	b := graph.NewBuilder()
 	hub := b.Vertex("hub") // degree-heavy vertex, not an instance
 	p := b.Label("p")
@@ -405,16 +406,18 @@ func TestIndexSchemaDrivenSelection(t *testing.T) {
 		v := b.Vertex(vn(i))
 		b.AddEdge(hub, p, v)
 		b.AddEdge(v, p, hub)
-		b.Schema().AddInstance("K", v)
+		b.AddEdgeNames(vn(i), rdf.TypePredicate, "K")
 	}
 	g := b.Build()
+	typ, _ := g.LabelByName(rdf.TypePredicate)
+	k := g.Vertex("K")
 	idx := NewLocalIndex(g, IndexParams{K: 4, Seed: 1, ClassFraction: 1})
 	for _, u := range idx.Landmarks() {
 		if u == hub {
-			t.Fatal("degree-based hub chosen despite schema instances")
+			t.Fatal("degree-based hub chosen despite class instances")
 		}
-		if !g.Schema().IsInstance(u, "K") {
-			t.Fatalf("landmark %d is not a schema instance", u)
+		if !g.HasEdge(u, typ, k) {
+			t.Fatalf("landmark %d is not an instance of K", u)
 		}
 	}
 }

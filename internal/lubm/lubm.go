@@ -144,10 +144,10 @@ type gen struct {
 	b   *graph.Builder
 }
 
-// triple adds an RDF triple through the same path the loader uses, so the
-// schema store and the edge set stay consistent with file-loaded KGs.
+// triple adds an RDF triple as a labeled edge, the same way the loader
+// (rdf.Load) does, so a generated KG and a file-loaded one agree.
 func (g *gen) triple(s, p, o string) {
-	rdf.AddTriple(g.b, rdf.Triple{Subject: s, Predicate: p, Object: o})
+	g.b.AddEdgeNames(s, p, o)
 }
 
 // ontology emits the class hierarchy and property domains — the LS part

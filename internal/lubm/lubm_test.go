@@ -3,6 +3,7 @@ package lubm
 import (
 	"testing"
 
+	"lscr/internal/rdf"
 	"lscr/internal/sparql"
 )
 
@@ -20,10 +21,15 @@ func TestGenerateBasics(t *testing.T) {
 	if g.NumLabels() > 30 {
 		t.Errorf("labels = %d", g.NumLabels())
 	}
-	// The schema store knows the classes the landmark selector needs.
+	// The rdf:type edges give the landmark selector instances of the
+	// classes it needs.
+	typ, ok := g.LabelByName(rdf.TypePredicate)
+	if !ok {
+		t.Fatal("no rdf:type label")
+	}
 	for _, c := range []string{ClassDepartment, ClassFullProfessor, ClassUndergraduateStudent} {
-		if len(g.Schema().Instances(c)) == 0 {
-			t.Errorf("no instances of %s in schema", c)
+		if len(g.InWith(g.Vertex(c), typ)) == 0 {
+			t.Errorf("no rdf:type instances of %s", c)
 		}
 	}
 }

@@ -1,24 +1,25 @@
 // Package rdf implements the RDF substrate the paper assumes: a triple
-// codec in an N-Triples-like line format, the RDFS vocabulary the schema
-// layer understands, and a loader that turns a triple stream into the
-// graph substrate (data edges + schema store).
+// codec in an N-Triples-like line format, the RDFS vocabulary terms, and
+// a loader that turns a triple stream into the graph substrate.
 //
 // The paper (§2): "KGs are stored by RDF triples and formatted by RDFS".
-// Triples whose predicate is an RDFS vocabulary term populate the schema
-// store LS; everything else becomes a labeled data edge.
+// Every triple, vocabulary included, becomes a labeled edge, so the RDFS
+// store LS is the subgraph of vocabulary-labeled edges: Classes reads
+// the class facts straight off the rdf:type and rdfs:subClassOf edges.
 package rdf
 
 import (
 	"bufio"
 	"fmt"
 	"io"
+	"slices"
 	"strconv"
 	"strings"
 
 	"lscr/internal/graph"
 )
 
-// RDFS/RDF vocabulary terms recognised by the loader.
+// RDF/RDFS vocabulary terms.
 const (
 	TypePredicate       = "rdf:type"
 	SubClassOfPredicate = "rdfs:subClassOf"
@@ -28,7 +29,7 @@ const (
 )
 
 // IsVocabulary reports whether predicate is one of the RDFS vocabulary
-// terms that route a triple into the schema store rather than the edge set.
+// terms whose edges make up the RDFS store LS.
 func IsVocabulary(predicate string) bool {
 	switch predicate {
 	case TypePredicate, SubClassOfPredicate, DomainPredicate, RangePredicate:
@@ -246,11 +247,10 @@ func (w *Writer) Write(t Triple) error {
 // Flush flushes buffered output.
 func (w *Writer) Flush() error { return w.w.Flush() }
 
-// Load reads a triple stream and builds a Graph. RDFS vocabulary triples
-// populate the schema store; all triples (vocabulary included) also become
-// labeled edges, matching the paper's view of a KG as an edge-labeled
-// graph whose label set may include RDF vocabulary terms (§5.1.2 discusses
-// edges labeled "rdf:type" etc.).
+// Load reads a triple stream and builds a Graph. Every triple, RDFS
+// vocabulary included, becomes a labeled edge, matching the paper's view
+// of a KG as an edge-labeled graph whose label set may include RDF
+// vocabulary terms (§5.1.2 discusses edges labeled "rdf:type" etc.).
 func Load(r io.Reader) (*graph.Graph, error) {
 	b := graph.NewBuilder()
 	rd := NewReader(r)
@@ -262,35 +262,56 @@ func Load(r io.Reader) (*graph.Graph, error) {
 		if err != nil {
 			return nil, err
 		}
-		AddTriple(b, t)
+		b.AddEdgeNames(t.Subject, t.Predicate, t.Object)
 	}
 	return b.Build(), nil
 }
 
-// AddTriple records one triple into the builder: schema bookkeeping for
-// vocabulary predicates plus a labeled edge in all cases.
-func AddTriple(b *graph.Builder, t Triple) {
-	s := b.Vertex(t.Subject)
-	o := b.Vertex(t.Object)
-	switch t.Predicate {
-	case TypePredicate:
-		if t.Object == ClassTerm {
-			b.Schema().AddClass(t.Subject)
-		} else {
-			b.Schema().AddInstance(t.Object, s)
-		}
-	case SubClassOfPredicate:
-		b.Schema().AddSubClassOf(t.Subject, t.Object)
-	case DomainPredicate:
-		b.Schema().SetDomain(t.Subject, t.Object)
-	case RangePredicate:
-		b.Schema().SetRange(t.Subject, t.Object)
+// Classes returns the class vertices of g, sorted by name. A vertex c is
+// a class when it is the object of an rdf:type edge and is not
+// rdfs:Class, when (c rdf:type rdfs:Class) is an edge, or when it is
+// either end of an rdfs:subClassOf edge. The instances of c are the
+// tails of g.InWith(c, rdf:type). One pass over every vertex's
+// out-runs of the two labels finds them; it runs once per index build.
+func Classes(g *graph.Graph) []graph.VertexID {
+	typ, hasType := g.LabelByName(TypePredicate)
+	sub, hasSub := g.LabelByName(SubClassOfPredicate)
+	if !hasType && !hasSub {
+		return nil
 	}
-	b.AddEdge(s, b.Label(t.Predicate), o)
+	classTerm := g.Vertex(ClassTerm)
+	isClass := make([]bool, g.NumVertices())
+	for i := range isClass {
+		v := graph.VertexID(i)
+		if hasType {
+			for _, e := range g.OutWith(v, typ) {
+				if e.To == classTerm {
+					isClass[v] = true
+				} else {
+					isClass[e.To] = true
+				}
+			}
+		}
+		if hasSub {
+			for _, e := range g.OutWith(v, sub) {
+				isClass[v], isClass[e.To] = true, true
+			}
+		}
+	}
+	var out []graph.VertexID
+	for i, c := range isClass {
+		if c {
+			out = append(out, graph.VertexID(i))
+		}
+	}
+	slices.SortFunc(out, func(a, b graph.VertexID) int {
+		return strings.Compare(g.VertexName(a), g.VertexName(b))
+	})
+	return out
 }
 
-// Dump writes every edge of g as a triple stream. Schema facts are
-// recoverable because vocabulary triples are stored as edges too.
+// Dump writes every edge of g, vocabulary triples included, as a triple
+// stream.
 func Dump(g *graph.Graph, w io.Writer) error {
 	wr := NewWriter(w)
 	var err error

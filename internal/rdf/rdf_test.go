@@ -162,15 +162,21 @@ func TestLoadBuildsSchemaAndEdges(t *testing.T) {
 	if g.NumEdges() != 8 {
 		t.Errorf("NumEdges = %d, want 8 (vocabulary triples are edges too)", g.NumEdges())
 	}
-	s := g.Schema()
-	if got := s.Instances("eg:Researcher"); len(got) != 2 {
+	researcher := g.Vertex("eg:Researcher")
+	typ, _ := g.LabelByName(TypePredicate)
+	if got := g.InWith(researcher, typ); len(got) != 2 {
 		t.Errorf("Researcher instances = %v", got)
 	}
-	if sup := s.SuperClasses("eg:Researcher"); len(sup) != 1 || sup[0] != "eg:Person" {
+	sub, _ := g.LabelByName(SubClassOfPredicate)
+	if sup := g.OutWith(researcher, sub); len(sup) != 1 || g.VertexName(sup[0].To) != "eg:Person" {
 		t.Errorf("SuperClasses = %v", sup)
 	}
-	if d, ok := s.Domain("eg:workWith"); !ok || d != "eg:Researcher" {
-		t.Errorf("Domain = %q %v", d, ok)
+	dom, _ := g.LabelByName(DomainPredicate)
+	if !g.HasEdge(g.Vertex("eg:workWith"), dom, researcher) {
+		t.Error("domain edge missing")
+	}
+	if cs := Classes(g); len(cs) != 2 || g.VertexName(cs[0]) != "eg:Person" || g.VertexName(cs[1]) != "eg:Researcher" {
+		t.Errorf("Classes = %v", cs)
 	}
 	taylor := g.Vertex("Taylor")
 	walker := g.Vertex("Walker")
@@ -203,8 +209,9 @@ func TestDumpRoundTrip(t *testing.T) {
 	if g2.NumVertices() != g.NumVertices() || g2.NumEdges() != g.NumEdges() {
 		t.Fatalf("round trip mismatch: %v vs %v", g2, g)
 	}
-	if got := g2.Schema().Instances("K"); len(got) != 1 {
-		t.Errorf("schema lost in round trip: %v", got)
+	typ, _ := g2.LabelByName(TypePredicate)
+	if got := g2.InWith(g2.Vertex("K"), typ); len(got) != 1 {
+		t.Errorf("class instance lost in round trip: %v", got)
 	}
 }
 

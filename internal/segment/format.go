@@ -1,7 +1,7 @@
 // Package segment is the persistence subsystem: immutable on-disk
 // segments holding a complete engine state (base CSR both directions,
-// label-run index, string dictionaries, RDFS schema and the local
-// index) as aligned little-endian flat arrays, plus a checksummed
+// label-run index, string dictionaries and the local index) as aligned
+// little-endian flat arrays, plus a checksummed
 // write-ahead log (WAL) that makes mutation batches durable between
 // segment seals.
 //
@@ -15,7 +15,7 @@
 //
 // # Segment layout
 //
-//	header    magic "LSCRSEG2" | baseSeq u64 | indexK i64 | indexSeed i64
+//	header    magic "LSCRSEG3" | baseSeq u64 | indexK i64 | indexSeed i64
 //	          flags u32 | sectionCount u32
 //	table     sectionCount × (id u32, crc32 u32, off u64, len u64)
 //	sections  8-byte aligned, zero-padded between
@@ -23,12 +23,13 @@
 //
 // Section payloads (ids below): the label and vertex dictionaries are
 // offset+blob string tables; the two CSR sections hold the five flat
-// arrays of one adjacency direction; the schema section is the
-// graph.WriteSchema codec; the index section is the local-index payload
-// (lscr.WriteIndexPayload), which stores D as compressed sparse rows.
-// Neither embedded codec carries a version of its own: the segment
-// magic versions the whole file, so a layout change in any section
-// means bumping segMagic (TestSegmentFormatFrozen pins the bytes).
+// arrays of one adjacency direction; the index section is the
+// local-index payload (lscr.WriteIndexPayload), which stores D as
+// compressed sparse rows. RDFS class facts need no section of their
+// own: they are rdf:type/rdfs:subClassOf edges in the CSR sections.
+// The index payload carries no version of its own: the segment magic
+// versions the whole file, so a layout change in any section means
+// bumping segMagic (TestSegmentFormatFrozen pins the bytes).
 // Every section is individually CRC32'd in the table, and the footer
 // CRC covers the header and table themselves, so a truncated or
 // bit-flipped file fails closed before any array is trusted.
@@ -42,6 +43,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"slices"
 	"sort"
 
 	"lscr/internal/graph"
@@ -49,7 +51,7 @@ import (
 
 // File-format constants.
 const (
-	segMagic    = "LSCRSEG2"
+	segMagic    = "LSCRSEG3"
 	footMagic   = "LSCRSEGF"
 	headerSize  = 40 // magic 8 + baseSeq 8 + indexK 8 + indexSeed 8 + flags 4 + count 4
 	tableEntry  = 24 // id 4 + crc 4 + off 8 + len 8
@@ -57,12 +59,13 @@ const (
 	maxSections = 16
 
 	flagHasIndex = 1 << 0
-
-	// retiredMagic is the previous format (D as a dense k×k matrix). It
-	// is refused with a message naming it, not converted: a store is
-	// re-created from its triples.
-	retiredMagic = "LSCRSEG1"
 )
+
+// retiredMagics are earlier formats: LSCRSEG1 stored D as a dense k×k
+// matrix and LSCRSEG2 carried an RDFS schema section (id 5). They are
+// refused with a message naming them, not converted: a store is
+// re-created from its triples.
+var retiredMagics = []string{"LSCRSEG1", "LSCRSEG2"}
 
 // Section ids.
 const (
@@ -70,8 +73,8 @@ const (
 	secVertexDict uint32 = 2
 	secCSROut     uint32 = 3
 	secCSRIn      uint32 = 4
-	secSchema     uint32 = 5
-	secIndex      uint32 = 6
+	// Id 5 held the retired RDFS schema section; it is not reused.
+	secIndex uint32 = 6
 	// secNameIdx holds the vertex ids permuted into ascending-name
 	// order: Vertex() binary-searches it over the mmap'd dictionary, so
 	// opening a segment never builds a name→id hash map.
@@ -150,11 +153,10 @@ func parseHeader(data []byte) (*header, error) {
 	if len(data) < headerSize+footerSize {
 		return nil, corruptf("file too small (%d bytes)", len(data))
 	}
-	switch string(data[0:8]) {
-	case segMagic:
-	case retiredMagic:
-		return nil, corruptf("segment format %s is no longer readable; re-create the store", retiredMagic)
-	default:
+	if magic := string(data[0:8]); magic != segMagic {
+		if slices.Contains(retiredMagics, magic) {
+			return nil, corruptf("segment format %s is no longer readable; re-create the store", magic)
+		}
 		return nil, corruptf("bad magic")
 	}
 	foot := data[len(data)-footerSize:]

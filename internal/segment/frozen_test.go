@@ -12,13 +12,13 @@ import (
 
 // frozenSegmentSHA256 is the SHA-256 of the segment Write produces for
 // the paper's running example with K=3, Seed=7.
-const frozenSegmentSHA256 = "cb6b7578eeaee29a55c71d99a43a041eb8ccb42b9352471df0c11575bab22f5f"
+const frozenSegmentSHA256 = "8a4e08ec37b3e075ccce3210efba75f27f15ee722e106e2d6a9c53a13b3312d1"
 
 // TestSegmentFormatFrozen pins the segment bytes for one fixed input.
 // The segment magic is the only version the on-disk format carries — it
-// covers the embedded index payload and schema codec too — so any byte
-// that changes here is a format change, and readers of old stores would
-// misread them unless the magic moves with it.
+// covers the embedded index payload too — so any byte that changes here
+// is a format change, and readers of old stores would misread them
+// unless the magic moves with it.
 func TestSegmentFormatFrozen(t *testing.T) {
 	g, _ := testkg.RunningExample()
 	idx := lscrcore.NewLocalIndex(g, lscrcore.IndexParams{K: 3, Seed: 7})

@@ -122,15 +122,7 @@ func OpenBytes(data []byte) (*Segment, error) {
 	if err != nil {
 		return nil, fmt.Errorf("csr-in: %w", err)
 	}
-	schemaSec, err := sectionBytes(data, h, secSchema)
-	if err != nil {
-		return nil, err
-	}
-	schema, err := graph.ReadSchema(schemaSec, len(names))
-	if err != nil {
-		return nil, err
-	}
-	g, err := graph.FromParts(names, labels, nameOrder, out, in, schema)
+	g, err := graph.FromParts(names, labels, nameOrder, out, in)
 	if err != nil {
 		return nil, err
 	}

@@ -6,16 +6,18 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
 	"lscr/internal/graph"
 	lscrcore "lscr/internal/lscr"
+	"lscr/internal/rdf"
 )
 
-// testGraph builds a small multigraph with a schema, enough structure
-// to exercise every section: several labels, parallel edges, an
-// isolated vertex, class instances and subclass pairs.
+// testGraph builds a small multigraph with RDFS class facts, enough
+// structure to exercise every section: several labels, parallel edges,
+// an isolated vertex, class instances and subclass pairs.
 func testGraph(t testing.TB) *graph.Graph {
 	t.Helper()
 	b := graph.NewBuilder()
@@ -24,13 +26,12 @@ func testGraph(t testing.TB) *graph.Graph {
 	}
 	b.AddEdgeNames("v1", "l0", "v2") // parallel edge
 	b.Vertex("isolated")
-	s := b.Schema()
-	s.AddInstance("Person", b.Vertex("v1"))
-	s.AddInstance("Person", b.Vertex("v3"))
-	s.AddInstance("City", b.Vertex("v5"))
-	s.AddSubClassOf("Person", "Agent")
-	s.SetDomain("l0", "Person")
-	s.SetRange("l0", "City")
+	b.AddEdgeNames("v1", rdf.TypePredicate, "Person")
+	b.AddEdgeNames("v3", rdf.TypePredicate, "Person")
+	b.AddEdgeNames("v5", rdf.TypePredicate, "City")
+	b.AddEdgeNames("Person", rdf.SubClassOfPredicate, "Agent")
+	b.AddEdgeNames("l0", rdf.DomainPredicate, "Person")
+	b.AddEdgeNames("l0", rdf.RangePredicate, "City")
 	return b.Build()
 }
 
@@ -87,27 +88,19 @@ func TestSegmentRoundTrip(t *testing.T) {
 			t.Fatalf("triple %d: %v vs %v", i, gt[i], ht[i])
 		}
 	}
-	gs, hs := g.Schema(), h.Schema()
-	gc, hc := gs.Classes(), hs.Classes()
-	if len(gc) != len(hc) {
-		t.Fatalf("schema classes: %v vs %v", gc, hc)
+	gc, hc := rdf.Classes(g), rdf.Classes(h)
+	if !slices.Equal(gc, hc) || len(gc) != 3 {
+		t.Fatalf("classes: %v vs %v", gc, hc)
 	}
-	for i, c := range gc {
-		if hc[i] != c {
-			t.Fatalf("schema class %d: %q vs %q", i, hc[i], c)
-		}
-		gi, hi := gs.Instances(c), hs.Instances(c)
-		if len(gi) != len(hi) {
-			t.Fatalf("class %q instances: %v vs %v", c, gi, hi)
-		}
-		for j := range gi {
-			if gi[j] != hi[j] {
-				t.Fatalf("class %q instance %d differs", c, j)
-			}
+	typ, _ := h.LabelByName(rdf.TypePredicate)
+	for _, c := range gc {
+		if !slices.Equal(g.InWith(c, typ), h.InWith(c, typ)) {
+			t.Fatalf("class %q instances differ", g.VertexName(c))
 		}
 	}
-	if d, ok := hs.Domain("l0"); !ok || d != "Person" {
-		t.Fatalf("domain(l0) = %q, %v", d, ok)
+	dom, _ := h.LabelByName(rdf.DomainPredicate)
+	if !h.HasEdge(h.Vertex("l0"), dom, h.Vertex("Person")) {
+		t.Fatal("domain(l0) edge missing")
 	}
 	if seg.Index == nil {
 		t.Fatal("index section missing")
@@ -194,9 +187,10 @@ func TestSegmentCorruptionDetected(t *testing.T) {
 	}
 }
 
-// TestSegmentRetiredFormatRefused: a store written in the retired
-// LSCRSEG1 format (dense D matrix) fails to open with a message naming
-// the format and the remedy, still classified as corruption.
+// TestSegmentRetiredFormatRefused: a store written in a retired format
+// (LSCRSEG1 with its dense D matrix, LSCRSEG2 with its schema section)
+// fails to open with a message naming the format and the remedy, still
+// classified as corruption.
 func TestSegmentRetiredFormatRefused(t *testing.T) {
 	g := testGraph(t)
 	idx := lscrcore.NewLocalIndex(g, lscrcore.IndexParams{K: 4, Seed: 1})
@@ -208,17 +202,19 @@ func TestSegmentRetiredFormatRefused(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	copy(data, "LSCRSEG1")
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	const want = "segment format LSCRSEG1 is no longer readable; re-create the store"
-	_, err = Open(path)
-	if !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), want) {
-		t.Fatalf("Open(LSCRSEG1 store) = %v, want ErrCorrupt with %q", err, want)
+	for _, magic := range []string{"LSCRSEG1", "LSCRSEG2"} {
+		copy(data, magic)
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		want := "segment format " + magic + " is no longer readable; re-create the store"
+		_, err = Open(path)
+		if !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), want) {
+			t.Fatalf("Open(%s store) = %v, want ErrCorrupt with %q", magic, err, want)
+		}
 	}
 	copy(data, "LSCRSEGX")
-	if _, err := OpenBytes(data); !errors.Is(err, ErrCorrupt) || strings.Contains(err.Error(), "LSCRSEG1") {
+	if _, err := OpenBytes(data); !errors.Is(err, ErrCorrupt) || strings.Contains(err.Error(), "no longer readable") {
 		t.Fatalf("OpenBytes(unknown magic) = %v, want a plain bad-magic ErrCorrupt", err)
 	}
 }

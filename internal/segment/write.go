@@ -183,11 +183,6 @@ func writeSegment(f *os.File, baseSeq uint64, g *graph.Graph, idx *lscrcore.Loca
 		{secNameIdx, func(sw *segWriter) { sw.nameIdx(names) }},
 		{secCSROut, func(sw *segWriter) { sw.csr(out) }},
 		{secCSRIn, func(sw *segWriter) { sw.csr(in) }},
-		{secSchema, func(sw *segWriter) {
-			if _, err := graph.WriteSchema(sw, g.Schema()); err != nil && sw.err == nil {
-				sw.err = err
-			}
-		}},
 	}
 	if idx != nil {
 		h.flags |= flagHasIndex
@@ -234,8 +229,7 @@ func writeSegment(f *os.File, baseSeq uint64, g *graph.Graph, idx *lscrcore.Loca
 }
 
 // segWriter tracks position and the running section CRC. Write tees
-// into the checksum, so the schema and index codecs can stream through
-// it directly.
+// into the checksum, so the index codec can stream through it directly.
 type segWriter struct {
 	f   *os.File
 	w   *bufio.Writer

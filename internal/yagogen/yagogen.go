@@ -1,7 +1,7 @@
 // Package yagogen generates scale-free knowledge graphs in the shape of
 // YAGO [18], the real KG of the paper's §6.2 experiment. The original
 // YAGO dump is not redistributable here; what the experiment actually
-// exercises — a scale-free degree distribution, a class/instance schema
+// exercises — a scale-free degree distribution, a class/instance
 // layer, and a Zipfian relation-label mix over which random substructure
 // constraints of controlled |V(S,G)| can be generated — is reproduced
 // synthetically (see DESIGN.md §5).
@@ -86,13 +86,8 @@ func Generate(cfg Config) *graph.Graph {
 	classes := make([]string, cfg.Classes)
 	for i := range classes {
 		classes[i] = fmt.Sprintf("class%d", i)
-		b.Schema().AddClass(classes[i])
 		if i > 0 {
-			rdf.AddTriple(b, rdf.Triple{
-				Subject:   classes[i],
-				Predicate: rdf.SubClassOfPredicate,
-				Object:    classes[(i-1)/2],
-			})
+			b.AddEdgeNames(classes[i], rdf.SubClassOfPredicate, classes[(i-1)/2])
 		}
 	}
 	relations := make([]string, cfg.Relations)
@@ -112,7 +107,6 @@ func Generate(cfg Config) *graph.Graph {
 		entities[i] = v
 		// Zipfian class choice: low class IDs are much more common.
 		class := classes[classZipf.Uint64()]
-		b.Schema().AddInstance(class, v)
 		b.AddEdge(v, typeLabel, b.Vertex(class))
 		attach = append(attach, v)
 

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"lscr/internal/graph"
+	"lscr/internal/rdf"
 )
 
 func TestGenerateBasics(t *testing.T) {
@@ -19,8 +20,13 @@ func TestGenerateBasics(t *testing.T) {
 	if g.NumLabels() > 40 {
 		t.Errorf("labels = %d, exceeds expectation", g.NumLabels())
 	}
-	if g.Schema().NumInstances() != 2000 {
-		t.Errorf("schema instances = %d, want 2000", g.Schema().NumInstances())
+	typ, _ := g.LabelByName(rdf.TypePredicate)
+	instances := 0
+	for _, c := range rdf.Classes(g) {
+		instances += len(g.InWith(c, typ))
+	}
+	if instances != 2000 {
+		t.Errorf("class instances = %d, want 2000", instances)
 	}
 }
 

@@ -160,8 +160,9 @@ type Options struct {
 	SkipIndex bool
 	// Landmarks overrides the paper's k = log2(|V|)·√|V| landmark count.
 	Landmarks int
-	// IndexSeed drives the random schema-class selection of the landmark
-	// selector; fixed seeds give reproducible indexes.
+	// IndexSeed drives the landmark selector's random choice among the
+	// KG's classes, read off its rdf:type and rdfs:subClassOf edges;
+	// fixed seeds give reproducible indexes.
 	IndexSeed int64
 	// IndexWorkers bounds the goroutines used to build the local index.
 	// 0 means GOMAXPROCS; 1 forces a sequential build. The built index is

@@ -103,9 +103,9 @@ func (m *mutModel) build() *graph.Graph {
 	return b.Build()
 }
 
-// mutSeedGraph builds the deterministic schema-free base graph (landmark
-// selection falls back to degree order, so rebuilt engines need no
-// schema replication) and the model mirroring it.
+// mutSeedGraph builds the deterministic base graph and the model
+// mirroring it. The graph has no rdf:type edges, so landmark selection
+// runs in degree order.
 func mutSeedGraph(seed int64, n, nLabels, nEdges int) (*graph.Graph, *mutModel) {
 	rng := rand.New(rand.NewSource(seed))
 	m := newMutModel()

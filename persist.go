@@ -18,9 +18,9 @@ import (
 // Persistent engines.
 //
 // Create seals the engine's state into an on-disk segment — the base
-// CSR in both directions, the label-run index, the string dictionaries,
-// the schema and the local index, laid out as aligned little-endian
-// flat arrays with per-section checksums (internal/segment) — and
+// CSR in both directions, the label-run index, the string dictionaries
+// and the local index, laid out as aligned little-endian flat arrays
+// with per-section checksums (internal/segment) — and
 // attaches a write-ahead log. Open maps the newest segment back
 // (near-zero-copy: the graph arrays and dictionary strings alias the
 // mapping) and replays the WAL tail through the engine's normal commit
