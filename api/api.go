@@ -176,8 +176,8 @@ type Health struct {
 	Cache    lscr.CacheStats `json:"cache"`
 	Epoch    lscr.EpochInfo  `json:"epoch"`
 	// Maintenance reports incremental index maintenance: cumulative
-	// counters plus the serving epoch's dirty-landmark count and index
-	// epoch, consistent with Epoch.
+	// counters plus the serving epoch's dirty-landmark count, consistent
+	// with Epoch.
 	Maintenance lscr.MaintStats `json:"maintenance"`
 	// Index reports the serving local index's size by structure; absent
 	// when the engine runs without an index.

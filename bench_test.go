@@ -67,10 +67,6 @@ func BenchmarkFig15(b *testing.B) {
 	runExperiment(b, "fig15", bench.RunFig15)
 }
 
-func BenchmarkAblationRho(b *testing.B) {
-	runExperiment(b, "ablation-rho", bench.RunAblationRho)
-}
-
 func BenchmarkAblationLandmarks(b *testing.B) {
 	runExperiment(b, "ablation-landmarks", bench.RunAblationLandmarks)
 }

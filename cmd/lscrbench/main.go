@@ -8,8 +8,8 @@
 //	lscrbench -exp all -queries 50  # every paper experiment
 //
 // Experiments: table2, fig5a, fig5b, fig10, fig11, fig12, fig13, fig14,
-// fig15, ablation-rho, ablation-landmarks, ablation-queue,
-// ablation-vsorder, and all, which runs each of them in that order.
+// fig15, ablation-landmarks, ablation-queue, ablation-vsorder, and
+// all, which runs each of them in that order.
 // Every experiment checks each answer against the workload's ground
 // truth and exits nonzero on a mismatch. End-to-end performance of the
 // engine, server and gateway is measured by the benchmark module
@@ -32,8 +32,7 @@ import (
 var order = []string{
 	"table2", "fig5a", "fig5b",
 	"fig10", "fig11", "fig12", "fig13", "fig14", "fig15",
-	"ablation-rho", "ablation-landmarks", "ablation-queue",
-	"ablation-vsorder",
+	"ablation-landmarks", "ablation-queue", "ablation-vsorder",
 }
 
 var runners = map[string]func(io.Writer, bench.Config) error{
@@ -46,7 +45,6 @@ var runners = map[string]func(io.Writer, bench.Config) error{
 	"fig13":              figure("S4"),
 	"fig14":              figure("S5"),
 	"fig15":              bench.RunFig15,
-	"ablation-rho":       bench.RunAblationRho,
 	"ablation-vsorder":   bench.RunAblationVSOrder,
 	"ablation-landmarks": bench.RunAblationLandmarks,
 	"ablation-queue":     bench.RunAblationQueue,

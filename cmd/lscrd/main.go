@@ -14,8 +14,8 @@
 // are WAL-logged (fsynced per batch unless -durability lazy) before
 // they are acknowledged, and a clean shutdown re-seals so the next
 // boot replays nothing. Without -data the engine is purely in-memory:
-// the KG and index are built at startup (across -workers goroutines)
-// and mutations do not survive the process.
+// the KG and index are built at startup (across all cores) and
+// mutations do not survive the process.
 //
 // With -follow the process is a read replica instead: it bootstraps
 // from the writer's newest sealed segment (GET /v1/segment), tails its
@@ -73,7 +73,6 @@ func main() {
 		dataDir      = flag.String("data", "", "data directory: open the store there, or create one from -kg on first boot")
 		durability   = flag.String("durability", "sync", "WAL fsync policy for -data: sync (per batch) or lazy")
 		addr         = flag.String("addr", ":8080", "listen address")
-		workers      = flag.Int("workers", 0, "index-build goroutines (0 = all cores)")
 		cacheSize    = flag.Int("cache", 0, "constraint-cache capacity (0 = default, negative = disabled)")
 		compactAfter = flag.Int("compact-after", 0, "overlay ops before background compaction (0 = default, negative = manual only)")
 		readonly     = flag.Bool("readonly", false, "disable /v1/mutate (403)")
@@ -100,10 +99,10 @@ func main() {
 			fmt.Fprintln(os.Stderr, "lscrd: -follow replicates the writer's state; it cannot be combined with -kg or -data")
 			os.Exit(2)
 		}
-		runFollower(*follow, *addr, lscr.Options{IndexWorkers: *workers, ConstraintCacheSize: *cacheSize}, admission)
+		runFollower(*follow, *addr, lscr.Options{ConstraintCacheSize: *cacheSize}, admission)
 		return
 	}
-	opts := lscr.Options{IndexWorkers: *workers, ConstraintCacheSize: *cacheSize, CompactAfter: *compactAfter}
+	opts := lscr.Options{ConstraintCacheSize: *cacheSize, CompactAfter: *compactAfter}
 	switch *durability {
 	case "sync":
 		opts.Durability = lscr.DurabilitySync

@@ -87,7 +87,7 @@ func TestProvisionDataDir(t *testing.T) {
 		t.Fatal(err)
 	}
 	data := filepath.Join(dir, "store")
-	opts := lscr.Options{IndexWorkers: 1}
+	var opts lscr.Options
 
 	if _, err := provision(data, "", opts); err == nil {
 		t.Fatal("empty dir without -kg accepted")

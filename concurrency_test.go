@@ -11,6 +11,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"strconv"
 	"sync"
 	"testing"
@@ -386,9 +387,16 @@ func TestConstraintCacheEviction(t *testing.T) {
 	}
 }
 
-// TestEngineIndexWorkersDeterminism: the public knob. Engines built with
-// different IndexWorkers values must report identical index statistics
-// and answer a random workload identically.
+// newEngineOnProcs builds an engine with GOMAXPROCS set to procs, the
+// index build's worker count, and restores the previous setting.
+func newEngineOnProcs(procs int, kg *KG, opts Options) *Engine {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+	return NewEngine(kg, opts)
+}
+
+// TestEngineIndexWorkersDeterminism: engines whose index was built on
+// different worker counts (GOMAXPROCS) must report identical index
+// statistics and answer a random workload identically.
 func TestEngineIndexWorkersDeterminism(t *testing.T) {
 	ctx := context.Background()
 	for _, seed := range []int64{1, 2, 3} {
@@ -396,7 +404,7 @@ func TestEngineIndexWorkersDeterminism(t *testing.T) {
 		const nVertices = 70
 		g := testkg.Random(rng, nVertices, 260, 4)
 		kg := FromGraph(g)
-		ref := NewEngine(kg, Options{IndexSeed: seed, IndexWorkers: 1})
+		ref := newEngineOnProcs(1, kg, Options{IndexSeed: seed})
 		refStats, ok := ref.Index()
 		if !ok {
 			t.Fatal("reference engine has no index")
@@ -407,7 +415,7 @@ func TestEngineIndexWorkersDeterminism(t *testing.T) {
 		}
 		refAns := ref.QueryBatch(ctx, qs, BatchOptions{Concurrency: 1})
 		for _, workers := range []int{2, 4, 13} {
-			par := NewEngine(kg, Options{IndexSeed: seed, IndexWorkers: workers})
+			par := newEngineOnProcs(workers, kg, Options{IndexSeed: seed})
 			parStats, _ := par.Index()
 			if parStats != refStats {
 				t.Fatalf("seed %d workers %d: index stats %+v, want %+v",

@@ -9,49 +9,6 @@ import (
 	"lscr/internal/workload"
 )
 
-// RunAblationRho compares the two readings of the ρ evaluation function
-// (DESIGN.md §3): the paper's literal ρ = D(s.AF, t.AF) with smaller-
-// is-better, versus this repository's negated reading where strongly
-// connected regions count as near. Both run INS on the same S1 workload.
-func RunAblationRho(w io.Writer, cfg Config) error {
-	cfg = cfg.withDefaults()
-	spec := DatasetSpec{Name: "D2", Universities: 2 * cfg.Scale}
-	g := buildDataset(spec, cfg.Seed)
-	cons, vs, err := compileConstraint(g, "S1")
-	if err != nil {
-		return err
-	}
-	trueQ, falseQ, err := workload.Generate(g, cons, vs, workload.Config{
-		Count: cfg.QueriesPerGroup, Seed: cfg.Seed + 99,
-	})
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(w, "Ablation — ρ reading (dataset %s, |V|=%d, constraint S1)\n\n", spec.Name, g.NumVertices())
-	tw := newTab(w)
-	fmt.Fprintf(tw, "rho\ttrue avg(ms)\tfalse avg(ms)\ttrue passed\tfalse passed\n")
-	for _, literal := range []bool{false, true} {
-		idx := lscr.NewLocalIndex(g, lscr.IndexParams{Seed: cfg.Seed, LiteralRho: literal})
-		tr, err := runGroup(g, idx, vs, trueQ, "INS")
-		if err != nil {
-			return err
-		}
-		fa, err := runGroup(g, idx, vs, falseQ, "INS")
-		if err != nil {
-			return err
-		}
-		name := "negated-D (default)"
-		if literal {
-			name = "literal-D (paper text)"
-		}
-		fmt.Fprintf(tw, "%s\t%.3f\t%.3f\t%.0f\t%.0f\n", name,
-			float64(tr.AvgTime)/float64(time.Millisecond),
-			float64(fa.AvgTime)/float64(time.Millisecond),
-			tr.AvgPassed, fa.AvgPassed)
-	}
-	return tw.Flush()
-}
-
 // RunAblationLandmarks sweeps the landmark count k around the paper's
 // default k̂ = log2(|V|)·√|V|, reporting index cost and INS query time —
 // the size/speed trade-off §5.1.2's choice of k embodies.

@@ -118,13 +118,6 @@ func TestRunAblationsSmoke(t *testing.T) {
 		t.Skip("harness smoke test")
 	}
 	var buf bytes.Buffer
-	if err := RunAblationRho(&buf, tiny); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(buf.String(), "literal-D") {
-		t.Error("rho ablation output incomplete")
-	}
-	buf.Reset()
 	if err := RunAblationLandmarks(&buf, tiny); err != nil {
 		t.Fatal(err)
 	}

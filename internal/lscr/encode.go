@@ -17,9 +17,8 @@ import (
 // payload, which the segment layer (internal/segment) embeds as its
 // checksummed index section:
 //
-//	flags | view |V| | indexed |V| | k
-//	landmarks [k]u32 | af [indexed |V|]u32
-//	dirty bitmap [ceil(k/8), zero-padded to a multiple of 8]u8
+//	|V| | k
+//	landmarks [k]u32 | af [|V|]u32
 //	per landmark: II count, (vertex u32, cms len u32, sets [..]u64)
 //	              EIT count, (labelset u64, count u32, vertices [..]u32)
 //	D offsets [k+1]u32 | D entries [nnz](landmark index u32, count i32)
@@ -29,12 +28,11 @@ import (
 // change here is a segment format change (bump the segment magic;
 // TestSegmentFormatFrozen pins the bytes). Readers reject truncated
 // input, corrupt payloads and indexes built for a different graph
-// size. The vertex count is split into the bound view's |V| and the
-// indexed range (the two differ for a maintained index whose view grew
-// vertices after the build), and the dirty bitmap records
-// deletion-invalidated landmarks, so an index sealed mid-life
-// round-trips with those landmarks still excluded from pruning. The
-// bitmap is padded so every later field sits at a 4-aligned offset.
+// size. Only a fresh index is sealed — one built for an overlay-free
+// graph, never maintained — so the payload needs no dirty flags and
+// its indexed range is the graph's |V|; WriteIndexPayload refuses
+// anything else (ErrIndexNotSealed). Every field is a whole number of
+// 4-byte words, so every field sits at a 4-aligned offset.
 //
 // D is stored as compressed sparse rows: row i's entries are
 // entries[offsets[i]:offsets[i+1]], sorted by landmark index with zero
@@ -43,7 +41,7 @@ import (
 // adopts the entry array as a read-only view straight over the mmap'd
 // section instead of copying it out.
 //
-// Two layout properties are load-bearing for the boot path:
+// Three layout properties are load-bearing for the boot path:
 //
 //   - II entries are written in ascending vertex order and EIT entries
 //     in ascending label-set order, so the reader materialises the
@@ -70,6 +68,11 @@ var (
 	// persistence-stack corruption with one errors.Is.
 	ErrIndexCorrupt  = fmt.Errorf("lscr: local-index payload corrupt: %w", graph.ErrCorrupt)
 	ErrIndexMismatch = errors.New("lscr: local index was built for a different graph")
+	// ErrIndexNotSealed reports an index WriteIndexPayload cannot seal:
+	// one maintained through mutations (its graph has an overlay, it has
+	// dirty landmarks, or it covers fewer vertices than its graph)
+	// rather than built fresh.
+	ErrIndexNotSealed = errors.New("lscr: only a freshly built index can be sealed")
 
 	errPayloadEnd = fmt.Errorf("lscr: read past payload end: %w", ErrIndexCorrupt)
 )
@@ -84,18 +87,18 @@ var hostLittleEndian = func() bool {
 
 // WriteIndexPayload serialises the index payload — the segment layer's
 // index section, whose framing and checksum live in the section table.
+// It refuses (ErrIndexNotSealed) an index maintained through mutations:
+// the payload has no room for dirty flags, so a reopened store would
+// trust stale entries.
 func WriteIndexPayload(w io.Writer, idx *LocalIndex) (int64, error) {
+	if idx.g.HasOverlay() || idx.DirtyLandmarks() > 0 || len(idx.af) != idx.g.NumVertices() {
+		return 0, ErrIndexNotSealed
+	}
 	bw := bufio.NewWriter(w)
 	cw := &countWriter{w: bw}
 	put32 := func(v uint32) { cw.write(binary.LittleEndian.AppendUint32(cw.buf[:0], v)) }
 	put64 := func(v uint64) { cw.write(binary.LittleEndian.AppendUint64(cw.buf[:0], v)) }
 
-	var flags uint32
-	if idx.literalRho {
-		flags |= 1
-	}
-	put32(flags)
-	put32(uint32(idx.g.NumVertices()))
 	put32(uint32(len(idx.af)))
 	put32(uint32(len(idx.landmarks)))
 	for _, u := range idx.landmarks {
@@ -104,13 +107,6 @@ func WriteIndexPayload(w io.Writer, idx *LocalIndex) (int64, error) {
 	for _, a := range idx.af {
 		put32(uint32(a))
 	}
-	dirtyBits := make([]byte, ((len(idx.landmarks)+7)/8+7)&^7)
-	for li := range idx.landmarks {
-		if idx.dirty != nil && idx.dirty[li] {
-			dirtyBits[li>>3] |= 1 << (li & 7)
-		}
-	}
-	cw.write(dirtyBits)
 	// The stored entry arrays are already in ascending key order — the
 	// exact order the format mandates — so the writer is a straight walk.
 	for li := range idx.landmarks {
@@ -180,14 +176,9 @@ func WriteIndexPayload(w io.Writer, idx *LocalIndex) (int64, error) {
 func ReadIndexPayload(b []byte, g *graph.Graph) (*LocalIndex, error) {
 	in := &byteCursor{b: b}
 
-	flags := in.u32()
-	viewV := in.u32()
-	if in.err == nil && int(viewV) != g.NumVertices() {
-		return nil, fmt.Errorf("%w: index view |V|=%d, graph |V|=%d", ErrIndexMismatch, viewV, g.NumVertices())
-	}
 	n := in.u32()
-	if in.err == nil && n > viewV {
-		return nil, fmt.Errorf("%w: indexed range %d exceeds view |V|=%d", ErrIndexMismatch, n, viewV)
+	if in.err == nil && int(n) != g.NumVertices() {
+		return nil, fmt.Errorf("%w: index |V|=%d, graph |V|=%d", ErrIndexMismatch, n, g.NumVertices())
 	}
 	k := in.u32()
 	if in.err == nil && k > n {
@@ -203,7 +194,6 @@ func ReadIndexPayload(b []byte, g *graph.Graph) (*LocalIndex, error) {
 		lmIdx:      make([]int32, n),
 		iiSorted:   make([][]iiEntry, k),
 		eitSorted:  make([][]eitEntry, k),
-		literalRho: flags&1 != 0,
 	}
 	for i := range idx.lmIdx {
 		idx.lmIdx[i] = -1
@@ -237,18 +227,6 @@ func ReadIndexPayload(b []byte, g *graph.Graph) (*LocalIndex, error) {
 	for _, a := range idx.af {
 		if a != graph.NoVertex && (uint32(a) >= n || !idx.isLandmark[a]) {
 			return nil, fmt.Errorf("%w: region assignment is not a landmark", ErrIndexCorrupt)
-		}
-	}
-	dirtyBits := in.bytes(((int(k)+7)/8 + 7) &^ 7)
-	if in.err != nil {
-		return nil, in.fail()
-	}
-	for li := 0; li < int(k); li++ {
-		if dirtyBits[li>>3]&(1<<(li&7)) != 0 {
-			if idx.dirty == nil {
-				idx.dirty = make([]bool, k)
-			}
-			idx.dirty[li] = true
 		}
 	}
 
@@ -295,7 +273,7 @@ func ReadIndexPayload(b []byte, g *graph.Graph) (*LocalIndex, error) {
 			if in.err != nil {
 				break
 			}
-			if v >= viewV || int64(v) <= prev {
+			if v >= n || int64(v) <= prev {
 				return nil, fmt.Errorf("%w: II vertex out of range or order", ErrIndexCorrupt)
 			}
 			prev = int64(v)
@@ -327,7 +305,7 @@ func ReadIndexPayload(b []byte, g *graph.Graph) (*LocalIndex, error) {
 			ws := takeWS(int(nw))
 			for x := range ws {
 				wv := in.u32()
-				if in.err == nil && wv >= viewV {
+				if in.err == nil && wv >= n {
 					return nil, fmt.Errorf("%w: EIT vertex out of range", ErrIndexCorrupt)
 				}
 				ws[x] = graph.VertexID(wv)

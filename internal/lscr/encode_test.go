@@ -33,7 +33,7 @@ func payload(t testing.TB, idx *LocalIndex) []byte {
 func TestIndexRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	g := testkg.Random(rng, 60, 200, 5)
-	idx := NewLocalIndex(g, IndexParams{K: 6, Seed: 9, LiteralRho: true})
+	idx := NewLocalIndex(g, IndexParams{K: 6, Seed: 9})
 
 	got, err := ReadIndexPayload(payload(t, idx), g)
 	if err != nil {
@@ -49,9 +49,6 @@ func TestIndexRoundTrip(t *testing.T) {
 	}
 	if got.Entries() != idx.Entries() {
 		t.Fatalf("entries: %d != %d", got.Entries(), idx.Entries())
-	}
-	if !got.literalRho {
-		t.Fatal("flags lost")
 	}
 	for v := 0; v < g.NumVertices(); v++ {
 		if got.Region(graph.VertexID(v)) != idx.Region(graph.VertexID(v)) {
@@ -73,31 +70,35 @@ func TestIndexRoundTrip(t *testing.T) {
 	}
 }
 
-// TestIndexRoundTripMaintained: a maintained index — derived through
-// insert propagation and a deletion-dirtied landmark — round-trips with
-// its full structure, including the dirty bitmap, so a
-// reloaded index keeps excluding invalidated landmarks from pruning.
-func TestIndexRoundTripMaintained(t *testing.T) {
+// TestIndexPayloadRefusesMaintained: only a freshly built index can be
+// sealed. An index maintained through mutations — bound to an overlay
+// view, with or without deletion-dirtied landmarks — is refused with
+// ErrIndexNotSealed and writes nothing, because the payload has no
+// dirty flags and a reopened store would trust its stale entries. A
+// fresh build on the compacted graph seals and round-trips.
+func TestIndexPayloadRefusesMaintained(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	g := testkg.Random(rng, 40, 160, 3)
-	idx := NewLocalIndex(g, IndexParams{K: 8, Seed: 17})
-	cur := idx
+	cur := NewLocalIndex(g, IndexParams{K: 8, Seed: 17})
 	for batch := 0; batch < 4; batch++ {
 		g2, ops := mutStep(rng, cur.Graph(), 8)
 		cur, _ = cur.ApplyMutations(g2, ops)
+		var buf bytes.Buffer
+		if n, err := WriteIndexPayload(&buf, cur); !errors.Is(err, ErrIndexNotSealed) || n != 0 || buf.Len() != 0 {
+			t.Fatalf("batch %d: maintained index (dirty=%d) sealed: n=%d err=%v", batch, cur.DirtyLandmarks(), n, err)
+		}
 	}
 	if cur.DirtyLandmarks() == 0 {
 		t.Fatal("script produced no dirty landmark; strengthen it")
 	}
-	got, err := ReadIndexPayload(payload(t, cur), cur.Graph())
+	flat := cur.Graph().Compact()
+	fresh := NewLocalIndex(flat, IndexParams{K: 8, Seed: 17})
+	got, err := ReadIndexPayload(payload(t, fresh), flat)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := got.EqualStructure(cur); err != nil {
-		t.Fatalf("round-trip changed the maintained index: %v", err)
-	}
-	if got.DirtyLandmarks() != cur.DirtyLandmarks() {
-		t.Fatalf("dirty landmarks: %d != %d", got.DirtyLandmarks(), cur.DirtyLandmarks())
+	if err := got.EqualStructure(fresh); err != nil {
+		t.Fatalf("round-trip changed the fresh index: %v", err)
 	}
 }
 
@@ -234,20 +235,21 @@ func TestIndexWriteDeterministic(t *testing.T) {
 // ever sees them, so FuzzSegmentOpen cannot reach it). Every input must
 // either fail with ErrIndexCorrupt or ErrIndexMismatch, or decode to an
 // index whose D, Rho and Check answer over all landmark pairs without
-// panicking. which picks the graph the payload is bound to.
+// panicking. The fuzz argument `which` picks the graph the payload is
+// bound to; the third seed is what a seal writes after mutations, a
+// fresh build on the compacted graph.
 func FuzzReadIndexPayload(f *testing.F) {
 	ex, _ := testkg.RunningExample()
 	rng := rand.New(rand.NewSource(11))
 	rg := testkg.Random(rng, 50, 200, 4)
-	maint := NewLocalIndex(testkg.Random(rng, 40, 160, 3), IndexParams{K: 8, Seed: 17})
-	for batch := 0; batch < 4 || maint.DirtyLandmarks() == 0; batch++ {
-		g2, ops := mutStep(rng, maint.Graph(), 8)
-		maint, _ = maint.ApplyMutations(g2, ops)
+	mg := testkg.Random(rng, 40, 160, 3)
+	for batch := 0; batch < 4; batch++ {
+		mg, _ = mutStep(rng, mg, 8)
 	}
 	seeds := []*LocalIndex{
 		NewLocalIndex(ex, IndexParams{K: 3, Seed: 7}),
-		NewLocalIndex(rg, IndexParams{K: 7, Seed: 2, LiteralRho: true}),
-		maint,
+		NewLocalIndex(rg, IndexParams{K: 7, Seed: 2}),
+		NewLocalIndex(mg.Compact(), IndexParams{K: 8, Seed: 17}),
 	}
 	for i, idx := range seeds {
 		f.Add(uint8(i), payload(f, idx))

@@ -23,18 +23,15 @@ import (
 // Cut(II[w]) marks everything w reaches in its region, and Push(EIT[w])
 // enqueues the boundary exits (Theorem 5.1).
 //
-// Under live mutations the shortcuts stay sound as long as the index
-// describes the queried graph view exactly. The engine maintains the
-// index incrementally through every committed batch (see maintain.go),
-// so the gate is per landmark, not per graph: a landmark invalidated by
-// a deletion (idx.Dirty) is expanded like an ordinary vertex over the
-// exact merged adjacency, while every clean landmark keeps the full
-// Check/Cut/Push pruning. Only when the index is stale for the view as a
-// whole (!idx.ExactFor(g) — an index built or maintained for a
-// different view) are the shortcuts disabled outright; H and Q keep
-// using the index's ρ/region estimates as (deterministic) heuristics
-// either way, and answers remain exact in every mode. Compaction
-// rebuilds the index and clears all dirtiness.
+// Under live mutations the shortcuts stay sound because idx describes
+// g exactly: INS serves only the view the index was built for or
+// maintained up to (idx.Graph() == g) and returns ErrIndexMismatch for
+// any other. The engine maintains the index through every committed
+// batch (see maintain.go), so the remaining gate is per landmark: a
+// landmark invalidated by a deletion (idx.Dirty) is expanded like an
+// ordinary vertex over the exact merged adjacency, while every clean
+// landmark keeps the full Check/Cut/Push pruning. Compaction rebuilds
+// the index and clears all dirtiness.
 //
 // vsOrder optionally supplies a precomputed V(S,G); pass nil to let the
 // engine compute it.
@@ -51,6 +48,9 @@ func INSTraced(g *graph.Graph, idx *LocalIndex, q Query, vsOrder []graph.VertexI
 func insImpl(g *graph.Graph, idx *LocalIndex, q Query, vsOrder []graph.VertexID, tr Tracer) (bool, Stats, error) {
 	if err := validate(g, q); err != nil {
 		return false, Stats{}, err
+	}
+	if idx.Graph() != g {
+		return false, Stats{}, ErrIndexMismatch
 	}
 	vs := vsOrder
 	if vs == nil {
@@ -69,7 +69,6 @@ func insImpl(g *graph.Graph, idx *LocalIndex, q Query, vsOrder []graph.VertexID,
 		q:       q,
 		close:   newCloseMap(sc),
 		cutDone: sc.cutTable(len(idx.landmarks)),
-		noPrune: !idx.ExactFor(g),
 		tr:      tr,
 		ic:      interruptCheck{fn: q.Interrupt},
 	}
@@ -171,13 +170,6 @@ type insRun struct {
 	// idempotent per (w, L, B).
 	cutDone []uint8
 
-	// noPrune disables the landmark shortcuts (Check/Cut/Push) wholesale:
-	// set when the index is not exact for the queried view, so it is only
-	// trusted as a priority heuristic (see the INS doc). With an exact
-	// index, deletion-invalidated landmarks are still excluded per
-	// landmark via idx.Dirty.
-	noPrune bool
-
 	tr Tracer
 	ic interruptCheck
 }
@@ -221,8 +213,8 @@ func (r *insRun) enqueue(v graph.VertexID) {
 		rank++
 	}
 	key |= rank << 60
-	// Rule (iv): smaller ρ first. ρ is the (possibly negated) boundary
-	// connection count D; encode so that "closer" sorts lower.
+	// Rule (iv): smaller ρ first. ρ is the negated boundary connection
+	// count D (larger D = closer); encode so that "closer" sorts lower.
 	var d uint32
 	if af != graph.NoVertex && r.tStarAF != graph.NoVertex && af != r.tStarAF {
 		d = uint32(r.idx.D(af, r.tStarAF))
@@ -230,11 +222,7 @@ func (r *insRun) enqueue(v graph.VertexID) {
 			d = fqRhoMax
 		}
 	}
-	rho := uint64(fqRhoMax) - uint64(d) // negated reading: larger D = closer
-	if r.idx.literalRho {
-		rho = uint64(d)
-	}
-	key |= rho << 34
+	key |= (uint64(fqRhoMax) - uint64(d)) << 34
 	if af == graph.NoVertex || r.close.get(af) != N {
 		key |= 1 << 33
 	}
@@ -290,11 +278,11 @@ func (r *insRun) lcs(sStar, tStar graph.VertexID, fromSat bool) (bool, error) {
 			for _, e := range run {
 				w := e.To
 				// Line 22-23: t* lives in w's region and w reaches it there.
-				if !r.noPrune && r.tStarAF == w && !r.idx.Dirty(w) && r.idx.Check(w, tStar, L) {
+				if r.tStarAF == w && !r.idx.Dirty(w) && r.idx.Check(w, tStar, L) {
 					r.requeue(u)
 					return true, nil
 				}
-				if !r.noPrune && r.idx.IsLandmark(w) && !r.idx.Dirty(w) { // Lines 24-25.
+				if r.idx.IsLandmark(w) && !r.idx.Dirty(w) { // Lines 24-25.
 					if r.cutPush(w, tStar, fromSat) {
 						r.requeue(u)
 						return true, nil

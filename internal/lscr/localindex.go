@@ -74,8 +74,6 @@ type LocalIndex struct {
 	// landmark's entries depend only on edges whose source lies in its
 	// own region (see maintain.go).
 	dirty []bool
-
-	literalRho bool
 }
 
 // dEntry is one stored cell of D: the landmark index of x and the
@@ -139,7 +137,10 @@ func (idx *LocalIndex) dRow(ei map[graph.VertexID]*labelset.CMS, buf []dEntry) (
 	return row, acc
 }
 
-// IndexParams configures construction.
+// IndexParams configures construction. The index is a function of the
+// graph and these two values: the build runs on GOMAXPROCS workers,
+// whose count cannot change the result, and INS ranks by ρ = -D (see
+// Rho): D counts connections between regions, so more is closer.
 type IndexParams struct {
 	// K is the number of landmarks; 0 means the paper's
 	// k = log2(|V|)·√|V| (§5.1.2), capped at |V|.
@@ -147,19 +148,11 @@ type IndexParams struct {
 	// Seed drives the random class selection of LandmarkSelect; fixed
 	// seeds give reproducible indexes.
 	Seed int64
-	// ClassFraction is the fraction of classes (rdf.Classes) randomly
-	// selected to draw landmark instances from; 0 means 0.5. Ignored
-	// when the graph has no classes (degree-based fallback).
-	ClassFraction float64
-	// LiteralRho makes Rho return D(s.AF, t.AF) verbatim, the paper's
-	// literal definition, instead of the repository's default negated
-	// reading (see DESIGN.md §3). Exposed for the ρ-sign ablation bench.
-	LiteralRho bool
-	// Workers bounds the goroutines building per-landmark entries
-	// (LocalFullIndex runs are independent). 0 means GOMAXPROCS; 1 means
-	// sequential. The result is identical for any worker count.
-	Workers int
 }
+
+// classFraction is the fraction of the graph's classes (rdf.Classes)
+// landmarkSelect draws landmark instances from, at least one class.
+const classFraction = 0.5
 
 // DefaultK returns the paper's landmark count for |V| = n.
 func DefaultK(n int) int {
@@ -191,7 +184,6 @@ func NewLocalIndex(g *graph.Graph, p IndexParams) *LocalIndex {
 		isLandmark: make([]bool, n),
 		af:         make([]graph.VertexID, n),
 		lmIdx:      make([]int32, n),
-		literalRho: p.LiteralRho,
 	}
 	for i := range idx.af {
 		idx.af[i] = graph.NoVertex
@@ -213,13 +205,7 @@ func NewLocalIndex(g *graph.Graph, p IndexParams) *LocalIndex {
 	// owns one liScratch, reused across its landmarks, so steady-state
 	// construction allocates little beyond the entries that end up in
 	// the index.
-	workers := p.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(idx.landmarks) {
-		workers = len(idx.landmarks)
-	}
+	workers := min(runtime.GOMAXPROCS(0), len(idx.landmarks))
 	if workers <= 1 {
 		var sc liScratch
 		for _, u := range idx.landmarks {
@@ -295,19 +281,12 @@ func sortedEITEntries(m map[labelset.Set][]graph.VertexID) []eitEntry {
 func (idx *LocalIndex) landmarkSelect(k int, p IndexParams) {
 	g := idx.g
 	rng := rand.New(rand.NewSource(p.Seed))
-	frac := p.ClassFraction
-	if frac <= 0 || frac > 1 {
-		frac = 0.5
-	}
 	var pool []graph.VertexID
 	// Without an rdf:type label no class has instances: the pool stays
 	// empty and selection falls back to degree order.
 	typ, hasType := g.LabelByName(rdf.TypePredicate)
 	if classes := rdf.Classes(g); hasType && len(classes) > 0 {
-		nSel := int(float64(len(classes)) * frac)
-		if nSel < 1 {
-			nSel = 1
-		}
+		nSel := max(1, int(float64(len(classes))*classFraction))
 		perm := rng.Perm(len(classes))
 		seen := make(map[graph.VertexID]bool)
 		for _, ci := range perm[:nSel] {
@@ -497,16 +476,9 @@ func (idx *LocalIndex) regionIs(v, u graph.VertexID) bool {
 
 // Graph returns the graph view the index's entries describe: the build
 // graph for a fresh index, the post-batch view for one derived by
-// ApplyMutations.
+// ApplyMutations. INS serves only that view (ErrIndexMismatch
+// otherwise).
 func (idx *LocalIndex) Graph() *graph.Graph { return idx.g }
-
-// ExactFor reports whether the index's clean-landmark entries describe
-// exactly the graph view g — it was either built for g or incrementally
-// maintained up to g. A stale index (g has moved on without the index
-// being maintained) must not drive pruning.
-func (idx *LocalIndex) ExactFor(g *graph.Graph) bool {
-	return idx != nil && idx.g == g
-}
 
 // Dirty reports whether landmark w's entries were invalidated by an edge
 // deletion since the last full (re)build. Dirty landmarks are excluded
@@ -625,24 +597,20 @@ func (idx *LocalIndex) D(u, x graph.VertexID) int {
 }
 
 // Rho is the estimated closeness used by INS's evaluation function. The
-// paper defines ρ(s,t) = D(s.AF, t.AF) and prefers small ρ; since D counts
-// inter-region connections (more connections = closer), this
-// implementation negates D so that "smaller ρ" means "more strongly
-// connected" (see DESIGN.md §3 and the BenchmarkAblationRho bench).
-// Vertices outside every region get the worst estimate.
+// paper defines ρ(s,t) = D(s.AF, t.AF) and prefers small ρ; D counts
+// connections between regions, so more is closer, and Rho negates D so
+// that "smaller ρ" means "more strongly connected"; the CHANGES.md
+// entry that retired the literal reading records the ablation behind
+// this. Vertices outside every region get the worst estimate.
 func (idx *LocalIndex) Rho(u, t graph.VertexID) int {
 	au, at := idx.Region(u), idx.Region(t)
 	if au == graph.NoVertex || at == graph.NoVertex {
 		return 0
 	}
 	if au == at {
-		return -1 << 30 // same region: closest under either reading
+		return -1 << 30 // same region: closest
 	}
-	d := int(dAt(idx.drows[idx.lmIdx[au]], uint32(idx.lmIdx[at]), len(idx.drows)))
-	if idx.literalRho {
-		return d
-	}
-	return -d
+	return -int(dAt(idx.drows[idx.lmIdx[au]], uint32(idx.lmIdx[at]), len(idx.drows)))
 }
 
 // Entries returns the number of stored minimal label sets across II plus

@@ -3,6 +3,7 @@ package lscr
 import (
 	"math/rand"
 	"reflect"
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -273,7 +274,7 @@ func TestINSPrunesViaIndex(t *testing.T) {
 		Patterns: []pattern.TriplePattern{{Subject: pattern.V("x"), Label: mark, Object: pattern.C(key)}}}
 	q := Query{Source: s, Target: target, Labels: g.LabelUniverse(), Constraint: cons}
 
-	idx := NewLocalIndex(g, IndexParams{K: 1, Seed: 1, ClassFraction: 1})
+	idx := NewLocalIndex(g, IndexParams{K: 1, Seed: 1})
 	if idx.Landmarks()[0] != lm {
 		t.Fatalf("landmark selection picked %v, want the class instance", idx.Landmarks())
 	}
@@ -295,15 +296,22 @@ func TestINSPrunesViaIndex(t *testing.T) {
 	}
 }
 
+// buildOnProcs builds the index with GOMAXPROCS set to procs, the
+// build's worker count, and restores the previous setting.
+func buildOnProcs(procs int, g *graph.Graph, p IndexParams) *LocalIndex {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+	return NewLocalIndex(g, p)
+}
+
 // TestIndexWorkerInvariance: the index is bit-for-bit identical for any
 // worker count — same landmarks, regions, II CMSes, EIT maps and D
 // matrix, not just matching summary statistics.
 func TestIndexWorkerInvariance(t *testing.T) {
 	rng := rand.New(rand.NewSource(61))
 	g := testkg.Random(rng, 80, 240, 4)
-	seq := NewLocalIndex(g, IndexParams{K: 9, Seed: 5, Workers: 1})
+	seq := buildOnProcs(1, g, IndexParams{K: 9, Seed: 5})
 	for _, workers := range []int{2, 4, 16} {
-		par := NewLocalIndex(g, IndexParams{K: 9, Seed: 5, Workers: workers})
+		par := buildOnProcs(workers, g, IndexParams{K: 9, Seed: 5})
 		if par.Entries() != seq.Entries() || par.SizeBytes() != seq.SizeBytes() {
 			t.Fatalf("workers=%d produced a different index", workers)
 		}
@@ -338,8 +346,8 @@ func TestIndexWorkerInvarianceAnswers(t *testing.T) {
 	for trial := 0; trial < 3; trial++ {
 		n := 40 + trial*25
 		g := testkg.Random(rng, n, 3*n+trial*40, 4)
-		seq := NewLocalIndex(g, IndexParams{K: 7, Seed: 13, Workers: 1})
-		par := NewLocalIndex(g, IndexParams{K: 7, Seed: 13, Workers: 4})
+		seq := buildOnProcs(1, g, IndexParams{K: 7, Seed: 13})
+		par := buildOnProcs(4, g, IndexParams{K: 7, Seed: 13})
 		// "?x has an outgoing l0 edge" — satisfiable on any dense random KG.
 		cons := &pattern.Constraint{
 			Focus: "x",
@@ -411,7 +419,7 @@ func TestIndexSchemaDrivenSelection(t *testing.T) {
 	g := b.Build()
 	typ, _ := g.LabelByName(rdf.TypePredicate)
 	k := g.Vertex("K")
-	idx := NewLocalIndex(g, IndexParams{K: 4, Seed: 1, ClassFraction: 1})
+	idx := NewLocalIndex(g, IndexParams{K: 4, Seed: 1})
 	for _, u := range idx.Landmarks() {
 		if u == hub {
 			t.Fatal("degree-based hub chosen despite class instances")
@@ -549,7 +557,7 @@ func TestDMatchesBoundaryCount(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		n := rng.Intn(60) + 10
 		g := testkg.Random(rng, n, rng.Intn(4*n)+n, rng.Intn(4)+1)
-		cur := NewLocalIndex(g, IndexParams{K: rng.Intn(n/2) + 1, Seed: seed, LiteralRho: seed%3 == 0})
+		cur := NewLocalIndex(g, IndexParams{K: rng.Intn(n/2) + 1, Seed: seed})
 		checkDAgainstBoundary(t, cur)
 		for batch := 0; batch < 4; batch++ {
 			g2, ops := mutStep(rng, cur.Graph(), rng.Intn(10)+1)
@@ -590,11 +598,8 @@ func checkDAgainstBoundary(t *testing.T, idx *LocalIndex) {
 				t.Fatalf("D(%d, %d) = %d, boundary recount %d", u, x, got, want[i])
 			}
 			rho := -want[i]
-			switch {
-			case u == x:
+			if u == x {
 				rho = -1 << 30
-			case idx.literalRho:
-				rho = want[i]
 			}
 			if got := idx.Rho(u, x); got != rho {
 				t.Fatalf("Rho(%d, %d) = %d, want %d", u, x, got, rho)

@@ -60,10 +60,10 @@ type MaintBatch struct {
 // per-landmark structure the batch did not touch. The second result
 // reports what maintenance was done.
 //
-// The caller must ensure idx.ExactFor(pre-batch view); ops must be the
-// batch's validated op stream in commit order (Delta.EdgeOps), and g2
-// the Commit result. Dictionary-only batches (ops empty) yield a derived
-// index that is simply re-bound to g2.
+// idx.Graph() must be the pre-batch view; ops must be the batch's
+// validated op stream in commit order (Delta.EdgeOps), and g2 the Commit
+// result. Dictionary-only batches (ops empty) yield a derived index that
+// is simply re-bound to g2.
 func (idx *LocalIndex) ApplyMutations(g2 *graph.Graph, ops []graph.EdgeOp) (*LocalIndex, MaintBatch) {
 	d := idx.derive(g2)
 	var mb MaintBatch
@@ -148,7 +148,6 @@ func (idx *LocalIndex) derive(g2 *graph.Graph) *LocalIndex {
 		iiSorted:   idx.iiSorted,
 		eitSorted:  idx.eitSorted,
 		drows:      idx.drows,
-		literalRho: idx.literalRho,
 	}
 	if idx.dirty != nil {
 		d.dirty = slices.Clone(idx.dirty)
@@ -290,7 +289,6 @@ func (idx *LocalIndex) RebuildFrozen(g *graph.Graph) *LocalIndex {
 		iiSorted:   make([][]iiEntry, len(idx.landmarks)),
 		eitSorted:  make([][]eitEntry, len(idx.landmarks)),
 		drows:      make([][]dEntry, len(idx.landmarks)),
-		literalRho: idx.literalRho,
 	}
 	if idx.dirty != nil {
 		o.dirty = slices.Clone(idx.dirty)

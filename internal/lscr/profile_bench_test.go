@@ -69,7 +69,7 @@ func BenchmarkLocalIndexBuildSequential(b *testing.B) {
 	g := testkg.Random(randSrc(3), 20000, 70000, 8)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		NewLocalIndex(g, IndexParams{Seed: 1, Workers: 1})
+		buildOnProcs(1, g, IndexParams{Seed: 1})
 	}
 }
 

@@ -15,7 +15,7 @@
 //
 // # Segment layout
 //
-//	header    magic "LSCRSEG3" | baseSeq u64 | indexK i64 | indexSeed i64
+//	header    magic "LSCRSEG4" | baseSeq u64 | indexK i64 | indexSeed i64
 //	          flags u32 | sectionCount u32
 //	table     sectionCount × (id u32, crc32 u32, off u64, len u64)
 //	sections  8-byte aligned, zero-padded between
@@ -25,8 +25,10 @@
 // offset+blob string tables; the two CSR sections hold the five flat
 // arrays of one adjacency direction; the index section is the
 // local-index payload (lscr.WriteIndexPayload), which stores D as
-// compressed sparse rows. RDFS class facts need no section of their
-// own: they are rdf:type/rdfs:subClassOf edges in the CSR sections.
+// compressed sparse rows. Only a freshly built index is sealed: the
+// payload has no dirty flags and covers exactly the graph's vertices.
+// RDFS class facts need no section of their own: they are
+// rdf:type/rdfs:subClassOf edges in the CSR sections.
 // The index payload carries no version of its own: the segment magic
 // versions the whole file, so a layout change in any section means
 // bumping segMagic (TestSegmentFormatFrozen pins the bytes).
@@ -51,7 +53,7 @@ import (
 
 // File-format constants.
 const (
-	segMagic    = "LSCRSEG3"
+	segMagic    = "LSCRSEG4"
 	footMagic   = "LSCRSEGF"
 	headerSize  = 40 // magic 8 + baseSeq 8 + indexK 8 + indexSeed 8 + flags 4 + count 4
 	tableEntry  = 24 // id 4 + crc 4 + off 8 + len 8
@@ -62,10 +64,11 @@ const (
 )
 
 // retiredMagics are earlier formats: LSCRSEG1 stored D as a dense k×k
-// matrix and LSCRSEG2 carried an RDFS schema section (id 5). They are
-// refused with a message naming them, not converted: a store is
-// re-created from its triples.
-var retiredMagics = []string{"LSCRSEG1", "LSCRSEG2"}
+// matrix, LSCRSEG2 carried an RDFS schema section (id 5) and LSCRSEG3's
+// index payload carried a flags word, separate view and indexed vertex
+// counts and a dirty-landmark bitmap. They are refused with a message
+// naming them, not converted: a store is re-created from its triples.
+var retiredMagics = []string{"LSCRSEG1", "LSCRSEG2", "LSCRSEG3"}
 
 // Section ids.
 const (

@@ -12,7 +12,7 @@ import (
 
 // frozenSegmentSHA256 is the SHA-256 of the segment Write produces for
 // the paper's running example with K=3, Seed=7.
-const frozenSegmentSHA256 = "8a4e08ec37b3e075ccce3210efba75f27f15ee722e106e2d6a9c53a13b3312d1"
+const frozenSegmentSHA256 = "3e17b1b54d61db0e69c1f91bfadde2ba31738e620f29089e16b8fa2252fff810"
 
 // TestSegmentFormatFrozen pins the segment bytes for one fixed input.
 // The segment magic is the only version the on-disk format carries — it

@@ -23,7 +23,7 @@ func fuzzSegmentBytes(f *testing.F, withIndex bool) []byte {
 	indexK := 0
 	if withIndex {
 		indexK = 4
-		idx = core.NewLocalIndex(g, core.IndexParams{K: indexK, Seed: 9, Workers: 1})
+		idx = core.NewLocalIndex(g, core.IndexParams{K: indexK, Seed: 9})
 	}
 	dir := f.TempDir()
 	path, err := Write(dir, 3, g, idx, indexK, 9)

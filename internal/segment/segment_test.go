@@ -188,8 +188,8 @@ func TestSegmentCorruptionDetected(t *testing.T) {
 }
 
 // TestSegmentRetiredFormatRefused: a store written in a retired format
-// (LSCRSEG1 with its dense D matrix, LSCRSEG2 with its schema section)
-// fails to open with a message naming the format and the remedy, still
+// (LSCRSEG1 with its dense D matrix, LSCRSEG2 with its schema section,
+// LSCRSEG3 with its maintained-index payload fields) fails to open with a message naming the format and the remedy, still
 // classified as corruption.
 func TestSegmentRetiredFormatRefused(t *testing.T) {
 	g := testGraph(t)
@@ -202,7 +202,7 @@ func TestSegmentRetiredFormatRefused(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, magic := range []string{"LSCRSEG1", "LSCRSEG2"} {
+	for _, magic := range []string{"LSCRSEG1", "LSCRSEG2", "LSCRSEG3"} {
 		copy(data, magic)
 		if err := os.WriteFile(path, data, 0o644); err != nil {
 			t.Fatal(err)
@@ -216,6 +216,41 @@ func TestSegmentRetiredFormatRefused(t *testing.T) {
 	copy(data, "LSCRSEGX")
 	if _, err := OpenBytes(data); !errors.Is(err, ErrCorrupt) || strings.Contains(err.Error(), "no longer readable") {
 		t.Fatalf("OpenBytes(unknown magic) = %v, want a plain bad-magic ErrCorrupt", err)
+	}
+}
+
+// TestSegmentWriteRefusesForeignIndex: Write seals an index only
+// together with the graph it is bound to. An index built for another
+// graph, or one maintained through a batch and then paired with the
+// compacted graph, is refused and leaves no segment behind.
+func TestSegmentWriteRefusesForeignIndex(t *testing.T) {
+	g := testGraph(t)
+	other := testGraph(t)
+	d := graph.NewDelta(g)
+	if err := d.AddEdge(1, 0, 2); err != nil {
+		t.Fatal(err)
+	}
+	ops := d.EdgeOps()
+	g2, err := d.Commit()
+	if err != nil {
+		t.Fatal(err)
+	}
+	maintained, _ := lscrcore.NewLocalIndex(g, lscrcore.IndexParams{K: 4, Seed: 1}).ApplyMutations(g2, ops)
+	for _, c := range []struct {
+		name string
+		seal *graph.Graph
+		idx  *lscrcore.LocalIndex
+	}{
+		{"built for another graph", g, lscrcore.NewLocalIndex(other, lscrcore.IndexParams{K: 4, Seed: 1})},
+		{"maintained, then compacted", g2.Compact(), maintained},
+	} {
+		dir := t.TempDir()
+		if _, err := Write(dir, 1, c.seal, c.idx, 4, 1); err == nil || !strings.Contains(err.Error(), "not bound") {
+			t.Errorf("%s: Write = %v, want a not-bound refusal", c.name, err)
+		}
+		if left, _ := os.ReadDir(dir); len(left) != 0 {
+			t.Errorf("%s: refused Write left %d files behind", c.name, len(left))
+		}
 	}
 }
 

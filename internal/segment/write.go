@@ -56,10 +56,11 @@ func List(dir string) ([]string, error) {
 }
 
 // Write seals a complete segment for g (which must be overlay-free;
-// callers compact first) and idx (nil for an index-less engine)
-// atomically: temp file, fsync, rename, directory fsync. indexK and
-// indexSeed record the engine's index-build parameters so Open can
-// reconstruct equivalent Options. It returns the final path.
+// callers compact first) and idx (nil for an index-less engine, else
+// freshly built for g) atomically: temp file, fsync, rename, directory
+// fsync. indexK and indexSeed record the engine's index-build
+// parameters so Open can reconstruct equivalent Options. It returns the
+// final path.
 func Write(dir string, baseSeq uint64, g *graph.Graph, idx *lscrcore.LocalIndex, indexK int, indexSeed int64) (string, error) {
 	tmp, err := WriteTemp(dir, baseSeq, g, idx, indexK, indexSeed)
 	if err != nil {
@@ -185,6 +186,9 @@ func writeSegment(f *os.File, baseSeq uint64, g *graph.Graph, idx *lscrcore.Loca
 		{secCSRIn, func(sw *segWriter) { sw.csr(in) }},
 	}
 	if idx != nil {
+		if idx.Graph() != g {
+			return errors.New("segment: index is not bound to the graph being sealed")
+		}
 		h.flags |= flagHasIndex
 		secs = append(secs, section{secIndex, func(sw *segWriter) {
 			if _, err := lscrcore.WriteIndexPayload(sw, idx); err != nil && sw.err == nil {

@@ -34,14 +34,14 @@
 //
 // # Concurrency and live updates
 //
-// NewEngine builds the local index in parallel across
-// Options.IndexWorkers goroutines (GOMAXPROCS by default); the result is
-// bit-for-bit identical for every worker count. The Engine serves reads
-// through immutable epochs: every query resolves against one atomic
-// (graph view, index, constraint cache) snapshot, so Query, QueryBatch,
-// Select and SelectAll may be called from any number of goroutines on
-// the same Engine. Per-query state lives in pooled scratch, so
-// concurrent queries do not contend on locks in the search itself.
+// NewEngine builds the local index in parallel across GOMAXPROCS
+// goroutines; the result is bit-for-bit identical for every worker
+// count. The Engine serves reads through immutable epochs: every query
+// resolves against one atomic (graph view, index, constraint cache)
+// snapshot, so Query, QueryBatch, Select and SelectAll may be called
+// from any number of goroutines on the same Engine. Per-query state
+// lives in pooled scratch, so concurrent queries do not contend on
+// locks in the search itself.
 // QueryBatch answers a slice of requests over a bounded worker pool and
 // is the preferred way to saturate all cores with one call.
 //
@@ -164,10 +164,6 @@ type Options struct {
 	// KG's classes, read off its rdf:type and rdfs:subClassOf edges;
 	// fixed seeds give reproducible indexes.
 	IndexSeed int64
-	// IndexWorkers bounds the goroutines used to build the local index.
-	// 0 means GOMAXPROCS; 1 forces a sequential build. The built index is
-	// identical for every worker count.
-	IndexWorkers int
 	// ConstraintCacheSize bounds the number of memoized compiled
 	// constraints. Every query pays sparql.Parse + Compile and (for
 	// UIS*/INS) the V(S,G) evaluation; because the KG is immutable these
@@ -225,8 +221,8 @@ type Engine struct {
 	compactions atomic.Int64
 
 	// Cumulative index-maintenance counters (see MaintStats). They only
-	// grow — per-epoch state (dirty landmarks, index epoch) lives on the
-	// epoch itself.
+	// grow — per-epoch state (dirty landmarks) lives on the epoch's
+	// index.
 	maintBatches     atomic.Int64
 	maintExtended    atomic.Int64
 	maintEntries     atomic.Int64
@@ -256,25 +252,21 @@ type Engine struct {
 // epoch is one immutable serving snapshot: a graph view (base CSR plus
 // optional overlay), the local index for the view, the SPARQL engine
 // over the view, and the constraint cache whose memoized V(S,G) is
-// valid exactly for this view. idxSeq is the index epoch threaded
-// alongside the graph epoch: the seq of the last epoch whose view the
-// index is exact for. Every commit and seal keeps the index exact, so
-// it tracks seq whenever the engine has an index (readers always get
-// the (kg, idx, idxSeq) triple from one atomic load, so the pair they
-// see is mutually consistent).
+// valid exactly for this view. Every commit and seal binds the index to
+// the epoch's view (idx.Graph() == kg.g), and readers get the (kg, idx)
+// pair from one atomic load, so the pair they see is mutually
+// consistent.
 type epoch struct {
-	seq    uint64
-	idxSeq uint64
-	kg     *KG
-	idx    *core.LocalIndex
-	eng    *sparql.Engine
-	cache  *qcache.Cache[*compiledConstraint] // nil when disabled
+	seq   uint64
+	kg    *KG
+	idx   *core.LocalIndex
+	eng   *sparql.Engine
+	cache *qcache.Cache[*compiledConstraint] // nil when disabled
 }
 
 // NewEngine prepares an engine, building the local index unless opts
-// disables it. The build runs on opts.IndexWorkers goroutines
-// (GOMAXPROCS when zero); once it returns the engine serves reads
-// lock-free and accepts Apply batches.
+// disables it. The build runs on GOMAXPROCS goroutines; once it returns
+// the engine serves reads lock-free and accepts Apply batches.
 func NewEngine(kg *KG, opts Options) *Engine {
 	e := &Engine{opts: opts}
 	var idx *core.LocalIndex
@@ -291,7 +283,7 @@ func NewEngine(kg *KG, opts Options) *Engine {
 // per-query scratch for g.
 func (e *Engine) start(seq uint64, g *graph.Graph, idx *core.LocalIndex) {
 	e.sealed = sealBase{seq: seq, g: g, idx: idx}
-	e.ep.Store(e.newEpoch(seq, g, idx, seq))
+	e.ep.Store(e.newEpoch(seq, g, idx))
 	prewarmScratch(g)
 }
 
@@ -331,29 +323,18 @@ func prewarmScratch(g *graph.Graph) {
 // indexParams maps the engine options to index-build parameters; Apply's
 // compactor reuses them so a rebuilt index matches a from-scratch build.
 func (e *Engine) indexParams() core.IndexParams {
-	return core.IndexParams{
-		K:       e.opts.Landmarks,
-		Seed:    e.opts.IndexSeed,
-		Workers: e.opts.IndexWorkers,
-	}
+	return core.IndexParams{K: e.opts.Landmarks, Seed: e.opts.IndexSeed}
 }
 
 // newEpoch assembles a serving snapshot for g with a fresh constraint
-// cache. prevIdxSeq carries the previous epoch's index epoch; it is
-// advanced to seq whenever idx is exact for g (fresh build, maintained
-// batch, or clean compaction).
-func (e *Engine) newEpoch(seq uint64, g *graph.Graph, idx *core.LocalIndex, prevIdxSeq uint64) *epoch {
-	idxSeq := prevIdxSeq
-	if idx.ExactFor(g) {
-		idxSeq = seq
-	}
+// cache; idx, when non-nil, is bound to g.
+func (e *Engine) newEpoch(seq uint64, g *graph.Graph, idx *core.LocalIndex) *epoch {
 	return &epoch{
-		seq:    seq,
-		idxSeq: idxSeq,
-		kg:     &KG{g: g},
-		idx:    idx,
-		eng:    sparql.NewEngine(g),
-		cache:  newConstraintCache(e.opts.ConstraintCacheSize),
+		seq:   seq,
+		kg:    &KG{g: g},
+		idx:   idx,
+		eng:   sparql.NewEngine(g),
+		cache: newConstraintCache(e.opts.ConstraintCacheSize),
 	}
 }
 
@@ -416,11 +397,6 @@ type MaintStats struct {
 	// DirtyLandmarks is the serving epoch's count of
 	// deletion-invalidated landmarks currently excluded from pruning.
 	DirtyLandmarks int `json:"dirty_landmarks"`
-	// IndexEpoch is the index epoch: the last epoch whose graph view
-	// the index is exact for. IndexCurrent reports IndexEpoch == Epoch,
-	// i.e. INS is serving with live pruning (dirty landmarks aside).
-	IndexEpoch   uint64 `json:"index_epoch"`
-	IndexCurrent bool   `json:"index_current"`
 }
 
 // IndexMaintenance reports the index-maintenance counters for the
@@ -437,11 +413,9 @@ func (e *Engine) maintStats(ep *epoch) MaintStats {
 		LandmarksExtended:    e.maintExtended.Load(),
 		EntriesAdded:         e.maintEntries.Load(),
 		LandmarksInvalidated: e.maintInvalidated.Load(),
-		IndexEpoch:           ep.idxSeq,
 	}
 	if ep.idx != nil {
 		ms.DirtyLandmarks = ep.idx.DirtyLandmarks()
-		ms.IndexCurrent = ep.idx.ExactFor(ep.kg.g)
 	}
 	return ms
 }

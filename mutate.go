@@ -43,9 +43,8 @@ import (
 // derivation is copy-on-write (untouched landmarks share storage across
 // epochs) and costs time proportional to the affected regions, not |G|.
 // Compaction rebuilds the index from scratch, clearing all dirtiness.
-// The epoch carries an index epoch (idxSeq) alongside the graph epoch,
-// so a reader's single atomic load always yields a mutually consistent
-// (graph, index) pair.
+// The epoch binds the index to its graph view, so a reader's single
+// atomic load always yields a mutually consistent (graph, index) pair.
 //
 // Once the overlay accumulates Options.CompactAfter edge operations, a
 // background compactor folds it into a fresh base CSR, rebuilds the
@@ -130,9 +129,6 @@ type EpochInfo struct {
 	// Epoch is the serving epoch's sequence number (0 at construction,
 	// +1 per Apply or compaction swap).
 	Epoch uint64 `json:"epoch"`
-	// IndexEpoch is the last epoch whose graph view the local index is
-	// exact for; it equals Epoch whenever the engine has an index.
-	IndexEpoch uint64 `json:"index_epoch"`
 	// OverlayOps is the serving epoch's uncompacted operation count.
 	OverlayOps int `json:"overlay_ops"`
 	// Compactions counts completed compactions.
@@ -152,7 +148,6 @@ func (e *Engine) Epoch() EpochInfo {
 func (e *Engine) epochInfo(ep *epoch) EpochInfo {
 	return EpochInfo{
 		Epoch:       ep.seq,
-		IndexEpoch:  ep.idxSeq,
 		OverlayOps:  ep.kg.g.OverlaySize(),
 		Compactions: e.compactions.Load(),
 	}
@@ -229,7 +224,7 @@ func (e *Engine) Apply(ctx context.Context, muts []Mutation) (ApplyResult, error
 		res.OverlayOps = c.g.OverlaySize()
 		return res, nil
 	}
-	ep := e.newEpoch(cur.seq+1, c.g, c.idx, cur.idxSeq)
+	ep := e.newEpoch(cur.seq+1, c.g, c.idx)
 	if e.store != nil {
 		// Durability point: the batch is in the WAL (and, in sync mode,
 		// on stable storage) before any reader can observe its epoch. On
@@ -552,7 +547,7 @@ func (e *Engine) seal(cur *epoch, base sealBase, baseOps int, st *store) error {
 		cuts = append(cuts, c)
 	}
 	e.sealed, e.cuts = base, cuts
-	e.publishEpoch(e.newEpoch(cur.seq+1, g, idx, cur.idxSeq))
+	e.publishEpoch(e.newEpoch(cur.seq+1, g, idx))
 	return nil
 }
 

@@ -586,32 +586,27 @@ func TestMutateNoOpBatchKeepsEpoch(t *testing.T) {
 
 	// Engine.Health reads one epoch: its numbers must be mutually
 	// consistent by construction.
-	kg, _, info, maint := eng.Health()
+	kg, _, info, _ := eng.Health()
 	if kg.Graph().OverlaySize() != info.OverlayOps {
 		t.Fatalf("Health inconsistent: kg overlay %d vs info %d", kg.Graph().OverlaySize(), info.OverlayOps)
-	}
-	if maint.IndexEpoch != info.IndexEpoch {
-		t.Fatalf("Health inconsistent: maint index epoch %d vs info %d", maint.IndexEpoch, info.IndexEpoch)
 	}
 }
 
 // TestMutateMaintenanceCounters walks the maintenance lifecycle through
 // the public surface (IndexMaintenance / Health, what /healthz serves):
-// insert-only batches keep every landmark clean with the index epoch
-// tracking the graph epoch; a deletion invalidates at least one
-// landmark; compaction clears the dirty set and the index is current
-// again.
+// insert-only batches keep every landmark clean; a deletion invalidates
+// at least one landmark; compaction clears the dirty set.
 func TestMutateMaintenanceCounters(t *testing.T) {
 	const n, nLabels = 60, 3
 	g0, model := mutSeedGraph(23, n, nLabels, 300)
 	eng := pub.NewEngine(pub.FromGraph(g0), mutOpts)
 	ctx := context.Background()
 
-	if m := eng.IndexMaintenance(); !m.Enabled || m.Batches != 0 || m.DirtyLandmarks != 0 || !m.IndexCurrent {
+	if m := eng.IndexMaintenance(); !m.Enabled || m.Batches != 0 || m.DirtyLandmarks != 0 {
 		t.Fatalf("fresh engine maintenance state: %+v", m)
 	}
 
-	// Insert-only: maintenance runs, nothing goes dirty, index current.
+	// Insert-only: maintenance runs, nothing goes dirty.
 	var inserts []pub.Mutation
 	for i := 0; i < 12; i++ {
 		mut := pub.Mutation{
@@ -627,11 +622,8 @@ func TestMutateMaintenanceCounters(t *testing.T) {
 		t.Fatal(err)
 	}
 	m := eng.IndexMaintenance()
-	if m.Batches != 1 || m.DirtyLandmarks != 0 || !m.IndexCurrent || m.LandmarksInvalidated != 0 {
+	if m.Batches != 1 || m.DirtyLandmarks != 0 || m.LandmarksInvalidated != 0 {
 		t.Fatalf("after insert-only batch: %+v", m)
-	}
-	if info := eng.Epoch(); m.IndexEpoch != info.Epoch {
-		t.Fatalf("index epoch %d lags graph epoch %d after insert-only batch", m.IndexEpoch, info.Epoch)
 	}
 
 	// Deletions: at least one landmark must eventually go dirty (edges
@@ -649,19 +641,16 @@ func TestMutateMaintenanceCounters(t *testing.T) {
 	if m.DirtyLandmarks == 0 || m.LandmarksInvalidated == 0 {
 		t.Fatalf("deletions never invalidated a landmark: %+v", m)
 	}
-	if !m.IndexCurrent {
-		t.Fatalf("maintained index must stay current (dirty landmarks are excluded, not stale): %+v", m)
-	}
 
 	// Compaction rebuilds invalidated landmarks: dirty set clears.
 	if did, err := eng.Compact(ctx); err != nil || !did {
 		t.Fatalf("Compact = %v, %v", did, err)
 	}
 	m = eng.IndexMaintenance()
-	if m.DirtyLandmarks != 0 || !m.IndexCurrent {
+	if m.DirtyLandmarks != 0 {
 		t.Fatalf("after compaction: %+v", m)
 	}
-	if _, _, info, maint := eng.Health(); maint.DirtyLandmarks != 0 || maint.IndexEpoch != info.IndexEpoch {
+	if _, _, info, maint := eng.Health(); maint.DirtyLandmarks != 0 {
 		t.Fatalf("Health disagrees with IndexMaintenance: %+v vs epoch %+v", maint, info)
 	}
 }

@@ -113,7 +113,7 @@ func TestMutatePersistOpenIdentity(t *testing.T) {
 	}
 	defer reopened.Close()
 	ep := reopened.Epoch()
-	if ep.Epoch != epochBefore.Epoch || ep.IndexEpoch != epochBefore.IndexEpoch {
+	if ep.Epoch != epochBefore.Epoch {
 		t.Fatalf("reopened epoch %+v, want %+v", ep, epochBefore)
 	}
 	dur := reopened.Durability()
@@ -194,7 +194,7 @@ func TestMutatePersistRestartReplay(t *testing.T) {
 	}
 	defer reopened.Close()
 	ep := reopened.Epoch()
-	if ep.Epoch != epochBefore.Epoch || ep.IndexEpoch != epochBefore.IndexEpoch || ep.OverlayOps != epochBefore.OverlayOps {
+	if ep.Epoch != epochBefore.Epoch || ep.OverlayOps != epochBefore.OverlayOps {
 		t.Fatalf("reopened epoch %+v, want %+v", ep, epochBefore)
 	}
 	if maint := reopened.IndexMaintenance(); maint.Batches != maintBefore.Batches || maint.DirtyLandmarks != maintBefore.DirtyLandmarks {

@@ -4,8 +4,11 @@
 # The engine answers queries through Query/QueryBatch and nothing else.
 # This gate fails CI when any exported Engine method in the root package
 # is outside the allowlist below, so the surface cannot silently sprawl
-# back into one-method-per-capability. There is no escape hatch: a new
-# method means editing the allowlist, in review.
+# back into one-method-per-capability. It also pins the field names of
+# the two configuration structs, Options (lscr.go) and IndexParams
+# (internal/lscr/localindex.go), so a new knob cannot slip in either.
+# There is no escape hatch: a new method or field means editing an
+# allowlist, in review.
 #
 # Run from the repository root: ./scripts/apigate.sh
 set -eu
@@ -43,4 +46,32 @@ done
 if [ "$status" -ne 0 ]; then
     echo "apigate: engine queries go through Query/QueryBatch; extend the allowlist only for non-query methods" >&2
 fi
+
+# pin_fields FILE STRUCT ALLOWED... fails unless the named fields of
+# `type STRUCT struct` in FILE are exactly ALLOWED, in any order.
+pin_fields() {
+    file=$1 struct=$2
+    shift 2
+    got=$(awk -v s="$struct" '
+        $0 ~ "^type " s " struct \\{" { in_s = 1; next }
+        in_s && /^}/ { exit }
+        in_s && match($0, /^\t[A-Z][A-Za-z0-9_]*(,[ \t]*[A-Za-z_][A-Za-z0-9_]*)*/) {
+            n = split(substr($0, 2, RLENGTH - 1), names, /,[ \t]*/)
+            for (i = 1; i <= n; i++) print names[i]
+        }
+    ' "$file" | sort)
+    want=$(printf '%s\n' "$@" | sort)
+    if [ -z "$got" ]; then
+        echo "$file: type $struct struct not found" >&2
+        status=1
+    elif [ "$got" != "$want" ]; then
+        echo "$file: $struct fields are [$(echo $got)], allowlist is [$(echo $want)]" >&2
+        status=1
+    fi
+}
+
+pin_fields lscr.go Options \
+    SkipIndex Landmarks IndexSeed ConstraintCacheSize CompactAfter DataDir Durability
+pin_fields internal/lscr/localindex.go IndexParams K Seed
+
 exit "$status"

@@ -25,8 +25,8 @@ import (
 //   - (d) Open on a copy taken between the durable seal record and the
 //     segment rename — the state a failed seg-rename leaves.
 //
-// Matching is the whole serving state: epoch, index epoch and overlay
-// size, index structure, ordered triples, and answers and Stats of INS,
+// Matching is the whole serving state: epoch and overlay size, index
+// structure, ordered triples, and answers and Stats of INS,
 // UIS and UIS* over the whole label universe.
 func TestReplicaSealMatchesWriter(t *testing.T) {
 	kg, _ := maintSeed(11, 40, 3, 200, 0, 0)
@@ -163,7 +163,7 @@ func sealMatch(t *testing.T, name string, want, got *Engine) {
 	t.Helper()
 	we, ge := want.current(), got.current()
 	wi, gi := want.Epoch(), got.Epoch()
-	if wi.Epoch != gi.Epoch || wi.IndexEpoch != gi.IndexEpoch || wi.OverlayOps != gi.OverlayOps {
+	if wi.Epoch != gi.Epoch || wi.OverlayOps != gi.OverlayOps {
 		t.Fatalf("%s: epoch %+v, writer %+v", name, gi, wi)
 	}
 	if err := we.idx.EqualStructure(ge.idx); err != nil {
