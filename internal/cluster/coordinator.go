@@ -38,7 +38,6 @@ import (
 
 	"lscr"
 	"lscr/api"
-	"lscr/client"
 	"lscr/internal/buildinfo"
 	"lscr/internal/failpoint"
 	"lscr/server"
@@ -321,6 +320,10 @@ func (res *attemptResult) failureErr() error {
 	if res.err != nil {
 		return res.err
 	}
+	var e api.Error
+	if json.Unmarshal(res.body, &e) == nil && e.Error != "" {
+		return fmt.Errorf("backend answered %d: %s", res.status, e.Error)
+	}
 	return fmt.Errorf("backend answered %d", res.status)
 }
 
@@ -513,9 +516,11 @@ func (co *Coordinator) readHedged(maxBody int64) http.HandlerFunc {
 }
 
 // v1Batch fans a batch out across the eligible replicas and merges the
-// group replies back into request order. A group whose replica fails
-// transiently is redispatched once to another eligible replica; if
-// that also fails, its slots answer per-item errors (the other groups'
+// group replies back into request order. Each group is forwarded under
+// the read rules of readHedged: within Config.RequestBudget, stamped
+// into api.BudgetHeader; a replica that fails transiently or sheds
+// (429) hands its group once to another eligible replica. If that also
+// fails, the group's slots answer per-item errors (the other groups'
 // answers still stand — a replica going down mid-batch degrades, never
 // corrupts, the merge).
 func (co *Coordinator) v1Batch(w http.ResponseWriter, r *http.Request) {
@@ -532,6 +537,12 @@ func (co *Coordinator) v1Batch(w http.ResponseWriter, r *http.Request) {
 	if len(backends) == 0 {
 		writeError(w, http.StatusServiceUnavailable, errors.New("no eligible backend"))
 		return
+	}
+	ctx := r.Context()
+	if d := co.cfg.RequestBudget; d > 0 {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, d)
+		defer cancel()
 	}
 	// Partition round-robin: queries i, i+n, i+2n… go to backend i. The
 	// slot map carries each sub-batch answer back to its request index.
@@ -551,27 +562,59 @@ func (co *Coordinator) v1Batch(w http.ResponseWriter, r *http.Request) {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			co.runGroup(r.Context(), backends, g, groups[g], slots[g], wire.Concurrency, items)
+			co.runGroup(ctx, backends, g, groups[g], slots[g], wire.Concurrency, items)
 		}(g)
 	}
 	wg.Wait()
 	writeJSON(w, http.StatusOK, api.BatchResponse{Results: items, Count: len(items)})
 }
 
-// runGroup sends one partition to its backend, redispatching once on
-// transient failure, and writes the answers into their slots.
+// runGroup sends one partition to its backend, redispatching once on a
+// transient failure or a shed, and writes the answers into their slots.
 func (co *Coordinator) runGroup(ctx context.Context, backends []*backend, g int, queries []api.QueryRequest, slots []int, concurrency int, items []api.BatchItem) {
-	req := api.BatchRequest{Queries: queries, Concurrency: concurrency}
+	body, err := json.Marshal(api.BatchRequest{Queries: queries, Concurrency: concurrency})
+	if err != nil {
+		for _, slot := range slots {
+			items[slot] = api.BatchItem{Error: fmt.Sprintf("gateway: %v", err)}
+		}
+		return
+	}
 	targets := []*backend{backends[g]}
 	if alt := backends[(g+1)%len(backends)]; alt != targets[0] {
 		targets = append(targets, alt)
 	}
-	var lastErr error
+	var (
+		lastErr error
+		shed    bool // the last target shed the group
+	)
 	for _, b := range targets {
-		start := time.Now()
-		resp, err := b.cli.Batch(ctx, req)
-		if err == nil {
-			b.success(time.Since(start))
+		res := co.attempt(ctx, b, http.MethodPost, "/"+api.Version+"/batch", "", body, "application/json")
+		shed = res.status == http.StatusTooManyRequests
+		if ctx.Err() != nil {
+			// The caller's budget or cancellation, not the backend's fault.
+			lastErr, shed = ctx.Err(), false
+			break
+		}
+		if shed {
+			// Shed, not broken: out of the rotation for a cooldown, no
+			// breaker hit, and the group tries the next target.
+			b.shed(co.cooldown())
+			co.logf("batch group via %s shed (429)", b.url)
+			lastErr = res.failureErr()
+			continue
+		}
+		if res.transient() {
+			lastErr = res.failureErr()
+			b.failure(lastErr, co.failThreshold(), co.cooldown())
+			co.logf("batch group via %s failed: %v", b.url, lastErr)
+			continue
+		}
+		var resp api.BatchResponse
+		if res.status != http.StatusOK {
+			// A definitive refusal maps onto every slot of the group.
+			lastErr = res.failureErr()
+		} else if lastErr = json.Unmarshal(res.body, &resp); lastErr == nil {
+			b.success(res.elapsed)
 			for j, it := range resp.Results {
 				if j < len(slots) {
 					items[slots[j]] = it
@@ -579,31 +622,14 @@ func (co *Coordinator) runGroup(ctx context.Context, backends []*backend, g int,
 			}
 			return
 		}
-		lastErr = err
-		if !transientErr(err) {
-			// A definitive refusal maps onto every slot of the group.
-			break
-		}
-		b.failure(err, co.failThreshold(), co.cooldown())
-		co.logf("batch group via %s failed: %v", b.url, err)
+		break
+	}
+	if shed {
+		co.sheds.Add(1)
 	}
 	for _, slot := range slots {
 		items[slot] = api.BatchItem{Error: fmt.Sprintf("gateway: %v", lastErr)}
 	}
-}
-
-// transientErr classifies a typed-client error like
-// attemptResult.transient does a raw one.
-func transientErr(err error) bool {
-	var apiErr *client.APIError
-	if errors.As(err, &apiErr) {
-		return apiErr.StatusCode == http.StatusBadGateway ||
-			apiErr.StatusCode == http.StatusServiceUnavailable
-	}
-	if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-		return false
-	}
-	return true
 }
 
 // v1Mutate fans the mutation in through the single writer, exactly

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -16,7 +17,6 @@ import (
 
 	"lscr"
 	"lscr/api"
-	"lscr/client"
 )
 
 // fakeBackend is a scripted lscrd stand-in: it answers /v1/query and
@@ -339,17 +339,36 @@ func TestReplicaMutateWriterDown(t *testing.T) {
 	}
 }
 
-// transientErr must not classify a caller-cancelled context as worth
-// redispatching.
+// A forwarded batch group is redispatched on a transport error or a
+// 502/503, never on a definitive answer, and a caller-cancelled context
+// is not the backend's failure: it feeds no breaker.
 func TestReplicaTransientErrClassification(t *testing.T) {
-	if transientErr(context.Canceled) {
-		t.Fatal("context.Canceled classified transient")
+	for _, tc := range []struct {
+		res  attemptResult
+		want bool
+	}{
+		{attemptResult{err: errors.New("connection refused")}, true},
+		{attemptResult{status: http.StatusBadGateway}, true},
+		{attemptResult{status: http.StatusServiceUnavailable}, true},
+		{attemptResult{status: http.StatusBadRequest}, false},
+		{attemptResult{status: http.StatusTooManyRequests}, false}, // shed, not broken
+	} {
+		if got := tc.res.transient(); got != tc.want {
+			t.Errorf("transient(%+v) = %v, want %v", tc.res, got, tc.want)
+		}
 	}
-	if !transientErr(&client.APIError{StatusCode: http.StatusServiceUnavailable}) {
-		t.Fatal("503 not classified transient")
+
+	live := newFakeBackend(t, "live", 0)
+	co := NewCoordinator(Config{Writer: live.url(), Replicas: []string{live.url()}})
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	items := make([]api.BatchItem, 1)
+	co.runGroup(ctx, co.replicas, 0, batchOf("q0").Queries, []int{0}, 0, items)
+	if !strings.Contains(items[0].Error, context.Canceled.Error()) {
+		t.Fatalf("cancelled group answered %+v, want a context error", items[0])
 	}
-	if transientErr(&client.APIError{StatusCode: http.StatusBadRequest}) {
-		t.Fatal("400 classified transient")
+	if n := co.writer.fails.Load(); n != 0 {
+		t.Fatalf("a caller's cancellation fed the breaker %d failures", n)
 	}
 }
 

@@ -24,17 +24,46 @@ import (
 // only ever sees wire responses.
 func stubBackend(t *testing.T, healthz string, query http.HandlerFunc) *httptest.Server {
 	t.Helper()
+	return stubRoutes(t, healthz, map[string]http.HandlerFunc{"POST /v1/query": query})
+}
+
+// stubRoutes is stubBackend with a handler per route pattern; nil
+// handlers are left unrouted.
+func stubRoutes(t *testing.T, healthz string, routes map[string]http.HandlerFunc) *httptest.Server {
+	t.Helper()
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "application/json")
 		w.Write([]byte(healthz))
 	})
-	if query != nil {
-		mux.HandleFunc("POST /v1/query", query)
+	for pattern, h := range routes {
+		if h != nil {
+			mux.HandleFunc(pattern, h)
+		}
 	}
 	srv := httptest.NewServer(mux)
 	t.Cleanup(srv.Close)
 	return srv
+}
+
+// answerBatch answers every query of a /v1/batch request reachable.
+func answerBatch(w http.ResponseWriter, r *http.Request) {
+	var req api.BatchRequest
+	json.NewDecoder(r.Body).Decode(&req)
+	items := make([]api.BatchItem, len(req.Queries))
+	for i := range items {
+		items[i].Reachable = true
+	}
+	w.Header().Set("Content-Type", "application/json")
+	json.NewEncoder(w).Encode(api.BatchResponse{Results: items, Count: len(items)})
+}
+
+// batchOf4 is a batch that partitions across two replicas.
+func batchOf4() api.BatchRequest {
+	return api.BatchRequest{Queries: []api.QueryRequest{
+		{Source: "a", Target: "b"}, {Source: "b", Target: "c"},
+		{Source: "c", Target: "d"}, {Source: "d", Target: "e"},
+	}}
 }
 
 func answer200(body string) http.HandlerFunc {
@@ -115,6 +144,48 @@ func TestOverloadShedRedirectsRead(t *testing.T) {
 	}
 }
 
+// TestOverloadShedRedirectsReadBatch: /v1/batch follows the same shed
+// rule — the group a replica sheds (429) is redispatched to the healthy
+// replica, with no breaker trip and no per-item error.
+func TestOverloadShedRedirectsReadBatch(t *testing.T) {
+	const okHealth = `{"status":"ok"}`
+	shedding := stubRoutes(t, okHealth, map[string]http.HandlerFunc{"POST /v1/batch": answer429("1")})
+	healthy := stubRoutes(t, okHealth, map[string]http.HandlerFunc{"POST /v1/batch": answerBatch})
+	writer := stubBackend(t, okHealth, nil)
+
+	gw := cluster.NewCoordinator(cluster.Config{
+		Writer:   writer.URL,
+		Replicas: []string{shedding.URL, healthy.URL},
+		Logf:     t.Logf,
+	})
+	gwSrv := httptest.NewServer(gw)
+	t.Cleanup(gwSrv.Close)
+
+	c := client.New(gwSrv.URL, client.WithRetry(1, 0))
+	resp, err := c.Batch(context.Background(), batchOf4())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, it := range resp.Results {
+		if it.Error != "" || !it.Reachable {
+			t.Fatalf("item %d through shedding cluster = %+v", i, it)
+		}
+	}
+	h := gatewayHealth(t, gwSrv.URL)
+	var shed, broken int
+	for _, r := range h.Replicas {
+		if r.Shedding {
+			shed++
+		}
+		if r.Breaker != "closed" {
+			broken++
+		}
+	}
+	if shed != 1 || broken != 0 || h.Sheds != 0 {
+		t.Fatalf("shedding = %d, broken = %d, sheds = %d; want 1, 0, 0: %+v", shed, broken, h.Sheds, h.Replicas)
+	}
+}
+
 // TestOverloadRelays429WhenSaturated: when every backend sheds, the
 // gateway relays the 429 — Retry-After intact, sheds counter up — so
 // the client's retry policy takes over instead of seeing a fake 502.
@@ -180,6 +251,40 @@ func TestOverloadBudgetPropagates(t *testing.T) {
 	}
 	ms := gotBudget.Load()
 	if ms <= 0 || ms > 750 {
+		t.Fatalf("backend saw budget %dms, want (0, 750]", ms)
+	}
+}
+
+// TestOverloadBudgetPropagatesBatch: a /v1/batch group carries the
+// remaining Config.RequestBudget in api.BudgetHeader, as a read does.
+func TestOverloadBudgetPropagatesBatch(t *testing.T) {
+	const okHealth = `{"status":"ok"}`
+	var gotBudget atomic.Int64
+	backend := stubRoutes(t, okHealth, map[string]http.HandlerFunc{"POST /v1/batch": func(w http.ResponseWriter, r *http.Request) {
+		if ms, err := strconv.ParseInt(r.Header.Get(api.BudgetHeader), 10, 64); err == nil {
+			gotBudget.Store(ms)
+		}
+		answerBatch(w, r)
+	}})
+	writer := stubBackend(t, okHealth, nil)
+	gw := cluster.NewCoordinator(cluster.Config{
+		Writer:        writer.URL,
+		Replicas:      []string{backend.URL},
+		RequestBudget: 750 * time.Millisecond,
+		Logf:          t.Logf,
+	})
+	gwSrv := httptest.NewServer(gw)
+	t.Cleanup(gwSrv.Close)
+
+	c := client.New(gwSrv.URL, client.WithRetry(1, 0))
+	resp, err := c.Batch(context.Background(), batchOf4())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if it := resp.Results[0]; it.Error != "" || !it.Reachable {
+		t.Fatalf("batch item 0 = %+v", it)
+	}
+	if ms := gotBudget.Load(); ms <= 0 || ms > 750 {
 		t.Fatalf("backend saw budget %dms, want (0, 750]", ms)
 	}
 }

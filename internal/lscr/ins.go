@@ -11,7 +11,9 @@ import (
 //
 //   - H, a priority heap over V(S,G), decides which satisfying vertex to
 //     verify next (F-marked before N-marked, then closer regions and
-//     landmarks first);
+//     landmarks first). It is filled once and heapified, and its keys
+//     are revalidated lazily, at the top, as the close map moves (hKey,
+//     hPop);
 //   - Q, the global priority queue replacing UIS*'s stack, decides which
 //     frontier vertex to expand next (T before F, the target's region
 //     first, landmarks first, closer regions first, regions whose
@@ -72,17 +74,17 @@ func insImpl(g *graph.Graph, idx *LocalIndex, q Query, vsOrder []graph.VertexID,
 		tr:      tr,
 		ic:      interruptCheck{fn: q.Interrupt},
 	}
-	// Line 1: H initialized by V(S,G). |V(S,G)| can approach |V|, so
-	// even initialization honours the interrupt.
-	h := newLazyPQ(r.hKey, false, true, g.NumVertices())
-	h.h = sc.h[:0] // H's backing array is pooled, like Q's
-	defer func() { sc.h = h.h[:0] }()
-	for _, v := range vs {
+	// Line 1: H initialized by V(S,G): filled in place, then heapified
+	// once. |V(S,G)| can approach |V|, so even initialization honours
+	// the interrupt. H's backing array is pooled, like Q's.
+	sc.h = sc.h[:0]
+	for i, v := range vs {
 		if err := r.ic.tick(); err != nil {
 			return false, Stats{}, err
 		}
-		h.push(v)
+		sc.h = append(sc.h, heapItem{key: r.hKey(v, uint64(i)), v: v})
 	}
+	sc.h.heapify()
 	// Line 2: global priority queue with s; line 3: close[s] <- F.
 	r.queue = newFrontierQueue(sc, g.NumVertices())
 	r.enqueue(q.Source)
@@ -98,7 +100,7 @@ func insImpl(g *graph.Graph, idx *LocalIndex, q Query, vsOrder []graph.VertexID,
 		if err := r.ic.poll(); err != nil {
 			return false, Stats{}, err
 		}
-		v, ok := h.pop()
+		v, ok := hPop(&sc.h, r.hKey)
 		if !ok {
 			break
 		}
@@ -132,8 +134,9 @@ func insImpl(g *graph.Graph, idx *LocalIndex, q Query, vsOrder []graph.VertexID,
 				}
 			}
 		case F:
-			// s -L-> v is known; v satisfies S. A zero-length tail
-			// suffices when v is the target (see DESIGN.md).
+			// s -L-> v is known; v satisfies S. When v is the target the
+			// zero-length path is the tail: the paper's LCS(v, t, L, T)
+			// would miss it, since it only reports t once an edge reaches it.
 			if v == q.Target {
 				return true, r.close.statsSat(0, v), nil
 			}
@@ -174,25 +177,55 @@ type insRun struct {
 	ic interruptCheck
 }
 
-// hKey orders H (§5.2): F-marked satisfying vertices before N-marked;
-// within a state, nearer estimated distance ρ first, landmarks before
-// non-landmarks.
-func (r *insRun) hKey(v graph.VertexID, seq int) priorityKey {
-	k := priorityKey{id: v, seq: seq}
+// hKey orders H (§5.2) with a key packed like Q's, from the high bit
+// down:
+//
+//	bits 62-61 close[v]: F = 0, N = 1, T = 2 — F-marked vertices first
+//	bits 60-34 ρ code (LocalIndex.Rho)      — nearer first
+//	bit 33     v is not a landmark          — landmarks first
+//	bits 32-0  seq, v's position in V(S,G)  — makes every key unique
+//
+// An F-marked v is ranked by ρ(v, t), an N-marked one by ρ(s, v); all
+// T-marked vertices share ρ code 0, since none can help any more. The
+// order is exact while D < 2^26, the cap Q's rule (iv) shares.
+func (r *insRun) hKey(v graph.VertexID, seq uint64) uint64 {
+	var state, rho uint64
 	switch r.close.get(v) {
 	case F:
-		k.r0 = 0
-		k.r1 = r.idx.Rho(v, r.q.Target)
+		rho = r.idx.Rho(v, r.q.Target)
 	case N:
-		k.r0 = 1
-		k.r1 = r.idx.Rho(r.q.Source, v)
+		state = 1
+		rho = r.idx.Rho(r.q.Source, v)
 	case T:
-		k.r0 = 2
+		state = 2
 	}
+	key := state<<61 | rho<<34 | seq&fqSeqMask
 	if !r.idx.IsLandmark(v) {
-		k.r2 = 1
+		key |= 1 << 33
 	}
-	return k
+	return key
+}
+
+// hPop removes and returns H's best vertex. H's keys snapshot mutable
+// search state, so the top is revalidated first: when keyOf, given the
+// item's seq, disagrees with the stored key, the fresh key is stored
+// and sifted down, and the new top is examined. Only the minimum is
+// ever settled and every key is unique, so the pop order depends on the
+// keys alone, not on the heap's layout. A buried vertex whose priority
+// improved surfaces once its stale key reaches the top; pop order
+// affects guidance quality, never correctness.
+func hPop(h *keyHeap, keyOf func(graph.VertexID, uint64) uint64) (graph.VertexID, bool) {
+	for len(*h) > 0 {
+		top := (*h)[0]
+		if cur := keyOf(top.v, top.key&fqSeqMask); cur != top.key {
+			(*h)[0].key = cur
+			h.down(0)
+			continue
+		}
+		h.popTop()
+		return top.v, true
+	}
+	return 0, false
 }
 
 // enqueue pushes v into Q with the packed priority implementing the §5.2
@@ -213,16 +246,12 @@ func (r *insRun) enqueue(v graph.VertexID) {
 		rank++
 	}
 	key |= rank << 60
-	// Rule (iv): smaller ρ first. ρ is the negated boundary connection
-	// count D (larger D = closer); encode so that "closer" sorts lower.
-	var d uint32
+	// Rule (iv): smaller ρ first, i.e. more boundary connections D.
+	var d int
 	if af != graph.NoVertex && r.tStarAF != graph.NoVertex && af != r.tStarAF {
-		d = uint32(r.idx.D(af, r.tStarAF))
-		if d > fqRhoMax {
-			d = fqRhoMax
-		}
+		d = r.idx.D(af, r.tStarAF)
 	}
-	key |= (uint64(fqRhoMax) - uint64(d)) << 34
+	key |= rhoCode(d) << 34
 	if af == graph.NoVertex || r.close.get(af) != N {
 		key |= 1 << 33
 	}

@@ -596,21 +596,23 @@ func (idx *LocalIndex) D(u, x graph.VertexID) int {
 	return int(dAt(idx.drows[iu], uint32(ix), len(idx.drows)))
 }
 
-// Rho is the estimated closeness used by INS's evaluation function. The
+// Rho is the estimated closeness used by INS's evaluation function, as
+// an order-preserving code for its heap keys: smaller is closer. The
 // paper defines ρ(s,t) = D(s.AF, t.AF) and prefers small ρ; D counts
-// connections between regions, so more is closer, and Rho negates D so
-// that "smaller ρ" means "more strongly connected"; the CHANGES.md
-// entry that retired the literal reading records the ablation behind
-// this. Vertices outside every region get the worst estimate.
-func (idx *LocalIndex) Rho(u, t graph.VertexID) int {
+// connections between regions, so more is closer, and the code falls
+// as D grows (rhoCode); the CHANGES.md entry that retired the literal
+// reading records the ablation behind this. u and t in one region code
+// 0, closest of all; vertices outside every region get the worst
+// estimate, that of D = 0.
+func (idx *LocalIndex) Rho(u, t graph.VertexID) uint64 {
 	au, at := idx.Region(u), idx.Region(t)
 	if au == graph.NoVertex || at == graph.NoVertex {
-		return 0
+		return 1 + rhoCode(0)
 	}
 	if au == at {
-		return -1 << 30 // same region: closest
+		return 0
 	}
-	return -int(dAt(idx.drows[idx.lmIdx[au]], uint32(idx.lmIdx[at]), len(idx.drows)))
+	return 1 + rhoCode(int(dAt(idx.drows[idx.lmIdx[au]], uint32(idx.lmIdx[at]), len(idx.drows))))
 }
 
 // Entries returns the number of stored minimal label sets across II plus

@@ -220,7 +220,7 @@ func TestRhoOrdering(t *testing.T) {
 	g := testkg.Random(rng, 30, 90, 3)
 	idx := NewLocalIndex(g, IndexParams{K: 4, Seed: 7})
 	// Same-region pairs must look closest.
-	var sameRegion, crossRegion []int
+	var sameRegion, crossRegion []uint64
 	for v := 0; v < g.NumVertices(); v++ {
 		for w := 0; w < g.NumVertices(); w++ {
 			rv, rw := idx.Region(graph.VertexID(v)), idx.Region(graph.VertexID(w))
@@ -597,9 +597,9 @@ func checkDAgainstBoundary(t *testing.T, idx *LocalIndex) {
 			if got := idx.D(u, x); got != want[i] {
 				t.Fatalf("D(%d, %d) = %d, boundary recount %d", u, x, got, want[i])
 			}
-			rho := -want[i]
+			rho := 1 + rhoCode(want[i])
 			if u == x {
-				rho = -1 << 30
+				rho = 0
 			}
 			if got := idx.Rho(u, x); got != rho {
 				t.Fatalf("Rho(%d, %d) = %d, want %d", u, x, got, rho)

@@ -70,12 +70,11 @@ type scratch struct {
 	// cut is INS's per-landmark Cut/Push-done table; it is zeroed on
 	// borrow (landmark counts are ~√|V|·log|V|, so the clear is cheap).
 	cut []uint8
-	// h is the backing array of INS's heap H, reused across queries
-	// like fq's.
-	h pqHeap
-	// fq is INS's frontier queue Q; its heap backing array is reused
-	// across queries (newFrontierQueue truncates it), so a steady stream
-	// of INS queries stops allocating a fresh heap per query.
+	// h is INS's heap H and fq its frontier queue Q. Both backing
+	// arrays are reused across queries (INS and newFrontierQueue
+	// truncate them), so a steady stream of INS queries stops
+	// allocating fresh heaps.
+	h  keyHeap
 	fq frontierQueue
 	// vis and queue are Naive's outer-walk visited set and DFS stack.
 	// Its inner procedure and the witness BFS run on pooled lcr walkers.

@@ -91,7 +91,7 @@ func uisStarImpl(g *graph.Graph, q Query, vsOrder []graph.VertexID, tr Tracer) (
 			// s -L-> v is already known. If v is the target, the path
 			// from s to v itself passes the satisfying vertex v. (The
 			// paper's Line 11 would run LCS(v,t,L,T), which misses this
-			// zero-length case; see DESIGN.md.)
+			// zero-length path: it reports t only once an edge reaches it.)
 			if v == q.Target {
 				return true, u.close.statsSat(0, v), nil
 			}
