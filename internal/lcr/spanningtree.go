@@ -18,8 +18,11 @@ import (
 //
 // The construction cost is dominated by the per-source CMS computation,
 // which is what blows up linearly in density and exponentially in |V| —
-// the trend Figure 5 demonstrates. See DESIGN.md §5 for the substitution
-// note versus the original C++ implementation.
+// the trend Figure 5 demonstrates. It is written from Jin et al.'s
+// description, not ported from their C++ code, and uses a plain BFS
+// forest where they sample for a better tree: the per-source closure,
+// which both share, dominates the cost, so the trend does not depend on
+// the choice of tree.
 type SpanningTreeIndex struct {
 	n      int
 	parent []graph.VertexID // forest parent; NoVertex at roots

@@ -148,7 +148,7 @@ func TestScratchEpochOverflowResets(t *testing.T) {
 
 func TestCloseMapEpochReuse(t *testing.T) {
 	sc := getScratch(8)
-	c1 := newCloseMap(sc)
+	c1 := &sc.close
 	c1.set(3, T)
 	if c1.get(3) != T {
 		t.Fatal("set/get broken")
@@ -156,7 +156,7 @@ func TestCloseMapEpochReuse(t *testing.T) {
 	putScratch(sc)
 	sc2 := getScratch(8)
 	defer putScratch(sc2)
-	c2 := newCloseMap(sc2)
+	c2 := &sc2.close
 	if c2.get(3) != N {
 		t.Fatal("stale close state visible across epochs")
 	}

@@ -1,9 +1,6 @@
 package lscr
 
-import (
-	"lscr/internal/graph"
-	"lscr/internal/pattern"
-)
+import "lscr/internal/graph"
 
 // INS answers the LSCR query q on g with the informed search of Algorithm
 // 4, guided by a precomputed LocalIndex. Its two priority structures act
@@ -38,143 +35,67 @@ import (
 // vsOrder optionally supplies a precomputed V(S,G); pass nil to let the
 // engine compute it.
 func INS(g *graph.Graph, idx *LocalIndex, q Query, vsOrder []graph.VertexID) (bool, Stats, error) {
-	return insImpl(g, idx, q, vsOrder, nil)
+	return verify(g, idx, q, vsOrder, nil)
 }
 
 // INSTraced is INS with a Tracer observing close-state transitions
 // (index-driven markings are flagged viaIndex) and LCS boundaries.
 func INSTraced(g *graph.Graph, idx *LocalIndex, q Query, vsOrder []graph.VertexID, tr Tracer) (bool, Stats, error) {
-	return insImpl(g, idx, q, vsOrder, tr)
+	return verify(g, idx, q, vsOrder, tr)
 }
 
-func insImpl(g *graph.Graph, idx *LocalIndex, q Query, vsOrder []graph.VertexID, tr Tracer) (bool, Stats, error) {
-	if err := validate(g, q); err != nil {
-		return false, Stats{}, err
-	}
-	if idx.Graph() != g {
-		return false, Stats{}, ErrIndexMismatch
-	}
-	vs := vsOrder
-	if vs == nil {
-		m, err := pattern.NewMatcher(g, q.Constraint)
-		if err != nil {
-			return false, Stats{}, err
-		}
-		vs = m.MatchAll()
-	}
-
-	sc := getScratch(g.NumVertices())
-	defer putScratch(sc)
-	r := &insRun{
-		g:       g,
-		idx:     idx,
-		q:       q,
-		close:   newCloseMap(sc),
-		cutDone: sc.cutTable(len(idx.landmarks)),
-		tr:      tr,
-		ic:      interruptCheck{fn: q.Interrupt},
-	}
-	// Line 1: H initialized by V(S,G): filled in place, then heapified
-	// once. |V(S,G)| can approach |V|, so even initialization honours
-	// the interrupt. H's backing array is pooled, like Q's.
-	sc.h = sc.h[:0]
-	for i, v := range vs {
-		if err := r.ic.tick(); err != nil {
-			return false, Stats{}, err
-		}
-		sc.h = append(sc.h, heapItem{key: r.hKey(v, uint64(i)), v: v})
-	}
-	sc.h.heapify()
-	// Line 2: global priority queue with s; line 3: close[s] <- F.
-	r.queue = newFrontierQueue(sc, g.NumVertices())
-	r.enqueue(q.Source)
-	r.close.set(q.Source, F)
-	if tr != nil {
-		tr.Transition(q.Source, F, graph.NoVertex, 0, false)
-	}
-
-	// Lines 4-14. Each H pop revalidates stale keys (µs-scale on big
-	// V(S,G)), so the poll here is unamortised: a stride of thousands
-	// of pops would stretch cancellation latency past the budget.
-	for {
-		if err := r.ic.poll(); err != nil {
-			return false, Stats{}, err
-		}
-		v, ok := hPop(&sc.h, r.hKey)
-		if !ok {
-			break
-		}
-		switch r.close.get(v) {
-		case N:
-			if v == q.Source || v == q.Target {
-				// Lines 7-8: the satisfying vertex coincides with an
-				// endpoint; the query reduces to LCR reachability.
-				ok, err := r.lcs(q.Source, q.Target, false)
-				if err != nil {
-					return false, Stats{}, err
-				}
-				if ok {
-					return true, r.close.statsSat(0, v), nil
-				}
-				return false, r.close.stats(0), nil
-			}
-			ok, err := r.lcs(q.Source, v, false) // Line 9.
-			if err != nil {
-				return false, Stats{}, err
-			}
-			if ok {
-				tail := v == q.Target
-				if !tail {
-					if tail, err = r.lcs(v, q.Target, true); err != nil { // Lines 10-11.
-						return false, Stats{}, err
-					}
-				}
-				if tail {
-					return true, r.close.statsSat(0, v), nil
-				}
-			}
-		case F:
-			// s -L-> v is known; v satisfies S. When v is the target the
-			// zero-length path is the tail: the paper's LCS(v, t, L, T)
-			// would miss it, since it only reports t once an edge reaches it.
-			if v == q.Target {
-				return true, r.close.statsSat(0, v), nil
-			}
-			ok, err := r.lcs(v, q.Target, true) // Lines 12-14.
-			if err != nil {
-				return false, Stats{}, err
-			}
-			if ok {
-				return true, r.close.statsSat(0, v), nil
-			}
-		case T:
-			// s -L,S-> v proved by an earlier exhaustive T-phase that
-			// did not reach t; v cannot help further.
-		}
-	}
-	return false, r.close.stats(0), nil
-}
-
-// insRun carries the global state shared by LCS invocations.
+// insRun is INS's strategy for the verification driver: V(S,G) from the
+// heap H, and LCS on the priority queue Q plus the local index.
 type insRun struct {
-	g     *graph.Graph
+	search
 	idx   *LocalIndex
-	q     Query
-	close *closeMap
+	h     *keyHeap
 	queue *frontierQueue
 
-	// tStar is the target of the LCS invocation in flight; Q's priority
-	// rules reference it. tStarAF caches its region.
-	tStar   graph.VertexID
+	// tStarAF caches the region of the LCS invocation's target t*; Q's
+	// priority rules reference it.
 	tStarAF graph.VertexID
 
 	// cutDone records, per landmark index, whether Cut/Push has already
 	// run in the F phase (bit 0) or T phase (bit 1); the marking is
 	// idempotent per (w, L, B).
 	cutDone []uint8
+}
 
-	tr Tracer
-	ic interruptCheck
+// start prepares the run over the pooled H, Q and cut table of sc.
+func (r *insRun) start(s search, sc *scratch, idx *LocalIndex, vs []graph.VertexID) error {
+	*r = insRun{
+		search:  s,
+		idx:     idx,
+		h:       &sc.h,
+		cutDone: sc.cutTable(len(idx.landmarks)),
+	}
+	// Line 1: H initialized by V(S,G): filled in place, then heapified
+	// once. |V(S,G)| can approach |V|, so even initialization honours
+	// the interrupt.
+	*r.h = (*r.h)[:0]
+	for i, v := range vs {
+		if err := r.ic.tick(); err != nil {
+			return err
+		}
+		*r.h = append(*r.h, heapItem{key: r.hKey(v, uint64(i)), v: v})
+	}
+	r.h.heapify()
+	// Line 2: global priority queue with s.
+	r.queue = newFrontierQueue(sc, s.g.NumVertices())
+	r.enqueue(s.q.Source)
+	return nil
+}
+
+// next pops H. Each pop revalidates stale keys (µs-scale on big
+// V(S,G)), so the interrupt poll here is unamortised: a stride of
+// thousands of pops would stretch cancellation latency past the budget.
+func (r *insRun) next() (graph.VertexID, bool, error) {
+	if err := r.ic.poll(); err != nil {
+		return 0, false, err
+	}
+	v, ok := hPop(r.h, r.hKey)
+	return v, ok, nil
 }
 
 // hKey orders H (§5.2) with a key packed like Q's, from the high bit
@@ -259,10 +180,8 @@ func (r *insRun) enqueue(v graph.VertexID) {
 }
 
 // lcs is the LCS(s*, t*, L, B) of Algorithm 4 (lines 16-30). With fromSat
-// (B = T) the frontier is marked T and may re-explore F vertices. A
-// non-nil error is an interrupt and aborts the whole search.
+// (B = T) the frontier is marked T and may re-explore F vertices.
 func (r *insRun) lcs(sStar, tStar graph.VertexID, fromSat bool) (bool, error) {
-	r.tStar = tStar
 	r.tStarAF = r.idx.Region(tStar)
 	if r.tr != nil {
 		r.tr.Invocation(sStar, tStar, fromSat)
@@ -273,11 +192,6 @@ func (r *insRun) lcs(sStar, tStar graph.VertexID, fromSat bool) (bool, error) {
 		if r.tr != nil {
 			r.tr.Transition(sStar, T, graph.NoVertex, 0, false)
 		}
-		if sStar == tStar {
-			return true, nil
-		}
-	} else if sStar == tStar {
-		return true, nil
 	}
 	L := r.q.Labels
 	// Line 19: while (B=F ∧ Q≠φ) or (B = close[Q.first] = T).
@@ -306,30 +220,25 @@ func (r *insRun) lcs(sStar, tStar graph.VertexID, fromSat bool) (bool, error) {
 			}
 			for _, e := range run {
 				w := e.To
-				// Line 22-23: t* lives in w's region and w reaches it there.
+				found := false
 				if r.tStarAF == w && !r.idx.Dirty(w) && r.idx.Check(w, tStar, L) {
-					r.requeue(u)
-					return true, nil
-				}
-				if r.idx.IsLandmark(w) && !r.idx.Dirty(w) { // Lines 24-25.
-					if r.cutPush(w, tStar, fromSat) {
-						r.requeue(u)
-						return true, nil
-					}
-				} else if r.close.get(w) == N || fromSat && r.close.get(w) == F { // Lines 26-27.
-					if fromSat {
-						r.close.set(w, T)
-					} else {
-						r.close.set(w, F)
-					}
+					// Lines 22-23: t* lives in w's region and w reaches it there.
+					found = true
+				} else if r.idx.IsLandmark(w) && !r.idx.Dirty(w) { // Lines 24-25.
+					found = r.cutPush(w, tStar, fromSat)
+				} else if r.close.mark(w, fromSat) { // Lines 26-27.
 					r.enqueue(w)
 					if r.tr != nil {
 						r.tr.Transition(w, r.close.get(w), u, e.Label, false)
 					}
-					if w == tStar { // Lines 28-29.
-						r.requeue(u)
-						return true, nil
-					}
+					found = w == tStar // Lines 28-29.
+				}
+				if found {
+					// Re-insert the partially scanned u so a later
+					// invocation rescans its remaining edges, as UIS*
+					// re-pushes it on its stack.
+					r.enqueue(u)
+					return true, nil
 				}
 			}
 		}
@@ -338,10 +247,6 @@ func (r *insRun) lcs(sStar, tStar graph.VertexID, fromSat bool) (bool, error) {
 	// rules keep T elements in front and duplicates are removed by Q.
 	return false, nil
 }
-
-// requeue re-inserts a partially scanned vertex so a later invocation
-// rescans its remaining edges (see the matching fix in UIS*).
-func (r *insRun) requeue(u graph.VertexID) { r.enqueue(u) }
 
 // cutPush runs Cut(II[w]) and Push(EIT[w]) for landmark w (line 25),
 // reporting whether it proved s* -L-> t*. Cut marks every vertex w
@@ -361,16 +266,8 @@ func (r *insRun) cutPush(w, tStar graph.VertexID, fromSat bool) bool {
 	L := r.q.Labels
 	found := false
 	mark := func(x graph.VertexID, enq bool) {
-		if fromSat {
-			if r.close.get(x) == T {
-				return
-			}
-			r.close.set(x, T)
-		} else {
-			if r.close.get(x) != N {
-				return
-			}
-			r.close.set(x, F)
+		if !r.close.mark(x, fromSat) {
+			return
 		}
 		if enq {
 			r.enqueue(x)

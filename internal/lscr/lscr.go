@@ -12,8 +12,12 @@
 //     V(S,G) and a priority queue Q), which breaks the fixed LIFO/FIFO
 //     search direction of the uninformed algorithms.
 //
-// All three share the close surjection of Definition 3.1 and report the
-// paper's evaluation measures (elapsed work and passed-vertex counts).
+// UIS* and INS run on one verification driver (verify.go), which owns
+// the per-satisfying-vertex N/F/T cases they share; each supplies only
+// where the next satisfying vertex comes from and how one LCS call
+// explores. All three share the close surjection of Definition 3.1 and
+// report the paper's evaluation measures (elapsed work and
+// passed-vertex counts).
 package lscr
 
 import (
@@ -125,8 +129,8 @@ type Stats struct {
 	// Definition 3.2 (each vertex contributes a node per close state it
 	// takes, so at most two).
 	SearchTreeNodes int
-	// SCckCalls counts substructure-check invocations (UIS only; UIS* and
-	// INS obtain V(S,G) up front).
+	// SCckCalls counts substructure-check invocations (UIS and UISMulti;
+	// UIS* and INS obtain V(S,G) up front and report 0).
 	SCckCalls int
 	// Satisfying is, for a true answer, a vertex that satisfies the
 	// substructure constraint with s -L-> Satisfying -L-> t — the anchor
@@ -141,38 +145,54 @@ var (
 )
 
 // closeMap is the close surjection with the bookkeeping Stats needs. It
-// is backed by a pooled epoch-stamped array (see scratch.go): entries
-// whose epoch is stale read as N, so queries reuse arrays with no
-// zeroing.
+// lives in the pooled scratch and packs (epoch<<2 | state) per vertex
+// (see scratch.go): entries whose epoch is stale read as N, so queries
+// reuse the array with no zeroing.
 type closeMap struct {
-	arr    *epochArr32
+	epochArr32
 	passed int // vertices with state != N
 	nodes  int // search-tree nodes (state transitions)
 }
 
-func newCloseMap(s *scratch) *closeMap { return &closeMap{arr: &s.close} }
+// reset prepares c for a fresh query over n vertices.
+func (c *closeMap) reset(n int) {
+	c.next(n)
+	c.passed, c.nodes = 0, 0
+}
 
 func (c *closeMap) get(v graph.VertexID) State {
-	e := c.arr.a[v]
-	if e>>2 != c.arr.epoch {
+	e := c.a[v]
+	if e>>2 != c.epoch {
 		return N
 	}
 	return State(e & 3)
 }
 
 // set transitions v to st, updating the passed-vertex and search-tree
-// counters. Transitions are monotone (Definition 3.1): N -> F -> T;
-// demotions are ignored.
-func (c *closeMap) set(v graph.VertexID, st State) {
+// counters, and reports whether v moved. Transitions are monotone
+// (Definition 3.1): N -> F -> T; demotions are ignored.
+func (c *closeMap) set(v graph.VertexID, st State) bool {
 	old := c.get(v)
-	if old == st || st < old {
-		return
+	if st <= old {
+		return false
 	}
 	if old == N {
 		c.passed++
 	}
 	c.nodes++
-	c.arr.a[v] = c.arr.epoch<<2 | uint32(st)
+	c.a[v] = c.epoch<<2 | uint32(st)
+	return true
+}
+
+// mark is LCS's transition rule, shared by UIS*'s Line 20 and INS's
+// Lines 26-27 and Cut/Push: N -> F, or N/F -> T when fromSat. It
+// reports whether v moved.
+func (c *closeMap) mark(v graph.VertexID, fromSat bool) bool {
+	st := F
+	if fromSat {
+		st = T
+	}
+	return c.set(v, st)
 }
 
 func (c *closeMap) stats(scck int) Stats {

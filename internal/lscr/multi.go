@@ -107,8 +107,8 @@ func uisMulti(g *graph.Graph, q MultiQuery, wantWitness bool) (bool, *MultiWitne
 	}
 
 	n := g.NumVertices()
-	// satBits is computed lazily per vertex; bit 15... we need a "known"
-	// flag alongside the bits, so store bits+1 (0 = unknown).
+	// satCache memoises satBits per vertex, computed on first use. It
+	// stores bits+1, so that 0 means "not computed yet".
 	satCache := make([]uint32, n)
 	scck := 0
 	satBits := func(v graph.VertexID) uint16 {

@@ -41,8 +41,8 @@ func Naive(g *graph.Graph, q Query) (bool, Stats, error) {
 	sc.vis.Visit(q.Source)
 	st.PassedVertices = 1
 	st.SearchTreeNodes = 1
-	stack := sc.queue[:0]
-	defer func() { sc.queue = stack }()
+	stack := sc.stack[:0]
+	defer func() { sc.stack = stack }()
 	stack = append(stack, q.Source)
 	scck++
 	if m.Check(q.Source) {

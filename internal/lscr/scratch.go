@@ -61,7 +61,7 @@ func (e *epochArr64) next(n int) {
 
 // scratch bundles the pooled per-query state.
 type scratch struct {
-	close epochArr32
+	close closeMap
 	stamp epochArr64
 	// sat is UIS's satisfying-origin table. It is not epoch-stamped:
 	// entries are only read for vertices whose close state is T in the
@@ -76,10 +76,17 @@ type scratch struct {
 	// allocating fresh heaps.
 	h  keyHeap
 	fq frontierQueue
-	// vis and queue are Naive's outer-walk visited set and DFS stack.
-	// Its inner procedure and the witness BFS run on pooled lcr walkers.
+	// uisStar and ins are the two strategies of the verification driver
+	// (verify.go). They live here because the driver calls them through
+	// an interface, which would move a stack-allocated strategy to the
+	// heap on every query; uisStar's global stack is reused with it.
+	uisStar uisStarRun
+	ins     insRun
+	// stack is UIS's and Naive's DFS stack, and vis Naive's outer-walk
+	// visited set. Naive's inner procedure and the witness BFS run on
+	// pooled lcr walkers.
+	stack []graph.VertexID
 	vis   lcr.VisitSet
-	queue []graph.VertexID
 }
 
 // satTable returns the satisfying-origin table sized for n vertices.
@@ -105,13 +112,19 @@ var scratchPool = sync.Pool{New: func() interface{} { return new(scratch) }}
 // getScratch borrows a scratch sized for n vertices.
 func getScratch(n int) *scratch {
 	s := scratchPool.Get().(*scratch)
-	s.close.next(n)
+	s.close.reset(n)
 	return s
 }
 
-// putScratch returns s to the pool. The frontier stamp epoch is bumped
-// lazily by newFrontierQueue only when INS actually uses it.
-func putScratch(s *scratch) { scratchPool.Put(s) }
+// putScratch returns s to the pool. It drops the strategies' references
+// to the graph, index, V(S,G) and tracer, so that a pooled scratch pins
+// none of them. The frontier stamp epoch is bumped lazily by
+// newFrontierQueue only when INS actually uses it.
+func putScratch(s *scratch) {
+	s.uisStar = uisStarRun{stack: s.uisStar.stack[:0]}
+	s.ins = insRun{}
+	scratchPool.Put(s)
+}
 
 // PrewarmScratch primes the scratch pool with count scratches whose hot
 // arrays (close map, frontier stamps, sat table) are sized for an

@@ -39,12 +39,8 @@ func TestTheorem41(t *testing.T) {
 		}
 		sc := getScratch(n)
 		defer putScratch(sc)
-		u := &uisStarRun{
-			g:     g,
-			q:     Query{Source: s, Target: target, Labels: L},
-			close: newCloseMap(sc),
-			stack: []graph.VertexID{s},
-		}
+		u := &sc.uisStar
+		u.start(search{g: g, q: Query{Source: s, Target: target, Labels: L}, close: &sc.close}, nil)
 		u.close.set(s, F)
 		if ok, err := u.lcs(s, target, false); ok || err != nil {
 			return false // target is unreachable; lcs must fail

@@ -31,7 +31,7 @@ func uisRun(g *graph.Graph, q Query, tr Tracer) (bool, Stats, error) {
 	}
 	sc := getScratch(g.NumVertices())
 	defer putScratch(sc)
-	close := newCloseMap(sc)
+	close := &sc.close
 	scck := 0
 	check := func(v graph.VertexID) State {
 		scck++
@@ -46,7 +46,8 @@ func uisRun(g *graph.Graph, q Query, tr Tracer) (bool, Stats, error) {
 	sat := sc.satTable(g.NumVertices())
 
 	// Line 1-2: stack with s; close[s] <- SCck(s, S).
-	stack := []graph.VertexID{q.Source}
+	stack := append(sc.stack[:0], q.Source)
+	defer func() { sc.stack = stack }()
 	close.set(q.Source, check(q.Source))
 	if close.get(q.Source) == T {
 		sat[q.Source] = uint32(q.Source)
@@ -115,11 +116,4 @@ func uisRun(g *graph.Graph, q Query, tr Tracer) (bool, Stats, error) {
 		}
 	}
 	return false, close.stats(scck), nil
-}
-
-// UISWithTreeSize runs UIS and returns the search-tree size |T| alongside
-// the answer; the workload generator of §6.1.1 filters queries by |T|.
-func UISWithTreeSize(g *graph.Graph, q Query) (ans bool, treeSize int, err error) {
-	ans, st, err := UIS(g, q)
-	return ans, st.SearchTreeNodes, err
 }

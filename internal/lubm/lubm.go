@@ -59,7 +59,7 @@ const (
 	// sinks; RDF stores (and the paper's SPARQL substrate [20]) reason
 	// over inverse closures, and the paper's passed-vertex counts
 	// (~10^6 on a 3.7M-vertex KG) are only possible when organisations
-	// fan back out. See DESIGN.md §5.
+	// fan back out, so the generator adds them where UBA does not.
 	PropHasMember          = "ub:hasMember"
 	PropHasSubOrganization = "ub:hasSubOrganization"
 )

@@ -88,11 +88,11 @@ func Generate(g *graph.Graph, cons *pattern.Constraint, vs []graph.VertexID, cfg
 		if !ok {
 			continue
 		}
-		ans, tree, err := lscr.UISWithTreeSize(g, q)
+		ans, st, err := lscr.UIS(g, q)
 		if err != nil {
 			return nil, nil, err
 		}
-		if !cfg.SkipTreeFilter && !gen.treeSizeOK(tree) {
+		if !cfg.SkipTreeFilter && !gen.treeSizeOK(st.SearchTreeNodes) {
 			continue
 		}
 		if ans {

@@ -4,7 +4,7 @@
 // exercises — a scale-free degree distribution, a class/instance
 // layer, and a Zipfian relation-label mix over which random substructure
 // constraints of controlled |V(S,G)| can be generated — is reproduced
-// synthetically (see DESIGN.md §5).
+// synthetically instead.
 //
 // The generator uses preferential attachment (the paper cites [20] for
 // RDFS representing KGs as scale-free networks): each new entity attaches

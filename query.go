@@ -234,9 +234,15 @@ func (ep *epoch) querySingle(req Request, cq core.Query, texts []string) (Respon
 	}
 	cq.Constraint = cc.cons
 
-	var tree *core.SearchTree
+	// tr stays a nil interface unless a trace is wanted: a typed-nil
+	// *SearchTree would reach the algorithm as a non-nil Tracer.
+	var (
+		tree *core.SearchTree
+		tr   core.Tracer
+	)
 	if req.WantTrace {
 		tree = &core.SearchTree{}
+		tr = tree
 	}
 	var (
 		ok  bool
@@ -245,28 +251,16 @@ func (ep *epoch) querySingle(req Request, cq core.Query, texts []string) (Respon
 	)
 	switch req.Algorithm {
 	case UIS:
-		if tree != nil {
-			ok, st, err = core.UISTraced(g, cq, tree)
-		} else {
-			ok, st, err = core.UIS(g, cq)
-		}
+		ok, st, err = core.UISTraced(g, cq, tr)
 		nVS = -1
 	case UISStar:
 		vs := cc.vertexSet()
 		nVS = len(vs)
-		if tree != nil {
-			ok, st, err = core.UISStarTraced(g, cq, vs, tree)
-		} else {
-			ok, st, err = core.UISStar(g, cq, vs)
-		}
+		ok, st, err = core.UISStarTraced(g, cq, vs, tr)
 	case INS:
 		vs := cc.vertexSet()
 		nVS = len(vs)
-		if tree != nil {
-			ok, st, err = core.INSTraced(g, ep.idx, cq, vs, tree)
-		} else {
-			ok, st, err = core.INS(g, ep.idx, cq, vs)
-		}
+		ok, st, err = core.INSTraced(g, ep.idx, cq, vs, tr)
 	}
 	if err != nil {
 		return Response{}, err
