@@ -23,9 +23,10 @@
 // and when every backend sheds, the 429 and its Retry-After are relayed
 // so the client's retry policy takes over. -budget bounds each read and
 // propagates the remaining time to backends so queue time counts
-// against the caller's deadline. A writer whose /healthz reports
-// fail-stop poisoning makes mutations fail static (503 + Retry-After)
-// at the gateway while reads keep flowing to replicas.
+// against the caller's deadline; a /v1/query or /select whose budget
+// expires before any backend answers gets 504. A writer whose /healthz
+// reports fail-stop poisoning makes mutations fail static (503 +
+// Retry-After) at the gateway while reads keep flowing to replicas.
 package main
 
 import (

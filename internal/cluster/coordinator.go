@@ -259,23 +259,28 @@ func (co *Coordinator) fresh(b *backend) bool {
 	return ep >= head || head-ep <= co.cfg.StalenessBound
 }
 
-// pickRead selects the next read backend round-robin among eligible
-// replicas (breaker closed, within the staleness bound), excluding
-// those already tried; when no replica qualifies it falls back to the
-// writer, which is never stale. nil means nothing can serve the read.
+// eligible reports whether b can take a read now: breaker closed, not
+// shedding, within the staleness bound.
+func (co *Coordinator) eligible(b *backend, now time.Time) bool {
+	return b.available(now) && !b.shedding(now) && co.fresh(b)
+}
+
+// pickRead selects the next eligible read backend round-robin among the
+// replicas, excluding those already tried; when no replica qualifies it
+// falls back to the writer, which is never stale. nil means nothing can
+// serve the read.
 func (co *Coordinator) pickRead(tried map[*backend]bool) *backend {
 	now := time.Now()
 	if n := len(co.replicas); n > 0 {
 		start := co.rr.Add(1)
 		for i := 0; i < n; i++ {
 			b := co.replicas[(start+uint64(i))%uint64(n)]
-			if tried[b] || !b.available(now) || b.shedding(now) || !co.fresh(b) {
-				continue
+			if !tried[b] && co.eligible(b, now) {
+				return b
 			}
-			return b
 		}
 	}
-	if w := co.writer; !tried[w] && w.available(now) && !w.shedding(now) {
+	if w := co.writer; !tried[w] && co.eligible(w, now) {
 		return w
 	}
 	return nil
@@ -287,11 +292,11 @@ func (co *Coordinator) eligibleReads() []*backend {
 	now := time.Now()
 	var out []*backend
 	for _, b := range co.replicas {
-		if b.available(now) && !b.shedding(now) && co.fresh(b) {
+		if co.eligible(b, now) {
 			out = append(out, b)
 		}
 	}
-	if len(out) == 0 && co.writer.available(now) && !co.writer.shedding(now) {
+	if len(out) == 0 && co.eligible(co.writer, now) {
 		out = append(out, co.writer)
 	}
 	return out
@@ -403,14 +408,106 @@ func relay(w http.ResponseWriter, res attemptResult) {
 	w.Write(res.body)
 }
 
-// readHedged builds the handler for single-request reads: route to an
-// eligible replica, hedge to a second after hedgeAfter, redispatch on
-// transient failure, first definitive answer wins. The request body is
-// buffered up front so every attempt re-sends identical bytes. A 429
-// is handled shed-aware: the backend leaves the rotation briefly (no
-// breaker hit — it is overloaded, not broken) and the read is
-// redispatched once elsewhere; only when nothing else can take it does
-// the 429 relay to the client, Retry-After intact.
+// errNoBackend is dispatch's error when next offers no backend at all.
+var errNoBackend = errors.New("no eligible backend")
+
+// withBudget bounds a read by Config.RequestBudget.
+func (co *Coordinator) withBudget(ctx context.Context) (context.Context, context.CancelFunc) {
+	if d := co.cfg.RequestBudget; d > 0 {
+		return context.WithTimeout(ctx, d)
+	}
+	return ctx, func() {}
+}
+
+// dispatch is the one attempt loop behind every read: /v1/query and
+// /select, and each /v1/batch group. It launches on next(tried), hedges
+// once to next(tried) after hedgeAfter (0 = never), and when an attempt
+// fails moves on to next(tried). A 429 puts the backend in a shed
+// cooldown with no breaker hit (it is overloaded, not broken); a
+// transient failure feeds its breaker. The first definitive answer wins
+// and is accounted a success. When nothing is left to try, the last 429
+// is returned if any backend shed (counted in sheds, so its Retry-After
+// reaches the client's retry policy instead of a 502), errNoBackend if
+// next offered nothing, and "no backend answered" otherwise. Once ctx
+// ends, no result is accounted — the caller's budget or disconnect is
+// not the backend's fault — and the error is ctx.Err().
+func (co *Coordinator) dispatch(ctx context.Context, next func(tried map[*backend]bool) *backend, hedgeAfter time.Duration, method, path, rawQuery string, body []byte, contentType string) (attemptResult, error) {
+	actx, cancel := context.WithCancel(ctx)
+	defer cancel()
+	// Buffered wide enough for every backend plus the writer, so a
+	// losing attempt's send never blocks after dispatch returns.
+	results := make(chan attemptResult, len(co.replicas)+2)
+	tried := make(map[*backend]bool)
+	inflight := 0
+	launch := func() bool {
+		b := next(tried)
+		if b == nil {
+			return false
+		}
+		tried[b] = true
+		inflight++
+		go func() {
+			results <- co.attempt(actx, b, method, path, rawQuery, body, contentType)
+		}()
+		return true
+	}
+	if !launch() {
+		return attemptResult{}, errNoBackend
+	}
+	var hedge <-chan time.Time
+	if hedgeAfter > 0 {
+		t := time.NewTimer(hedgeAfter)
+		defer t.Stop()
+		hedge = t.C
+	}
+	var (
+		lastErr  error
+		lastShed *attemptResult
+	)
+	for {
+		select {
+		case res := <-results:
+			inflight--
+			if ctx.Err() != nil {
+				return attemptResult{}, ctx.Err()
+			}
+			switch {
+			case res.status == http.StatusTooManyRequests:
+				res.b.shed(co.cooldown())
+				co.logf("%s via %s shed (429)", path, res.b.url)
+				lastShed = &res
+			case res.transient():
+				lastErr = res.failureErr()
+				res.b.failure(lastErr, co.failThreshold(), co.cooldown())
+				co.logf("%s via %s failed: %v", path, res.b.url, lastErr)
+			default:
+				res.b.success(res.elapsed)
+				return res, nil
+			}
+			if launch() || inflight > 0 {
+				continue // a redispatch or a hedge may still answer
+			}
+			if lastShed != nil {
+				co.sheds.Add(1)
+				return *lastShed, nil
+			}
+			return attemptResult{}, fmt.Errorf("no backend answered: %v", lastErr)
+		case <-hedge:
+			hedge = nil
+			launch()
+		case <-ctx.Done():
+			return attemptResult{}, ctx.Err()
+		}
+	}
+}
+
+// readHedged builds the handler for single-request reads: the body is
+// buffered up front so every attempt re-sends identical bytes, and
+// dispatch routes it with pickRead, hedged after hedgeAfter. The reply
+// is the winning backend's answer relayed, or the relayed 429 of a
+// shedding fleet, 503 when no backend is eligible, 502 when none
+// answered and 504 when Config.RequestBudget expired. A client that
+// went away gets nothing.
 func (co *Coordinator) readHedged(maxBody int64) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBody))
@@ -420,109 +517,31 @@ func (co *Coordinator) readHedged(maxBody int64) http.HandlerFunc {
 		}
 		co.inflight.Add(1)
 		defer co.inflight.Add(-1)
-		ctx := r.Context()
-		if d := co.cfg.RequestBudget; d > 0 {
-			var cancel context.CancelFunc
-			ctx, cancel = context.WithTimeout(ctx, d)
-			defer cancel()
-		}
-		actx, cancelAttempts := context.WithCancel(ctx)
-		defer cancelAttempts()
-
-		// Buffered wide enough for every backend plus the writer, so a
-		// losing attempt's send never blocks after the handler returns.
-		results := make(chan attemptResult, len(co.replicas)+2)
-		tried := make(map[*backend]bool)
-		inflight := 0
-		launch := func(b *backend) {
-			tried[b] = true
-			inflight++
-			go func() {
-				results <- co.attempt(actx, b, r.Method, r.URL.Path, r.URL.RawQuery, body, r.Header.Get("Content-Type"))
-			}()
-		}
-		primary := co.pickRead(tried)
-		if primary == nil {
-			writeError(w, http.StatusServiceUnavailable, errors.New("no eligible backend"))
-			return
-		}
-		launch(primary)
-		var hedge <-chan time.Time
-		if d := co.hedgeAfter(); d > 0 {
-			t := time.NewTimer(d)
-			defer t.Stop()
-			hedge = t.C
-		}
-		var (
-			lastErr  error
-			lastShed *attemptResult
-		)
-		for {
-			select {
-			case res := <-results:
-				inflight--
-				if res.status == http.StatusTooManyRequests {
-					// Shed, not broken: pull the backend out of the
-					// rotation for a cooldown without feeding its breaker,
-					// and give the read one chance elsewhere. Relaying the
-					// 429 (Retry-After intact) is the fallback, not a 502 —
-					// the client's retry policy knows what to do with it.
-					res.b.shed(co.cooldown())
-					co.logf("read via %s shed (429)", res.b.url)
-					if nb := co.pickRead(tried); nb != nil {
-						launch(nb)
-						continue
-					}
-					if inflight > 0 {
-						lastShed = &res
-						continue // a hedge may still answer
-					}
-					co.sheds.Add(1)
-					relay(w, res)
-					return
-				}
-				if res.transient() {
-					lastErr = res.failureErr()
-					res.b.failure(lastErr, co.failThreshold(), co.cooldown())
-					co.logf("read via %s failed: %v", res.b.url, lastErr)
-					if nb := co.pickRead(tried); nb != nil {
-						launch(nb)
-						continue
-					}
-					if inflight > 0 {
-						continue // a hedge may still answer
-					}
-					if lastShed != nil {
-						co.sheds.Add(1)
-						relay(w, *lastShed)
-						return
-					}
-					writeError(w, http.StatusBadGateway, fmt.Errorf("no backend answered: %v", lastErr))
-					return
-				}
-				res.b.success(res.elapsed)
-				relay(w, res)
-				return
-			case <-hedge:
-				hedge = nil
-				if nb := co.pickRead(tried); nb != nil {
-					launch(nb)
-				}
-			case <-ctx.Done():
-				return
-			}
+		ctx, cancel := co.withBudget(r.Context())
+		defer cancel()
+		res, err := co.dispatch(ctx, co.pickRead, co.hedgeAfter(), r.Method, r.URL.Path, r.URL.RawQuery, body, r.Header.Get("Content-Type"))
+		switch {
+		case err == nil:
+			relay(w, res)
+		case r.Context().Err() != nil:
+			// The client went away: nobody is left to answer.
+		case errors.Is(err, context.DeadlineExceeded):
+			writeError(w, http.StatusGatewayTimeout, fmt.Errorf("request budget %v expired", co.cfg.RequestBudget))
+		case errors.Is(err, errNoBackend):
+			writeError(w, http.StatusServiceUnavailable, err)
+		default:
+			writeError(w, http.StatusBadGateway, err)
 		}
 	}
 }
 
 // v1Batch fans a batch out across the eligible replicas and merges the
-// group replies back into request order. Each group is forwarded under
-// the read rules of readHedged: within Config.RequestBudget, stamped
-// into api.BudgetHeader; a replica that fails transiently or sheds
-// (429) hands its group once to another eligible replica. If that also
-// fails, the group's slots answer per-item errors (the other groups'
-// answers still stand — a replica going down mid-batch degrades, never
-// corrupts, the merge).
+// group replies back into request order. Each group goes through
+// dispatch under the request budget, unhedged, to its own replica and
+// then at most once to the next one in the fan-out set. A group no
+// backend answers maps its error onto its own slots as per-item errors;
+// the other groups' answers still stand — a replica going down
+// mid-batch degrades, never corrupts, the merge.
 func (co *Coordinator) v1Batch(w http.ResponseWriter, r *http.Request) {
 	var wire api.BatchRequest
 	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, server.MaxBatchBody)).Decode(&wire); err != nil {
@@ -535,15 +554,11 @@ func (co *Coordinator) v1Batch(w http.ResponseWriter, r *http.Request) {
 	}
 	backends := co.eligibleReads()
 	if len(backends) == 0 {
-		writeError(w, http.StatusServiceUnavailable, errors.New("no eligible backend"))
+		writeError(w, http.StatusServiceUnavailable, errNoBackend)
 		return
 	}
-	ctx := r.Context()
-	if d := co.cfg.RequestBudget; d > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, d)
-		defer cancel()
-	}
+	ctx, cancel := co.withBudget(r.Context())
+	defer cancel()
 	// Partition round-robin: queries i, i+n, i+2n… go to backend i. The
 	// slot map carries each sub-batch answer back to its request index.
 	groups := make([][]api.QueryRequest, len(backends))
@@ -562,74 +577,42 @@ func (co *Coordinator) v1Batch(w http.ResponseWriter, r *http.Request) {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			co.runGroup(ctx, backends, g, groups[g], slots[g], wire.Concurrency, items)
+			targets := [2]*backend{backends[g], backends[(g+1)%len(backends)]}
+			next := func(tried map[*backend]bool) *backend {
+				for _, b := range targets {
+					if !tried[b] {
+						return b
+					}
+				}
+				return nil
+			}
+			var (
+				res  attemptResult
+				resp api.BatchResponse
+			)
+			body, err := json.Marshal(api.BatchRequest{Queries: groups[g], Concurrency: wire.Concurrency})
+			if err == nil {
+				res, err = co.dispatch(ctx, next, 0, http.MethodPost, "/"+api.Version+"/batch", "", body, "application/json")
+			}
+			if err == nil && res.status != http.StatusOK {
+				// A definitive refusal, or the 429 of a group every
+				// target shed, maps onto every slot of the group.
+				err = res.failureErr()
+			}
+			if err == nil {
+				err = json.Unmarshal(res.body, &resp)
+			}
+			for j, slot := range slots[g] {
+				if err != nil {
+					items[slot] = api.BatchItem{Error: fmt.Sprintf("gateway: %v", err)}
+				} else if j < len(resp.Results) {
+					items[slot] = resp.Results[j]
+				}
+			}
 		}(g)
 	}
 	wg.Wait()
 	writeJSON(w, http.StatusOK, api.BatchResponse{Results: items, Count: len(items)})
-}
-
-// runGroup sends one partition to its backend, redispatching once on a
-// transient failure or a shed, and writes the answers into their slots.
-func (co *Coordinator) runGroup(ctx context.Context, backends []*backend, g int, queries []api.QueryRequest, slots []int, concurrency int, items []api.BatchItem) {
-	body, err := json.Marshal(api.BatchRequest{Queries: queries, Concurrency: concurrency})
-	if err != nil {
-		for _, slot := range slots {
-			items[slot] = api.BatchItem{Error: fmt.Sprintf("gateway: %v", err)}
-		}
-		return
-	}
-	targets := []*backend{backends[g]}
-	if alt := backends[(g+1)%len(backends)]; alt != targets[0] {
-		targets = append(targets, alt)
-	}
-	var (
-		lastErr error
-		shed    bool // the last target shed the group
-	)
-	for _, b := range targets {
-		res := co.attempt(ctx, b, http.MethodPost, "/"+api.Version+"/batch", "", body, "application/json")
-		shed = res.status == http.StatusTooManyRequests
-		if ctx.Err() != nil {
-			// The caller's budget or cancellation, not the backend's fault.
-			lastErr, shed = ctx.Err(), false
-			break
-		}
-		if shed {
-			// Shed, not broken: out of the rotation for a cooldown, no
-			// breaker hit, and the group tries the next target.
-			b.shed(co.cooldown())
-			co.logf("batch group via %s shed (429)", b.url)
-			lastErr = res.failureErr()
-			continue
-		}
-		if res.transient() {
-			lastErr = res.failureErr()
-			b.failure(lastErr, co.failThreshold(), co.cooldown())
-			co.logf("batch group via %s failed: %v", b.url, lastErr)
-			continue
-		}
-		var resp api.BatchResponse
-		if res.status != http.StatusOK {
-			// A definitive refusal maps onto every slot of the group.
-			lastErr = res.failureErr()
-		} else if lastErr = json.Unmarshal(res.body, &resp); lastErr == nil {
-			b.success(res.elapsed)
-			for j, it := range resp.Results {
-				if j < len(slots) {
-					items[slots[j]] = it
-				}
-			}
-			return
-		}
-		break
-	}
-	if shed {
-		co.sheds.Add(1)
-	}
-	for _, slot := range slots {
-		items[slot] = api.BatchItem{Error: fmt.Sprintf("gateway: %v", lastErr)}
-	}
 }
 
 // v1Mutate fans the mutation in through the single writer, exactly

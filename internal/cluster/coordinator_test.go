@@ -339,9 +339,9 @@ func TestReplicaMutateWriterDown(t *testing.T) {
 	}
 }
 
-// A forwarded batch group is redispatched on a transport error or a
-// 502/503, never on a definitive answer, and a caller-cancelled context
-// is not the backend's failure: it feeds no breaker.
+// dispatch redispatches on a transport error or a 502/503, never on a
+// definitive answer, and a caller-cancelled context is not the
+// backend's failure: it feeds no breaker.
 func TestReplicaTransientErrClassification(t *testing.T) {
 	for _, tc := range []struct {
 		res  attemptResult
@@ -362,13 +362,90 @@ func TestReplicaTransientErrClassification(t *testing.T) {
 	co := NewCoordinator(Config{Writer: live.url(), Replicas: []string{live.url()}})
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	items := make([]api.BatchItem, 1)
-	co.runGroup(ctx, co.replicas, 0, batchOf("q0").Queries, []int{0}, 0, items)
-	if !strings.Contains(items[0].Error, context.Canceled.Error()) {
-		t.Fatalf("cancelled group answered %+v, want a context error", items[0])
+	body, err := json.Marshal(batchOf("q0"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := co.dispatch(ctx, co.pickRead, 0, http.MethodPost, "/v1/batch", "", body, "application/json"); err == nil || !strings.Contains(err.Error(), context.Canceled.Error()) {
+		t.Fatalf("cancelled dispatch answered %v, want a context error", err)
 	}
 	if n := co.writer.fails.Load(); n != 0 {
 		t.Fatalf("a caller's cancellation fed the breaker %d failures", n)
+	}
+}
+
+// TestReplicaBatchGroupsNeverHedge: a batch group goes to one replica
+// at a time, however slow: only a failure hands it to the next, so two
+// replicas each slower than HedgeAfter see one sub-batch each.
+func TestReplicaBatchGroupsNeverHedge(t *testing.T) {
+	a := newFakeBackend(t, "a", 50*time.Millisecond)
+	b := newFakeBackend(t, "b", 50*time.Millisecond)
+	co := NewCoordinator(Config{
+		Writer:     a.url(),
+		Replicas:   []string{a.url(), b.url()},
+		HedgeAfter: 5 * time.Millisecond,
+	})
+	w := postJSON(t, co, "/v1/batch", batchOf("q0", "q1"))
+	if w.Code != http.StatusOK {
+		t.Fatalf("batch answered %d: %s", w.Code, w.Body)
+	}
+	var resp api.BatchResponse
+	if err := json.Unmarshal(w.Body.Bytes(), &resp); err != nil {
+		t.Fatal(err)
+	}
+	for i, it := range resp.Results {
+		if it.Error != "" {
+			t.Fatalf("item %d = %+v", i, it)
+		}
+	}
+	if na, nb := a.batches.Load(), b.batches.Load(); na != 1 || nb != 1 {
+		t.Fatalf("replicas saw %d and %d sub-batches, want 1 each (no hedge)", na, nb)
+	}
+}
+
+// TestOverloadBudgetExpiresRead: a read whose Config.RequestBudget
+// expires before any backend answers gets 504 with a JSON error — not
+// an empty 200 — on both single-request read routes, and the slow
+// replica's breaker is not charged for the caller's deadline.
+func TestOverloadBudgetExpiresRead(t *testing.T) {
+	slow := func(w http.ResponseWriter, r *http.Request) {
+		select {
+		case <-time.After(300 * time.Millisecond):
+			writeJSON(w, http.StatusOK, api.QueryResponse{Reachable: true})
+		case <-r.Context().Done():
+		}
+	}
+	mux := http.NewServeMux()
+	mux.HandleFunc("POST /v1/query", slow)
+	mux.HandleFunc("POST /select", slow)
+	replica := httptest.NewServer(mux)
+	t.Cleanup(replica.Close)
+	writer := newFakeBackend(t, "writer", 0)
+
+	co := NewCoordinator(Config{
+		Writer:        writer.url(),
+		Replicas:      []string{replica.URL},
+		RequestBudget: 30 * time.Millisecond,
+		HedgeAfter:    -1,
+	})
+	for _, rt := range []struct {
+		path string
+		body any
+	}{
+		{"/v1/query", api.QueryRequest{Source: "s", Target: "t"}},
+		{"/select", map[string]string{"query": "SELECT ?x WHERE { ?x <p> ?y . }"}},
+	} {
+		w := postJSON(t, co, rt.path, rt.body)
+		if w.Code != http.StatusGatewayTimeout {
+			t.Fatalf("%s past its budget answered %d %q, want 504", rt.path, w.Code, w.Body)
+		}
+		var e api.Error
+		if err := json.Unmarshal(w.Body.Bytes(), &e); err != nil || e.Error == "" {
+			t.Fatalf("%s 504 body %q is not an api.Error (%v)", rt.path, w.Body, err)
+		}
+	}
+	if n := co.replicas[0].fails.Load(); n != 0 {
+		t.Fatalf("expired budgets fed the replica's breaker %d failures", n)
 	}
 }
 

@@ -96,7 +96,7 @@ func BenchmarkHasEdgeHub(b *testing.B) {
 // BenchmarkScan compares the two adjacency access patterns on a selective
 // 1-of-8-labels constraint over a high-degree vertex: "labeled" walks only
 // the matching label run via the run index, "filter" (the seed layout's
-// pattern, via WithoutLabelIndex) scans all edges and tests each label.
+// pattern, via withoutLabelIndex) scans all edges and tests each label.
 func BenchmarkScan(b *testing.B) {
 	g, hub := hubGraph(b, 20000)
 	L := labelset.New(3)
@@ -105,7 +105,7 @@ func BenchmarkScan(b *testing.B) {
 		g    *Graph
 	}{
 		{"labeled", g},
-		{"filter", g.WithoutLabelIndex()},
+		{"filter", g.withoutLabelIndex()},
 	} {
 		b.Run(mode.name, func(b *testing.B) {
 			total := 0

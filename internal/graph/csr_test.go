@@ -132,7 +132,7 @@ func checkCSRAgainstRef(t *testing.T, g *Graph, ref *refGraph, edges []Triple, n
 			t.Fatalf("Triples multiset differs at %v: %d vs %d", k, trip[k], c)
 		}
 	}
-	noIdx := g.WithoutLabelIndex()
+	noIdx := g.withoutLabelIndex()
 	for v := 0; v < g.NumVertices(); v++ {
 		id := VertexID(v)
 		es := g.Out(id)
@@ -266,7 +266,7 @@ func FuzzCSREquivalence(f *testing.F) {
 
 // TestWithoutLabelIndexOverlay runs the labeled-versus-filtering scan
 // check on a view carrying committed batches of inserts and deletes, and
-// pins that WithoutLabelIndex degenerates the overlay's rows as well as
+// pins that withoutLabelIndex degenerates the overlay's rows as well as
 // the base rows (one run per edge, same edges in the same order) while
 // the view it came from keeps one run per label.
 func TestWithoutLabelIndexOverlay(t *testing.T) {
@@ -277,7 +277,7 @@ func TestWithoutLabelIndexOverlay(t *testing.T) {
 	g, model := main.last()
 	checkCSRAgainstRef(t, g, newRefGraph(len(model.names), model.edges), model.edges, len(model.labels))
 
-	noIdx := g.WithoutLabelIndex()
+	noIdx := g.withoutLabelIndex()
 	touched := 0
 	for v := 0; v < g.NumVertices(); v++ {
 		id := VertexID(v)

@@ -1,4 +1,4 @@
-package lscr_test
+package graph_test
 
 import (
 	"context"
@@ -13,7 +13,7 @@ import (
 // TestConcurrentCSRLayoutEquivalence is the CSR equivalence tier: on the
 // D1 dataset, Engine.Query must answer with bit-identical Reachable,
 // Stats and SatisfyingVertices whether the graph carries the label-run
-// index (labeled scan skips non-matching runs) or a WithoutLabelIndex
+// index (labeled scan skips non-matching runs) or a withoutLabelIndex
 // view (degenerate one-edge runs, the seed layout's per-edge filtering
 // scan) — across all four algorithms, under concurrent load. It runs in
 // the race-enabled CI tier (name matches the Concurrent filter).
@@ -28,7 +28,7 @@ func TestConcurrentCSRLayoutEquivalence(t *testing.T) {
 	// and the comparison isolates query-time scanning.
 	opts := pub.Options{IndexSeed: 7, Landmarks: 64}
 	engLabeled := pub.NewEngine(pub.FromGraph(g), opts)
-	engFilter := pub.NewEngine(pub.FromGraph(g.WithoutLabelIndex()), opts)
+	engFilter := pub.NewEngine(pub.FromGraph(graph.WithoutLabelIndex(g)), opts)
 
 	consts := lubm.Constraints()
 	algos := []pub.Algorithm{pub.INS, pub.UIS, pub.UISStar, pub.Conjunctive}

@@ -322,7 +322,7 @@ func mergeRow(prev []Edge, ins, dels []rowOp) (*adjacency, error) {
 }
 
 // degenerate returns p with every row's run index replaced by one run per
-// edge (see WithoutLabelIndex); p is unchanged.
+// edge (see withoutLabelIndex); p is unchanged.
 func (p patchAdj) degenerate() patchAdj {
 	q := patchAdj{spine: make([]*rowLeaf, len(p.spine))}
 	for i, leaf := range p.spine {

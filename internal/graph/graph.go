@@ -59,7 +59,7 @@ type Triple struct {
 // adjacency is one direction of the CSR storage: the edges of vertex v
 // occupy edges[off[v]:off[v+1]], sorted by (Label, To), and the label runs
 // of v occupy runLabel/runStart[runOff[v]:runOff[v+1]] — run i covers
-// edges[runStart[i] : next run's start or off[v+1]). A WithoutLabelIndex
+// edges[runStart[i] : next run's start or off[v+1]). A withoutLabelIndex
 // view carries a degenerate run index (one run per edge), which turns
 // labeled iteration into a per-edge filtering scan on the same code path.
 type adjacency struct {
@@ -106,7 +106,7 @@ func (a *adjacency) runs(v VertexID) EdgeRuns {
 //		for _, e := range rs.Run(ri) { ... }
 //	}
 //
-// On a WithoutLabelIndex view the runs are degenerate (one edge each), so
+// On a withoutLabelIndex view the runs are degenerate (one edge each), so
 // the same loop performs the seed layout's per-edge filtering scan.
 type EdgeRuns struct {
 	a      *adjacency
@@ -352,7 +352,7 @@ func (g *Graph) Triples(fn func(Triple) bool) {
 	}
 }
 
-// WithoutLabelIndex returns a view of g that shares the CSR edge storage
+// withoutLabelIndex returns a view of g that shares the CSR edge storage
 // (same edges, same offsets, same iteration order) but replaces the
 // label-run index with degenerate one-edge runs: OutRuns/InRuns then scan
 // every edge of the vertex and test its label — exactly the access
@@ -360,7 +360,7 @@ func (g *Graph) Triples(fn func(Triple) bool) {
 // path. It exists so benchmarks and equivalence tests can compare the
 // labeled scan against the filtering scan on bit-identical search
 // behaviour.
-func (g *Graph) WithoutLabelIndex() *Graph {
+func (g *Graph) withoutLabelIndex() *Graph {
 	h := *g
 	h.out = degenerateRuns(g.out)
 	h.in = degenerateRuns(g.in)

@@ -69,8 +69,9 @@ func uisRun(g *graph.Graph, q Query, tr Tracer) (bool, Stats, error) {
 		// The label-run view walks only the runs inside q.Labels, so edges
 		// outside the constraint are never touched. The run scan itself is
 		// ticked up front so cancellation stays prompt even when every run
-		// is rejected (on a WithoutLabelIndex view Len() is the degree,
-		// restoring the per-edge accounting of the pre-CSR layout).
+		// is rejected (on the graph package's one-run-per-edge test view
+		// Len() is the degree, restoring the per-edge accounting of the
+		// pre-CSR layout).
 		rs := g.OutRuns(u)
 		if err := ic.tickN(rs.Len()); err != nil {
 			return false, Stats{}, err

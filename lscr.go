@@ -166,10 +166,12 @@ type Options struct {
 	IndexSeed int64
 	// ConstraintCacheSize bounds the number of memoized compiled
 	// constraints. Every query pays sparql.Parse + Compile and (for
-	// UIS*/INS) the V(S,G) evaluation; because the KG is immutable these
-	// results never go stale, so the engine memoizes them per constraint
-	// text in a concurrency-safe LRU. 0 selects
-	// DefaultConstraintCacheSize; a negative value disables the cache.
+	// UIS*/INS) the V(S,G) evaluation, so the engine memoizes them per
+	// constraint text in a concurrency-safe LRU. The cache belongs to the
+	// serving epoch, whose graph view is immutable, so an entry never
+	// goes stale; every Apply or compaction publishes a new epoch with an
+	// empty cache. 0 selects DefaultConstraintCacheSize; a negative value
+	// disables the cache.
 	//
 	// The bound is an entry count, not bytes: a broad constraint's
 	// memoized V(S,G) can hold O(|V|) vertex IDs, so on very large KGs
