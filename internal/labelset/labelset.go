@@ -229,14 +229,6 @@ func (c *CMS) Equal(o *CMS) bool {
 	return true
 }
 
-// Clone returns a deep copy of the collection.
-func (c *CMS) Clone() *CMS {
-	if c == nil {
-		return &CMS{}
-	}
-	return &CMS{sets: append([]Set(nil), c.sets...)}
-}
-
 // String renders the collection as [{..},{..}] in sorted order.
 func (c *CMS) String() string {
 	var b strings.Builder

@@ -331,8 +331,8 @@ func ReadIndexPayload(b []byte, g *graph.Graph) (*LocalIndex, error) {
 // entry array is adopted as a read-only view over the payload when the
 // host is little-endian and the bytes are 4-aligned (the format
 // guarantees the alignment on any 8-aligned input); rows are never
-// written in place after a load — maintenance swaps whole rows (see
-// extendLandmark) — and each row is capacity-trimmed besides.
+// written after a load — maintenance shares them unchanged — and each
+// row is capacity-trimmed besides.
 func readDRows(in *byteCursor, k int) ([][]dEntry, error) {
 	offRaw := in.bytes(4 * (k + 1))
 	if in.err != nil {

@@ -27,10 +27,10 @@ import "lscr/internal/graph"
 // maintained up to (idx.Graph() == g) and returns ErrIndexMismatch for
 // any other. The engine maintains the index through every committed
 // batch (see maintain.go), so the remaining gate is per landmark: a
-// landmark invalidated by a deletion (idx.Dirty) is expanded like an
-// ordinary vertex over the exact merged adjacency, while every clean
-// landmark keeps the full Check/Cut/Push pruning. Compaction rebuilds
-// the index and clears all dirtiness.
+// landmark whose region sources an edge inserted or deleted since the
+// index was built (idx.Dirty) is expanded like an ordinary vertex over
+// the exact merged adjacency, while every clean landmark keeps the full
+// Check/Cut/Push pruning.
 //
 // vsOrder optionally supplies a precomputed V(S,G); pass nil to let the
 // engine compute it.

@@ -33,7 +33,8 @@ import (
 // (II, Check, IIEntries, EITEntries, D, Rho, ...) only reads, so one
 // index may serve any number of concurrent queries. ApplyMutations never
 // modifies its receiver either: it returns a derived index sharing every
-// untouched per-landmark structure (see maintain.go).
+// per-landmark entry and differing only in its graph view and dirty
+// flags (see maintain.go).
 type LocalIndex struct {
 	g          *graph.Graph
 	landmarks  []graph.VertexID
@@ -61,18 +62,17 @@ type LocalIndex struct {
 	// holds about |EI| non-zero cells (0.1-0.3 % of k² on LUBM), so a
 	// dense matrix would grow as k² = |V|·log²|V| while these rows grow
 	// with the boundary edges. Rows are immutable once stored: query-time
-	// ρ lookups (INS's priority keys) binary-search one short row,
-	// maintenance replaces a landmark's whole row, and a loaded index's
-	// rows may alias the segment mapping.
+	// ρ lookups (INS's priority keys) binary-search one short row, and a
+	// loaded index's rows may alias the segment mapping.
 	drows [][]dEntry
 	lmIdx []int32
 
-	// dirty marks landmarks whose entries were invalidated by an edge
-	// deletion since the last full (re)build; nil when no landmark is
-	// dirty. A dirty landmark's II/EIT/D entries are stale upper bounds
-	// and must not drive pruning; clean landmarks stay exact because a
-	// landmark's entries depend only on edges whose source lies in its
-	// own region (see maintain.go).
+	// dirty marks landmarks whose region sources an edge inserted or
+	// deleted since the index was built; nil when no landmark is dirty.
+	// A dirty landmark's II/EIT/D entries describe the build graph, not
+	// the current view, and must not drive pruning; clean landmarks stay
+	// exact because a landmark's entries depend only on edges whose
+	// source lies in its own region (see maintain.go).
 	dirty []bool
 }
 
@@ -245,9 +245,9 @@ type eitEntry struct {
 	ws  []graph.VertexID
 }
 
-// sortedIIEntries flattens a landmark's scratch II map into the stored
-// ascending-vertex entry array. Construction and maintenance both work
-// over a map (the BFS inserts by vertex key) and finalise through here.
+// sortedIIEntries flattens a landmark's scratch II map, which the
+// LocalFullIndex BFS fills by vertex key, into the stored
+// ascending-vertex entry array.
 func sortedIIEntries(m map[graph.VertexID]*labelset.CMS) []iiEntry {
 	out := make([]iiEntry, 0, len(m))
 	for v, c := range m {
@@ -480,10 +480,11 @@ func (idx *LocalIndex) regionIs(v, u graph.VertexID) bool {
 // otherwise).
 func (idx *LocalIndex) Graph() *graph.Graph { return idx.g }
 
-// Dirty reports whether landmark w's entries were invalidated by an edge
-// deletion since the last full (re)build. Dirty landmarks are excluded
-// from INS's Check/Cut/Push pruning and expanded like ordinary vertices;
-// compaction rebuilds the index and clears all dirtiness.
+// Dirty reports whether landmark w's region sources an edge inserted or
+// deleted since the index was built. Dirty landmarks are excluded from
+// INS's Check/Cut/Push pruning and expanded like ordinary vertices. A
+// seal's rebuild clears the dirtiness of every batch it folds, not of
+// the batches it replays onto the rebuild (see maintain.go).
 func (idx *LocalIndex) Dirty(w graph.VertexID) bool {
 	if idx.dirty == nil {
 		return false
@@ -492,8 +493,7 @@ func (idx *LocalIndex) Dirty(w graph.VertexID) bool {
 	return li >= 0 && idx.dirty[li]
 }
 
-// DirtyLandmarks returns the number of landmarks currently invalidated
-// by deletions.
+// DirtyLandmarks returns the number of landmarks currently dirty.
 func (idx *LocalIndex) DirtyLandmarks() int {
 	n := 0
 	for _, d := range idx.dirty {

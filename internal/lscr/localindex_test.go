@@ -521,11 +521,6 @@ func TestDSparseFootprint(t *testing.T) {
 	t.Logf("k=%d nnz=%d D=%d B (dense %d B) SizeBytes=%d", k, nnz, held, 4*k*k, idx.SizeBytes())
 }
 
-// TestDMatchesBoundaryCount checks D and Rho against an independent
-// dense recount: D(u, x) is the number of distinct boundary vertices
-// EITEntries(u, universe) enumerates whose region is F(x). It covers
-// fresh indexes and indexes maintained through insert and delete
-// batches (a dirty landmark keeps its stale EIT and D row together).
 // TestDAtEveryRow checks dAt's windowed search against the row itself
 // for every row shape a k-landmark index can store, k ≤ 10: each subset
 // of the columns [0, k), from the empty row to the full one.
@@ -551,8 +546,13 @@ func TestDAtEveryRow(t *testing.T) {
 	}
 }
 
+// TestDMatchesBoundaryCount checks D and Rho against an independent
+// dense recount: D(u, x) is the number of distinct boundary vertices
+// EITEntries(u, universe) enumerates whose region is F(x). It covers
+// fresh indexes and indexes maintained through insert and delete
+// batches (a dirty landmark keeps its stale EIT and D row together).
 func TestDMatchesBoundaryCount(t *testing.T) {
-	dirty, extended := 0, 0
+	dirty := 0
 	for seed := int64(1); seed <= 12; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		n := rng.Intn(60) + 10
@@ -561,15 +561,13 @@ func TestDMatchesBoundaryCount(t *testing.T) {
 		checkDAgainstBoundary(t, cur)
 		for batch := 0; batch < 4; batch++ {
 			g2, ops := mutStep(rng, cur.Graph(), rng.Intn(10)+1)
-			var mb MaintBatch
-			cur, mb = cur.ApplyMutations(g2, ops)
-			extended += mb.LandmarksExtended
+			cur, _ = cur.ApplyMutations(g2, ops)
 			checkDAgainstBoundary(t, cur)
 		}
 		dirty += cur.DirtyLandmarks()
 	}
-	if dirty == 0 || extended == 0 {
-		t.Fatalf("scripts dirtied %d and extended %d landmarks; strengthen them", dirty, extended)
+	if dirty == 0 {
+		t.Fatal("scripts dirtied no landmark; strengthen them")
 	}
 }
 

@@ -9,8 +9,8 @@ import (
 	"lscr/internal/testkg"
 )
 
-// FuzzIndexMaintenance fuzzes mutation scripts against the incremental
-// II/EIT updater with a rebuild-from-scratch oracle: after every batch
+// FuzzIndexMaintenance fuzzes mutation scripts against index
+// maintenance (ApplyMutations) with a rebuild-from-scratch oracle: after every batch
 // the maintained index must be structurally identical — the materialised
 // IIEntries/EITEntries enumeration orders, D rows and dirty flags — to
 // RebuildFrozen on the batch's final view.
@@ -23,7 +23,7 @@ import (
 //
 // Every 4 ops close a batch (commit + maintain + compare), so one input
 // exercises several mutation prefixes, interleavings of inserts and
-// deletes, and propagation on top of already-derived indexes.
+// deletes, and maintenance on top of already-derived indexes.
 func FuzzIndexMaintenance(f *testing.F) {
 	f.Add(int64(1), []byte{})
 	f.Add(int64(2), []byte{0, 1, 2, 4, 3, 0, 3, 0, 1})

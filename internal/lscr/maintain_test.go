@@ -4,11 +4,13 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
 	"lscr/internal/graph"
 	"lscr/internal/labelset"
+	"lscr/internal/lubm"
 	"lscr/internal/testkg"
 )
 
@@ -97,41 +99,27 @@ func TestMaintainStructuralEquivalence(t *testing.T) {
 	}
 }
 
-// TestMaintainInsertOnlyStaysClean: insert-only scripts never invalidate
-// a landmark, so the maintained index keeps every landmark prunable.
-func TestMaintainInsertOnlyStaysClean(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	g := testkg.Random(rng, 30, 90, 3)
-	cur := NewLocalIndex(g, IndexParams{K: 8, Seed: 7})
-	for batch := 0; batch < 6; batch++ {
-		d := graph.NewDelta(cur.Graph())
-		for i := 0; i < 6; i++ {
-			s := graph.VertexID(rng.Intn(30))
-			t2 := graph.VertexID(rng.Intn(30))
-			if err := d.AddEdge(s, graph.Label(rng.Intn(3)), t2); err != nil {
-				t.Fatal(err)
-			}
-		}
-		ops := d.EdgeOps()
-		g2, err := d.Commit()
-		if err != nil {
-			t.Fatal(err)
-		}
-		var mb MaintBatch
-		cur, mb = cur.ApplyMutations(g2, ops)
-		if mb.LandmarksInvalidated != 0 || cur.DirtyLandmarks() != 0 {
-			t.Fatalf("batch %d: insert-only script dirtied landmarks: %+v", batch, mb)
-		}
-		if err := cur.EqualStructure(cur.RebuildFrozen(g2)); err != nil {
-			t.Fatalf("batch %d: %v", batch, err)
-		}
-	}
-}
-
 // TestMaintainDeleteDirtiesOnlySourceRegion: a deletion invalidates
 // exactly the landmark owning the deleted edge's source region — every
 // other landmark stays exact and prunable.
 func TestMaintainDeleteDirtiesOnlySourceRegion(t *testing.T) {
+	checkOneOpDirtiesSourceRegion(t, true)
+}
+
+// TestMaintainInsertDirtiesOnlySourceRegion: an insertion is maintained
+// by the same rule as a deletion — exactly the landmark owning the new
+// edge's source region goes dirty.
+func TestMaintainInsertDirtiesOnlySourceRegion(t *testing.T) {
+	checkOneOpDirtiesSourceRegion(t, false)
+}
+
+// checkOneOpDirtiesSourceRegion applies one edge op sourced inside a
+// region — deleting an existing edge, or inserting a parallel copy of it
+// — and checks that exactly that region's landmark goes dirty, the
+// derived index passes the frozen-rebuild oracle and the parent index is
+// untouched.
+func checkOneOpDirtiesSourceRegion(t *testing.T, del bool) {
+	t.Helper()
 	rng := rand.New(rand.NewSource(11))
 	g := testkg.Random(rng, 40, 160, 3)
 	idx := NewLocalIndex(g, IndexParams{K: 10, Seed: 11})
@@ -148,7 +136,11 @@ func TestMaintainDeleteDirtiesOnlySourceRegion(t *testing.T) {
 		t.Skip("no edge sourced inside a region")
 	}
 	d := graph.NewDelta(g)
-	if err := d.DeleteEdge(victim.Subject, victim.Label, victim.Object); err != nil {
+	op := d.AddEdge
+	if del {
+		op = d.DeleteEdge
+	}
+	if err := op(victim.Subject, victim.Label, victim.Object); err != nil {
 		t.Fatal(err)
 	}
 	ops := d.EdgeOps()
@@ -158,7 +150,7 @@ func TestMaintainDeleteDirtiesOnlySourceRegion(t *testing.T) {
 	}
 	cur, mb := idx.ApplyMutations(g2, ops)
 	if mb.LandmarksInvalidated != 1 || cur.DirtyLandmarks() != 1 {
-		t.Fatalf("one in-region delete invalidated %d landmarks (dirty=%d)", mb.LandmarksInvalidated, cur.DirtyLandmarks())
+		t.Fatalf("one in-region op invalidated %d landmarks (dirty=%d)", mb.LandmarksInvalidated, cur.DirtyLandmarks())
 	}
 	own := idx.Region(victim.Subject)
 	for _, u := range cur.Landmarks() {
@@ -175,6 +167,48 @@ func TestMaintainDeleteDirtiesOnlySourceRegion(t *testing.T) {
 	}
 }
 
+// TestMaintainDerivedSharesEntries: maintenance never rewrites entries,
+// so through insert and delete batches alike every derived index holds
+// its parent's per-landmark II, EIT and D slices themselves, not copies.
+func TestMaintainDerivedSharesEntries(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	g := testkg.Random(rng, 40, 160, 3)
+	cur := NewLocalIndex(g, IndexParams{K: 10, Seed: 5})
+	// The first batch inserts an edge out of every landmark; the rest
+	// are random.
+	d := graph.NewDelta(g)
+	for _, u := range cur.Landmarks() {
+		if err := d.AddEdge(u, 0, u); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ops := d.EdgeOps()
+	g2, err := d.Commit()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for batch := 0; batch < 8; batch++ {
+		if batch > 0 {
+			g2, ops = mutStep(rng, cur.Graph(), rng.Intn(8)+1)
+		}
+		next, _ := cur.ApplyMutations(g2, ops)
+		for li, u := range cur.Landmarks() {
+			if !sameSlice(next.iiSorted[li], cur.iiSorted[li]) ||
+				!sameSlice(next.eitSorted[li], cur.eitSorted[li]) ||
+				!sameSlice(next.drows[li], cur.drows[li]) {
+				t.Fatalf("batch %d: landmark %d's entries were copied or rewritten", batch, u)
+			}
+		}
+		cur = next
+	}
+}
+
+// sameSlice reports whether a and b are the same slice: equal length
+// over the same backing array.
+func sameSlice[T any](a, b []T) bool {
+	return len(a) == len(b) && (len(a) == 0 || &a[0] == &b[0])
+}
+
 // countingTracer counts index-driven close-state transitions (Cut/Push
 // markings) — the observable footprint of live landmark pruning.
 type countingTracer struct{ viaIndex, transitions int }
@@ -187,9 +221,10 @@ func (c *countingTracer) Transition(v graph.VertexID, st State, parent graph.Ver
 }
 func (c *countingTracer) Invocation(sStar, tStar graph.VertexID, fromSat bool) {}
 
-// TestMaintainPruningRecovers: after insert-only workloads the
-// maintained index must keep INS's landmark pruning live (index-driven
-// markings occur, Stats bit-identical to a frozen-assignment rebuild),
+// TestMaintainPruningRecovers: after an insert-only batch the
+// maintained index must keep INS's landmark pruning live on its clean
+// landmarks (index-driven markings occur, Stats bit-identical to a
+// frozen-assignment rebuild),
 // whereas the stale pre-batch index is refused outright with
 // ErrIndexMismatch: INS serves only the view its index describes.
 func TestMaintainPruningRecovers(t *testing.T) {
@@ -303,5 +338,86 @@ func TestMaintainDirtyLandmarkExcluded(t *testing.T) {
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 80}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// BenchmarkApplyMutations times index maintenance on LUBM-4 under a
+// script shaped like the write-mix benchmark workload: every batch adds
+// 8 edges through the four predicates that workload mutates (between
+// vertices already carrying them) and deletes the 8 edges added 50
+// batches earlier. The script is committed up front, without seals; one
+// op is one batch's ApplyMutations over batches 50-599, wrapping back
+// to batch 50's index.
+func BenchmarkApplyMutations(b *testing.B) {
+	const (
+		adds    = 8
+		lag     = 50
+		batches = 600
+	)
+	g := lubm.Generate(lubm.DefaultConfig(4))
+	var preds []graph.Label
+	for _, name := range []string{lubm.PropPublicationAuthor, lubm.PropTeachingAssistant, lubm.PropHeadOf, lubm.PropHasSubOrganization} {
+		if l, ok := g.LabelByName(name); ok {
+			preds = append(preds, l)
+		}
+	}
+	subjects := make([][]graph.VertexID, len(preds))
+	objects := make([][]graph.VertexID, len(preds))
+	g.Triples(func(t graph.Triple) bool {
+		if p := slices.Index(preds, t.Label); p >= 0 {
+			subjects[p] = append(subjects[p], t.Subject)
+			objects[p] = append(objects[p], t.Object)
+		}
+		return true
+	})
+	for p := range preds {
+		slices.Sort(subjects[p])
+		subjects[p] = slices.Compact(subjects[p])
+		slices.Sort(objects[p])
+		objects[p] = slices.Compact(objects[p])
+	}
+
+	rng := rand.New(rand.NewSource(1))
+	views := make([]*graph.Graph, batches)
+	ops := make([][]graph.EdgeOp, batches)
+	var recent [lag][]graph.Triple
+	cur := g
+	for i := range views {
+		d := graph.NewDelta(cur)
+		added := make([]graph.Triple, 0, adds)
+		for range adds {
+			p := rng.Intn(len(preds))
+			t := graph.Triple{Subject: subjects[p][rng.Intn(len(subjects[p]))], Label: preds[p], Object: objects[p][rng.Intn(len(objects[p]))]}
+			if err := d.AddEdge(t.Subject, t.Label, t.Object); err != nil {
+				b.Fatal(err)
+			}
+			added = append(added, t)
+		}
+		for _, t := range recent[i%lag] {
+			if err := d.DeleteEdge(t.Subject, t.Label, t.Object); err != nil {
+				b.Fatal(err)
+			}
+		}
+		recent[i%lag] = added
+		ops[i] = d.EdgeOps()
+		var err error
+		if cur, err = d.Commit(); err != nil {
+			b.Fatal(err)
+		}
+		views[i] = cur
+	}
+
+	warm := NewLocalIndex(g, IndexParams{})
+	for i := range lag {
+		warm, _ = warm.ApplyMutations(views[i], ops[i])
+	}
+	b.ReportAllocs()
+	idx, j := warm, lag
+	for b.Loop() {
+		if j == batches {
+			idx, j = warm, lag
+		}
+		idx, _ = idx.ApplyMutations(views[j], ops[j])
+		j++
 	}
 }

@@ -226,8 +226,6 @@ type Engine struct {
 	// grow — per-epoch state (dirty landmarks) lives on the epoch's
 	// index.
 	maintBatches     atomic.Int64
-	maintExtended    atomic.Int64
-	maintEntries     atomic.Int64
 	maintInvalidated atomic.Int64
 
 	// store is the persistence attachment (segment directory + WAL);
@@ -388,16 +386,12 @@ type MaintStats struct {
 	Enabled bool `json:"enabled"`
 	// Batches counts Apply batches whose index was maintained through.
 	Batches int64 `json:"batches"`
-	// LandmarksExtended counts per-batch landmarks extended by insert
-	// propagation; EntriesAdded the minimal label sets accepted.
-	LandmarksExtended int64 `json:"landmarks_extended"`
-	EntriesAdded      int64 `json:"entries_added"`
-	// LandmarksInvalidated counts landmarks marked dirty by deletions
-	// (cumulative; compactions clear the dirty state but not this
-	// counter).
+	// LandmarksInvalidated counts landmarks marked dirty by edge
+	// inserts and deletes (cumulative; compactions clear the dirty state
+	// but not this counter).
 	LandmarksInvalidated int64 `json:"landmarks_invalidated"`
-	// DirtyLandmarks is the serving epoch's count of
-	// deletion-invalidated landmarks currently excluded from pruning.
+	// DirtyLandmarks is the serving epoch's count of dirty landmarks,
+	// those currently excluded from pruning.
 	DirtyLandmarks int `json:"dirty_landmarks"`
 }
 
@@ -412,8 +406,6 @@ func (e *Engine) maintStats(ep *epoch) MaintStats {
 	ms := MaintStats{
 		Enabled:              ep.idx != nil,
 		Batches:              e.maintBatches.Load(),
-		LandmarksExtended:    e.maintExtended.Load(),
-		EntriesAdded:         e.maintEntries.Load(),
 		LandmarksInvalidated: e.maintInvalidated.Load(),
 	}
 	if ep.idx != nil {

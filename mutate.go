@@ -33,18 +33,19 @@ import (
 //
 // INS stays index-guided under writes: the commit path derives a
 // maintained local index for every published epoch
-// (core.ApplyMutations). Insertions extend the affected
-// landmark's II/EIT entries by monotone propagation — exactly the
-// entries a frozen-assignment rebuild on the new view would hold, the
-// property the maintained-equivalence tier and the maintenance fuzz
-// target pin — while a deletion invalidates only the one landmark whose
-// region sources the deleted edge; INS excludes dirty landmarks from its
-// Check/Cut/Push shortcuts and keeps pruning with every clean one. The
-// derivation is copy-on-write (untouched landmarks share storage across
-// epochs) and costs time proportional to the affected regions, not |G|.
-// Compaction rebuilds the index from scratch, clearing all dirtiness.
-// The epoch binds the index to its graph view, so a reader's single
-// atomic load always yields a mutually consistent (graph, index) pair.
+// (core.ApplyMutations). Every edge insert or delete marks dirty the one
+// landmark whose region sources the edge, and entries are never
+// rewritten; INS excludes dirty landmarks from its Check/Cut/Push
+// shortcuts and keeps pruning with every clean one, whose entries are
+// exactly those a frozen-assignment rebuild on the new view would hold —
+// the property the maintained-equivalence tier and the maintenance fuzz
+// target pin. The derivation shares every entry with the previous epoch
+// and costs O(batch + landmarks) for the op walk and the dirty-flag
+// copy, not O(|G|). A seal rebuilds the index from scratch; only the
+// landmarks of the batches it replays onto the rebuild (those that
+// landed mid-rebuild) are dirty in the epoch it publishes. The epoch
+// binds the index to its graph view, so a reader's single atomic load
+// always yields a mutually consistent (graph, index) pair.
 //
 // Once the overlay accumulates Options.CompactAfter edge operations, a
 // background compactor folds it into a fresh base CSR, rebuilds the
@@ -295,8 +296,6 @@ func (e *Engine) countMaint(mb *core.MaintBatch) {
 		return
 	}
 	e.maintBatches.Add(1)
-	e.maintExtended.Add(int64(mb.LandmarksExtended))
-	e.maintEntries.Add(int64(mb.EntriesAdded))
 	e.maintInvalidated.Add(int64(mb.LandmarksInvalidated))
 }
 

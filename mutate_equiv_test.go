@@ -594,8 +594,9 @@ func TestMutateNoOpBatchKeepsEpoch(t *testing.T) {
 
 // TestMutateMaintenanceCounters walks the maintenance lifecycle through
 // the public surface (IndexMaintenance / Health, what /healthz serves):
-// insert-only batches keep every landmark clean; a deletion invalidates
-// at least one landmark; compaction clears the dirty set.
+// an insert-only batch dirties the landmarks whose regions source the
+// new edges, and so does a deletion; compaction clears the dirty set but
+// not the cumulative counter.
 func TestMutateMaintenanceCounters(t *testing.T) {
 	const n, nLabels = 60, 3
 	g0, model := mutSeedGraph(23, n, nLabels, 300)
@@ -606,7 +607,7 @@ func TestMutateMaintenanceCounters(t *testing.T) {
 		t.Fatalf("fresh engine maintenance state: %+v", m)
 	}
 
-	// Insert-only: maintenance runs, nothing goes dirty.
+	// Insert-only: maintenance runs and dirties the touched landmarks.
 	var inserts []pub.Mutation
 	for i := 0; i < 12; i++ {
 		mut := pub.Mutation{
@@ -622,9 +623,16 @@ func TestMutateMaintenanceCounters(t *testing.T) {
 		t.Fatal(err)
 	}
 	m := eng.IndexMaintenance()
-	if m.Batches != 1 || m.DirtyLandmarks != 0 || m.LandmarksInvalidated != 0 {
+	if m.Batches != 1 || m.DirtyLandmarks == 0 || m.LandmarksInvalidated != int64(m.DirtyLandmarks) {
 		t.Fatalf("after insert-only batch: %+v", m)
 	}
+	if did, err := eng.Compact(ctx); err != nil || !did {
+		t.Fatalf("Compact = %v, %v", did, err)
+	}
+	if m2 := eng.IndexMaintenance(); m2.DirtyLandmarks != 0 || m2.LandmarksInvalidated != m.LandmarksInvalidated {
+		t.Fatalf("after compacting the inserts: %+v", m2)
+	}
+	invalidated := m.LandmarksInvalidated
 
 	// Deletions: at least one landmark must eventually go dirty (edges
 	// sourced outside every region are the only exception, so a handful
@@ -638,7 +646,7 @@ func TestMutateMaintenanceCounters(t *testing.T) {
 		}
 	}
 	m = eng.IndexMaintenance()
-	if m.DirtyLandmarks == 0 || m.LandmarksInvalidated == 0 {
+	if m.DirtyLandmarks == 0 || m.LandmarksInvalidated == invalidated {
 		t.Fatalf("deletions never invalidated a landmark: %+v", m)
 	}
 

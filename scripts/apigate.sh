@@ -6,7 +6,10 @@
 # is outside the allowlist below, so the surface cannot silently sprawl
 # back into one-method-per-capability. It also pins the field names of
 # the two configuration structs, Options (lscr.go) and IndexParams
-# (internal/lscr/localindex.go), so a new knob cannot slip in either.
+# (internal/lscr/localindex.go), so a new knob cannot slip in either,
+# and of the index-maintenance reports, MaintStats (lscr.go) and
+# MaintBatch (internal/lscr/maintain.go), so a maintenance counter
+# cannot grow back unreviewed.
 # There is no escape hatch: a new method or field means editing an
 # allowlist, in review.
 #
@@ -73,5 +76,8 @@ pin_fields() {
 pin_fields lscr.go Options \
     SkipIndex Landmarks IndexSeed ConstraintCacheSize CompactAfter DataDir Durability
 pin_fields internal/lscr/localindex.go IndexParams K Seed
+pin_fields lscr.go MaintStats \
+    Enabled Batches LandmarksInvalidated DirtyLandmarks
+pin_fields internal/lscr/maintain.go MaintBatch EntriesAdded LandmarksInvalidated
 
 exit "$status"

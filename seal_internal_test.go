@@ -13,10 +13,10 @@ import (
 
 // TestReplicaSealMatchesWriter pins the one meaning of a seal record. A
 // persistent writer compacts while two batches race the rebuild — an
-// insert out of one landmark, then a delete out of the same landmark, so
-// replaying them one by one would extend the landmark before dirtying
-// it, where the writer's catch-up dirties it in one maintenance call.
-// Every engine that replays the seal must land on the writer's state:
+// insert out of one landmark, then a delete out of the same landmark.
+// The writer's catch-up maintains both in one call; a replica replaying
+// them one by one must dirty exactly the same landmarks. Every engine
+// that replays the seal must land on the writer's state:
 //
 //   - (a) a replica opened on the pre-compaction segment and fed the
 //     feed record by record, checked at every epoch the writer published;
