@@ -50,21 +50,23 @@ func insAllocFixture(tb testing.TB) (*graph.Graph, *LocalIndex, Query, []graph.V
 	return g, idx, q, vs
 }
 
-// Steady-state allocation bounds of the warmed single-constraint
-// searches on insAllocFixture, with a precomputed V(S,G) for UIS* and
-// INS. Everything per-query lives in the pooled scratch: the close map
-// by value, UIS's and UIS*'s stacks, the backing arrays of INS's H and
-// Q, and the verification driver's two strategies, so that handing one
-// to the driver as an interface moves nothing to the heap. Before the
-// close map lived by value in the scratch every run allocated it, and
-// UIS and UIS* regrew a fresh stack per query: 1 allocation per INS
-// run, 14 per UIS run and 16 per UIS* run on this fixture. Before H
-// shared Q's packed-key heap, INS made 3; before the scratch pool
-// absorbed Q's heap, ~10 more.
+// Steady-state allocation bounds of the warmed searches on
+// insAllocFixture, with a precomputed V(S,G) for UIS* and INS.
+// Everything per-query lives in the pooled scratch: the close map by
+// value, UIS*'s stack, the backing arrays of INS's H and Q, the
+// verification driver's two strategies, so that handing one to the
+// driver as an interface moves nothing to the heap, and the uninformed
+// search's entries, state arena, stack and matchers. Before the close
+// map lived by value in the scratch every run allocated it, and UIS and
+// UIS* regrew a fresh stack per query: 1 allocation per INS run, 14 per
+// UIS run and 16 per UIS* run on this fixture. Before H shared Q's
+// packed-key heap, INS made 3; before the scratch pool absorbed Q's
+// heap, ~10 more.
 const (
-	maxINSSteadyStateAllocs     = 0
-	maxUISStarSteadyStateAllocs = 0
-	maxUISSteadyStateAllocs     = 0
+	maxINSSteadyStateAllocs      = 0
+	maxUISStarSteadyStateAllocs  = 0
+	maxUISSteadyStateAllocs      = 0
+	maxUISMultiSteadyStateAllocs = 0
 )
 
 // checkSteadyAllocs warms the scratch pool with run and fails t if a
@@ -100,6 +102,20 @@ func TestUISStarStackPooled(t *testing.T) {
 func TestUISStackPooled(t *testing.T) {
 	g, _, q, _ := insAllocFixture(t)
 	checkSteadyAllocs(t, "UIS", maxUISSteadyStateAllocs, func() (bool, Stats, error) { return UIS(g, q) })
+}
+
+func TestUISMultiPooled(t *testing.T) {
+	g, _, q, _ := insAllocFixture(t)
+	// A broad second constraint (an out-edge labelled 0) makes the two
+	// bits enter the masks at different vertices, so antichains of
+	// incomparable masks form.
+	c2 := &pattern.Constraint{
+		Focus:    "x",
+		Patterns: []pattern.TriplePattern{{Subject: pattern.V("x"), Label: 0, Object: pattern.V("y")}},
+	}
+	mq := MultiQuery{Source: q.Source, Target: q.Target, Labels: q.Labels,
+		Constraints: []*pattern.Constraint{q.Constraint, c2}}
+	checkSteadyAllocs(t, "UISMulti", maxUISMultiSteadyStateAllocs, func() (bool, Stats, error) { return UISMulti(g, mq) })
 }
 
 // witnessAllocFixture builds a true query on a mid-size random graph

@@ -166,7 +166,7 @@ func TestCloseMapEpochReuse(t *testing.T) {
 	if c2.get(3) != T {
 		t.Fatal("demotion applied")
 	}
-	st := c2.stats(0)
+	st := c2.stats(graph.NoVertex)
 	if st.PassedVertices != 1 || st.SearchTreeNodes != 1 {
 		t.Fatalf("stats = %+v", st)
 	}

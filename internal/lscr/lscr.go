@@ -12,11 +12,13 @@
 //     V(S,G) and a priority queue Q), which breaks the fixed LIFO/FIFO
 //     search direction of the uninformed algorithms.
 //
-// UIS* and INS run on one verification driver (verify.go), which owns
-// the per-satisfying-vertex N/F/T cases they share; each supplies only
-// where the next satisfying vertex comes from and how one LCS call
-// explores. All three share the close surjection of Definition 3.1 and
-// report the paper's evaluation measures (elapsed work and
+// UIS and the conjunctive UISMulti are one search (uis.go): a DFS over
+// (vertex, satisfied-set) states, of which UIS is the one-constraint
+// case. UIS* and INS run on one verification driver (verify.go), which
+// owns the per-satisfying-vertex N/F/T cases they share; each supplies
+// only where the next satisfying vertex comes from and how one LCS call
+// explores. All of them realise the close surjection of Definition 3.1
+// and report the paper's evaluation measures (elapsed work and
 // passed-vertex counts).
 package lscr
 
@@ -129,13 +131,14 @@ type Stats struct {
 	// Definition 3.2 (each vertex contributes a node per close state it
 	// takes, so at most two).
 	SearchTreeNodes int
-	// SCckCalls counts substructure-check invocations (UIS and UISMulti;
-	// UIS* and INS obtain V(S,G) up front and report 0).
+	// SCckCalls counts substructure-check invocations, one per
+	// constraint per vertex the uninformed search (UIS, UISMulti)
+	// evaluates; UIS* and INS obtain V(S,G) up front and report 0.
 	SCckCalls int
 	// Satisfying is, for a true answer, a vertex that satisfies the
 	// substructure constraint with s -L-> Satisfying -L-> t — the anchor
 	// FindWitness turns into a concrete path. NoVertex for false
-	// answers.
+	// answers and for conjunctions of two or more constraints.
 	Satisfying graph.VertexID
 }
 
@@ -195,20 +198,10 @@ func (c *closeMap) mark(v graph.VertexID, fromSat bool) bool {
 	return c.set(v, st)
 }
 
-func (c *closeMap) stats(scck int) Stats {
-	return Stats{
-		PassedVertices:  c.passed,
-		SearchTreeNodes: c.nodes,
-		SCckCalls:       scck,
-		Satisfying:      graph.NoVertex,
-	}
-}
-
-// statsSat is stats with the witness anchor of a true answer.
-func (c *closeMap) statsSat(scck int, sat graph.VertexID) Stats {
-	st := c.stats(scck)
-	st.Satisfying = sat
-	return st
+// stats reports c's counts with the witness anchor sat (NoVertex for a
+// false answer).
+func (c *closeMap) stats(sat graph.VertexID) Stats {
+	return Stats{PassedVertices: c.passed, SearchTreeNodes: c.nodes, Satisfying: sat}
 }
 
 // validate checks query endpoints against g.

@@ -65,6 +65,8 @@ func multiOracle(g *graph.Graph, q MultiQuery) bool {
 	return false
 }
 
+// A one-constraint conjunction is UIS: same answer and same Stats, SCck
+// calls and the witness anchor included.
 func TestUISMultiSingleDegeneratesToUIS(t *testing.T) {
 	prop := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -74,35 +76,46 @@ func TestUISMultiSingleDegeneratesToUIS(t *testing.T) {
 		s := graph.VertexID(rng.Intn(n))
 		tt := graph.VertexID(rng.Intn(n))
 		L := labelset.Set(rng.Uint64()) & g.LabelUniverse()
-		a, _, err1 := UIS(g, Query{Source: s, Target: tt, Labels: L, Constraint: c})
-		b, _, err2 := UISMulti(g, MultiQuery{Source: s, Target: tt, Labels: L,
+		a, sa, err1 := UIS(g, Query{Source: s, Target: tt, Labels: L, Constraint: c})
+		b, sb, err2 := UISMulti(g, MultiQuery{Source: s, Target: tt, Labels: L,
 			Constraints: []*pattern.Constraint{c}})
-		return err1 == nil && err2 == nil && a == b
+		if err1 != nil || err2 != nil || a != b || sa != sb {
+			t.Logf("seed %d: UIS %v %+v %v, UISMulti %v %+v %v", seed, a, sa, err1, b, sb, err2)
+			return false
+		}
+		return true
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 250}); err != nil {
 		t.Fatal(err)
 	}
 }
 
+// randomMultiQuery draws a random graph of 2-11 vertices and a
+// conjunction of 1-3 random constraints over it.
+func randomMultiQuery(seed int64) (*graph.Graph, MultiQuery) {
+	rng := rand.New(rand.NewSource(seed))
+	n := rng.Intn(10) + 2
+	g := testkg.Random(rng, n, rng.Intn(30), rng.Intn(4)+1)
+	k := rng.Intn(3) + 1
+	q := MultiQuery{
+		Source: graph.VertexID(rng.Intn(n)),
+		Target: graph.VertexID(rng.Intn(n)),
+		Labels: labelset.Set(rng.Uint64()) & g.LabelUniverse(),
+	}
+	for i := 0; i < k; i++ {
+		q.Constraints = append(q.Constraints, pat.RandomConstraint(rng, g, 2))
+	}
+	return g, q
+}
+
 func TestUISMultiAgainstOracleProperty(t *testing.T) {
 	prop := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		n := rng.Intn(10) + 2
-		g := testkg.Random(rng, n, rng.Intn(30), rng.Intn(4)+1)
-		k := rng.Intn(3) + 1
-		q := MultiQuery{
-			Source: graph.VertexID(rng.Intn(n)),
-			Target: graph.VertexID(rng.Intn(n)),
-			Labels: labelset.Set(rng.Uint64()) & g.LabelUniverse(),
-		}
-		for i := 0; i < k; i++ {
-			q.Constraints = append(q.Constraints, pat.RandomConstraint(rng, g, 2))
-		}
+		g, q := randomMultiQuery(seed)
 		got, st, err := UISMulti(g, q)
 		if err != nil {
 			return false
 		}
-		if st.SearchTreeNodes > n*(1<<uint(k)) {
+		if st.SearchTreeNodes > g.NumVertices()*(1<<uint(len(q.Constraints))) {
 			return false // state-space bound
 		}
 		return got == multiOracle(g, q)
@@ -110,6 +123,34 @@ func TestUISMultiAgainstOracleProperty(t *testing.T) {
 	if err := quick.Check(prop, &quick.Config{MaxCount: 250}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// FuzzUISAgainstOracle checks the one uninformed search on random
+// graphs and conjunctions of one to three constraints against the
+// exhaustive product-state BFS: the answer must match, the search tree
+// must stay within the |V|·2^k state space, and a true answer must come
+// with a valid witness walk.
+func FuzzUISAgainstOracle(f *testing.F) {
+	// Seed 9360 records a mask that covers an older antichain mask.
+	for _, seed := range []int64{0, 1, 2, 7, 42, 9360, 1 << 40} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, seed int64) {
+		g, q := randomMultiQuery(seed)
+		got, w, st, err := UISMultiWitness(g, q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if bound := g.NumVertices() * (1 << uint(len(q.Constraints))); st.SearchTreeNodes > bound {
+			t.Fatalf("%d search-tree nodes exceed the state space %d", st.SearchTreeNodes, bound)
+		}
+		if want := multiOracle(g, q); got != want {
+			t.Fatalf("answered %v, oracle %v", got, want)
+		}
+		if got && !validMultiWitness(g, q, w) {
+			t.Fatalf("invalid witness %+v", w)
+		}
+	})
 }
 
 func TestUISMultiOrderIndependence(t *testing.T) {
@@ -192,6 +233,47 @@ func TestUISMultiRevisit(t *testing.T) {
 	}
 }
 
+func TestUISMultiAntichain(t *testing.T) {
+	// v is reached with {A}, {C}, {B} and {A} again: incomparable masks
+	// pile up in v's antichain, and the last {A} is dominated by an
+	// older mask, not the newest. No path satisfies all three, so the
+	// search exhausts every state.
+	b := graph.NewBuilder()
+	p := b.Label("p")
+	mark := b.Label("mark")
+	s := b.Vertex("s")
+	var via []graph.VertexID
+	for _, name := range []string{"a", "b", "c", "a2"} {
+		via = append(via, b.Vertex(name))
+	}
+	v := b.Vertex("v")
+	tt := b.Vertex("t")
+	ka, kb, kc := b.Vertex("Ka"), b.Vertex("Kb"), b.Vertex("Kc")
+	for i, k := range []graph.VertexID{ka, kb, kc, ka} {
+		b.AddEdge(s, p, via[i])
+		b.AddEdge(via[i], p, v)
+		b.AddEdge(via[i], mark, k)
+	}
+	b.AddEdge(v, p, tt)
+	g := b.Build()
+	marked := func(k graph.VertexID) *pattern.Constraint {
+		return &pattern.Constraint{Focus: "x",
+			Patterns: []pattern.TriplePattern{{Subject: pattern.V("x"), Label: mark, Object: pattern.C(k)}}}
+	}
+	q := MultiQuery{Source: s, Target: tt, Labels: labelset.New(p),
+		Constraints: []*pattern.Constraint{marked(ka), marked(kb), marked(kc)}}
+	got, st, err := UISMulti(g, q)
+	if err != nil || got {
+		t.Fatalf("got %v %v, want false", got, err)
+	}
+	// s and its four successors once each; v and t once per mask {A},
+	// {C}, {B}. SCck runs for the three constraints on each of the seven
+	// vertices' first visit.
+	if want := (Stats{PassedVertices: 7, SearchTreeNodes: 11, SCckCalls: 21, Satisfying: graph.NoVertex}); st != want {
+		t.Errorf("Stats = %+v, want %+v", st, want)
+	}
+}
+
 // validMultiWitness checks a witness against its query.
 func validMultiWitness(g *graph.Graph, q MultiQuery, w *MultiWitness) bool {
 	cur := q.Source
@@ -267,18 +349,7 @@ func TestUISMultiWitnessOrderCase(t *testing.T) {
 // valid witness, and both agree.
 func TestUISMultiWitnessProperty(t *testing.T) {
 	prop := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		n := rng.Intn(10) + 2
-		g := testkg.Random(rng, n, rng.Intn(30), rng.Intn(4)+1)
-		k := rng.Intn(3) + 1
-		q := MultiQuery{
-			Source: graph.VertexID(rng.Intn(n)),
-			Target: graph.VertexID(rng.Intn(n)),
-			Labels: labelset.Set(rng.Uint64()) & g.LabelUniverse(),
-		}
-		for i := 0; i < k; i++ {
-			q.Constraints = append(q.Constraints, pat.RandomConstraint(rng, g, 2))
-		}
+		g, q := randomMultiQuery(seed)
 		plain, _, err1 := UISMulti(g, q)
 		ok, w, _, err2 := UISMultiWitness(g, q)
 		if err1 != nil || err2 != nil || plain != ok {

@@ -7,15 +7,15 @@ import (
 	"lscr/internal/lcr"
 )
 
-// Per-query scratch state (the close surjection and the frontier queue's
-// duplicate stamps) is pooled and epoch-stamped: a query bumps the epoch
-// instead of zeroing the arrays, so repeated queries over large graphs
-// allocate nothing. Entries from older epochs read as zero values.
+// Per-query scratch state (the close surjection, the frontier stamps and
+// the uninformed search's entries) is pooled and epoch-stamped: a query
+// bumps the epoch instead of zeroing the arrays, so repeated queries
+// over large graphs allocate nothing. Stale entries read as zero values.
 //
-// The pool is what makes the algorithms reentrant: every UIS/UIS*/INS
-// run borrows a private scratch for its whole duration, so any number of
-// goroutines may query the same graph and index concurrently — each sees
-// only its own close map, frontier stamps, sat table, and cut table.
+// The pool is what makes the algorithms reentrant: every query borrows
+// a private scratch for its whole duration, so any number of goroutines
+// may query the same graph and index concurrently — each sees only its
+// own close map, frontier stamps, search states and cut table.
 
 // withSlack adds ~12% headroom to a scratch-array size. The arrays are
 // sized for the engine's current vertex count, which creeps upward as
@@ -63,10 +63,6 @@ func (e *epochArr64) next(n int) {
 type scratch struct {
 	close closeMap
 	stamp epochArr64
-	// sat is UIS's satisfying-origin table. It is not epoch-stamped:
-	// entries are only read for vertices whose close state is T in the
-	// current epoch, so stale values are unreachable.
-	sat []uint32
 	// cut is INS's per-landmark Cut/Push-done table; it is zeroed on
 	// borrow (landmark counts are ~√|V|·log|V|, so the clear is cheap).
 	cut []uint8
@@ -82,19 +78,14 @@ type scratch struct {
 	// heap on every query; uisStar's global stack is reused with it.
 	uisStar uisStarRun
 	ins     insRun
-	// stack is UIS's and Naive's DFS stack, and vis Naive's outer-walk
-	// visited set. Naive's inner procedure and the witness BFS run on
-	// pooled lcr walkers.
+	// uis is the uninformed search's state (uis.go): per-vertex entries,
+	// the arena of recorded states, its DFS stack and the matchers.
+	uis uisState
+	// stack is Naive's DFS stack, and vis its outer-walk visited set.
+	// Naive's inner procedure and the witness BFS run on pooled lcr
+	// walkers.
 	stack []graph.VertexID
 	vis   lcr.VisitSet
-}
-
-// satTable returns the satisfying-origin table sized for n vertices.
-func (s *scratch) satTable(n int) []uint32 {
-	if len(s.sat) < n {
-		s.sat = make([]uint32, n)
-	}
-	return s.sat
 }
 
 // cutTable returns a zeroed per-landmark table of k entries.
@@ -116,22 +107,25 @@ func getScratch(n int) *scratch {
 	return s
 }
 
-// putScratch returns s to the pool. It drops the strategies' references
-// to the graph, index, V(S,G) and tracer, so that a pooled scratch pins
-// none of them. The frontier stamp epoch is bumped lazily by
-// newFrontierQueue only when INS actually uses it.
+// putScratch returns s to the pool. It drops the strategies' and the
+// matchers' references to the graph, index, V(S,G), constraints and
+// tracer, so that a pooled scratch pins none of them. The frontier
+// stamp epoch is bumped lazily by newFrontierQueue only when INS
+// actually uses it.
 func putScratch(s *scratch) {
 	s.uisStar = uisStarRun{stack: s.uisStar.stack[:0]}
 	s.ins = insRun{}
+	clear(s.uis.matchers)
+	s.uis.matchers = s.uis.matchers[:0]
 	scratchPool.Put(s)
 }
 
 // PrewarmScratch primes the scratch pool with count scratches whose hot
-// arrays (close map, frontier stamps, sat table) are sized for an
-// n-vertex graph. The public engine calls it when it opens a large
-// graph so the first query on each worker does not pay the allocation
-// cliff — at 10^7 vertices those arrays are ~16 bytes/vertex, a
-// >100 MB first-query hiccup per pooled scratch without prewarming.
+// arrays (close map, frontier stamps, uninformed-search entries) are
+// sized for an n-vertex graph. The public engine calls it when it opens
+// a large graph so the first query on each worker does not pay the
+// allocation cliff — at 10^7 vertices those arrays are 20 bytes/vertex,
+// a 200 MB first-query hiccup per pooled scratch without prewarming.
 // (sync.Pool may still shed the scratches under GC pressure; this is a
 // latency optimisation, not a guarantee.)
 func PrewarmScratch(n, count int) {
@@ -143,7 +137,7 @@ func PrewarmScratch(n, count int) {
 		s := scratchPool.Get().(*scratch)
 		s.close.next(n)
 		s.stamp.next(n)
-		s.satTable(n)
+		s.uis.reset(n)
 		warmed[i] = s
 	}
 	for _, s := range warmed {

@@ -79,7 +79,7 @@ func verify(g *graph.Graph, idx *LocalIndex, q Query, vsOrder []graph.VertexID, 
 			return false, Stats{}, err
 		}
 		if !ok {
-			return false, close.stats(0), nil
+			return false, close.stats(graph.NoVertex), nil
 		}
 		found := false
 		switch close.get(v) {
@@ -88,7 +88,7 @@ func verify(g *graph.Graph, idx *LocalIndex, q Query, vsOrder []graph.VertexID, 
 				// The satisfying vertex is an endpoint, so the query
 				// reduces to LCR reachability s -L-> t, which decides it.
 				if found, err = vr.lcs(q.Source, q.Target, false); err == nil && !found {
-					return false, close.stats(0), nil
+					return false, close.stats(graph.NoVertex), nil
 				}
 			} else if found, err = vr.lcs(q.Source, v, false); found { // s -L-> v?
 				found, err = vr.lcs(v, q.Target, true) // v -L-> t?
@@ -109,7 +109,7 @@ func verify(g *graph.Graph, idx *LocalIndex, q Query, vsOrder []graph.VertexID, 
 			return false, Stats{}, err
 		}
 		if found {
-			return true, close.statsSat(0, v), nil
+			return true, close.stats(v), nil
 		}
 	}
 }

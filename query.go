@@ -9,6 +9,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"lscr/internal/graph"
 	core "lscr/internal/lscr"
 )
 
@@ -283,15 +284,10 @@ func (ep *epoch) querySingle(req Request, cq core.Query, texts []string) (Respon
 			// than fabricate evidence.
 			return resp, fmt.Errorf("lscr: internal error: no witness for a true answer")
 		}
-		uw := &Witness{SatisfiedBy: []string{g.VertexName(w.Satisfying)}}
-		for _, h := range w.Hops {
-			uw.Hops = append(uw.Hops, PathHop{
-				From:  g.VertexName(h.From),
-				Label: g.LabelName(h.Label),
-				To:    g.VertexName(h.To),
-			})
+		resp.Witness = &Witness{
+			Hops:        pathHops(g, w.Hops),
+			SatisfiedBy: []string{g.VertexName(w.Satisfying)},
 		}
-		resp.Witness = uw
 	}
 	return resp, nil
 }
@@ -354,20 +350,21 @@ func (ep *epoch) queryMulti(req Request, cq core.Query, texts []string) (Respons
 	resp.Stats = st
 	resp.Elapsed = time.Since(start)
 	if ok {
-		uw := &Witness{}
-		for _, h := range w.Hops {
-			uw.Hops = append(uw.Hops, PathHop{
-				From:  g.VertexName(h.From),
-				Label: g.LabelName(h.Label),
-				To:    g.VertexName(h.To),
-			})
-		}
+		uw := &Witness{Hops: pathHops(g, w.Hops)}
 		for _, v := range w.SatisfiedBy {
 			uw.SatisfiedBy = append(uw.SatisfiedBy, g.VertexName(v))
 		}
 		resp.Witness = uw
 	}
 	return resp, nil
+}
+
+// pathHops names a witness walk's hops.
+func pathHops(g *graph.Graph, hops []core.Hop) (out []PathHop) {
+	for _, h := range hops {
+		out = append(out, PathHop{From: g.VertexName(h.From), Label: g.LabelName(h.Label), To: g.VertexName(h.To)})
+	}
+	return out
 }
 
 // BatchOptions configures QueryBatch.
