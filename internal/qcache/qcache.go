@@ -1,8 +1,10 @@
 // Package qcache provides a concurrency-safe, sharded LRU cache keyed
 // by string. The public engine uses it to memoize compiled substructure
-// constraints together with their V(S,G) vertex sets: the KG and the
-// Engine are immutable after construction, so a cached entry never needs
-// invalidation — the cache is a pure capacity/recency structure.
+// constraints together with their V(S,G) vertex sets. The cache is a
+// pure capacity/recency structure and never invalidates anything: a
+// caller whose values can go stale checks a value after Get and
+// replaces it with Add (the engine checks each compiled constraint
+// against the write history of the epoch that reads it).
 //
 // Concurrency: keys are distributed over power-of-two many shards by an
 // FNV-1a hash, each shard guarded by its own mutex, so concurrent

@@ -260,39 +260,36 @@ func renderTerm(t Term) string {
 // Compile resolves the query's entity and label names against g. The
 // second result reports satisfiability: false means some constant vertex
 // or predicate does not exist in g, so V(S,G) is empty by construction
-// (no error — the query is well-formed, it just has no matches).
+// (no error — the query is well-formed, it just has no matches). The
+// structure is validated before satisfiability is reported, so whether
+// a query is rejected never depends on which names g holds.
 func (q *Query) Compile(g *graph.Graph) (*pattern.Constraint, bool, error) {
 	c := &pattern.Constraint{Focus: q.Focus}
+	sat := true
 	for _, tp := range q.Patterns {
-		l, ok := g.LabelByName(tp.Predicate)
-		if !ok {
-			return nil, false, nil
-		}
-		s, ok := compileTerm(g, tp.Subject)
-		if !ok {
-			return nil, false, nil
-		}
-		o, ok := compileTerm(g, tp.Object)
-		if !ok {
-			return nil, false, nil
-		}
+		l, lok := g.LabelByName(tp.Predicate)
+		s, sok := compileTerm(g, tp.Subject)
+		o, ook := compileTerm(g, tp.Object)
+		sat = sat && lok && sok && ook
 		c.Patterns = append(c.Patterns, pattern.TriplePattern{Subject: s, Label: l, Object: o})
 	}
 	if err := c.Validate(); err != nil {
 		return nil, false, err
 	}
+	if !sat {
+		return nil, false, nil
+	}
 	return c, true, nil
 }
 
+// compileTerm resolves t against g; an unknown constant resolves to
+// graph.NoVertex and false.
 func compileTerm(g *graph.Graph, t Term) (pattern.Term, bool) {
 	if t.IsVar {
 		return pattern.V(t.Text), true
 	}
 	v := g.Vertex(t.Text)
-	if v == graph.NoVertex {
-		return pattern.Term{}, false
-	}
-	return pattern.C(v), true
+	return pattern.C(v), v != graph.NoVertex
 }
 
 // Engine evaluates SELECT queries against one graph. It is safe for

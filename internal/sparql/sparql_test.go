@@ -1,11 +1,13 @@
 package sparql
 
 import (
+	"errors"
 	"strings"
 	"testing"
 	"testing/quick"
 
 	"lscr/internal/graph"
+	"lscr/internal/pattern"
 	"lscr/internal/testkg"
 )
 
@@ -102,10 +104,19 @@ func TestSelectUnknownNamesYieldEmpty(t *testing.T) {
 	}
 }
 
+// TestSelectFocusUnused: an unused focus is a validation error whether
+// or not the graph knows the query's names.
 func TestSelectFocusUnused(t *testing.T) {
 	e := NewEngine(exampleGraph())
-	if _, err := e.Select(`SELECT ?z WHERE { ?x <friendOf> <v3>. }`); err == nil {
-		t.Fatal("want validation error for unused focus")
+	for _, q := range []string{
+		`SELECT ?z WHERE { ?x <friendOf> <v3>. }`,
+		`SELECT ?z WHERE { ?x <nosuchlabel> ?y. }`,
+		`SELECT ?z WHERE { ?x <friendOf> <nosuchvertex>. }`,
+		`SELECT ?z WHERE { <nosuchvertex> <nosuchlabel> ?x. }`,
+	} {
+		if _, err := e.Select(q); !errors.Is(err, pattern.ErrFocusUnused) {
+			t.Errorf("Select(%q) error = %v, want ErrFocusUnused", q, err)
+		}
 	}
 }
 

@@ -37,7 +37,7 @@
 // NewEngine builds the local index in parallel across GOMAXPROCS
 // goroutines; the result is bit-for-bit identical for every worker
 // count. The Engine serves reads through immutable epochs: every query
-// resolves against one atomic (graph view, index, constraint cache)
+// resolves against one atomic (graph view, index, write history)
 // snapshot, so Query, QueryBatch, Select and SelectAll may be called
 // from any number of goroutines on the same Engine. Per-query state
 // lives in pooled scratch, so concurrent queries do not contend on
@@ -53,19 +53,24 @@
 // the local index once the overlay exceeds Options.CompactAfter; see
 // mutate.go for the full contract.
 //
-// Within one epoch compiled constraints never go stale: each epoch
-// memoizes the parsed constraint and its V(S,G) vertex set in a
+// Compiled constraints outlive the epoch that compiled them: the engine
+// memoizes the parsed constraint and its V(S,G) vertex set in one
 // concurrency-safe LRU keyed by constraint text (see
 // Options.ConstraintCacheSize and Engine.CacheStats), so repeated
-// constraints — the dominant production pattern — compile exactly once
-// per epoch. Mutations invalidate the memoized V(S,G) wholesale by
-// giving the new epoch a fresh cache.
+// constraints — the dominant production pattern — compile once. Every
+// pattern of a constraint names a constant label, and only edges with
+// one of those labels can change its V(S,G); each epoch records, per
+// label, the last batch that touched it, and an entry serves an epoch
+// only while no batch since its compilation touched one of its labels
+// (or, for a constraint naming an absent entity, interned any name). A
+// seal changes no edge, so it keeps every entry.
 package lscr
 
 import (
 	"errors"
 	"fmt"
 	"io"
+	"math/bits"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -168,10 +173,11 @@ type Options struct {
 	// constraints. Every query pays sparql.Parse + Compile and (for
 	// UIS*/INS) the V(S,G) evaluation, so the engine memoizes them per
 	// constraint text in a concurrency-safe LRU. The cache belongs to the
-	// serving epoch, whose graph view is immutable, so an entry never
-	// goes stale; every Apply or compaction publishes a new epoch with an
-	// empty cache. 0 selects DefaultConstraintCacheSize; a negative value
-	// disables the cache.
+	// engine; an entry serves a later epoch only while no batch since it
+	// was compiled touched an edge label it names (see the package
+	// comment), so an Apply invalidates just the constraints over the
+	// labels it writes and a compaction invalidates none. 0 selects
+	// DefaultConstraintCacheSize; a negative value disables the cache.
 	//
 	// The bound is an entry count, not bytes: a broad constraint's
 	// memoized V(S,G) can hold O(|V|) vertex IDs, so on very large KGs
@@ -247,21 +253,52 @@ type Engine struct {
 	// returns ErrPoisoned while reads keep serving the last published
 	// (fully durable) epoch. See poison.go.
 	poisonp poisonPointer
+
+	// cache is the engine's constraint cache, shared by every epoch
+	// (nil when disabled); each epoch checks an entry against its
+	// lastTouch before using it.
+	cache *qcache.Cache[*compiledConstraint]
 }
 
 // epoch is one immutable serving snapshot: a graph view (base CSR plus
 // optional overlay), the local index for the view, the SPARQL engine
-// over the view, and the constraint cache whose memoized V(S,G) is
-// valid exactly for this view. Every commit and seal binds the index to
-// the epoch's view (idx.Graph() == kg.g), and readers get the (kg, idx)
-// pair from one atomic load, so the pair they see is mutually
-// consistent.
+// over the view, and what the batches up to it last touched, which
+// decides whether a memoized constraint still holds for the view. Every
+// commit and seal binds the index to the epoch's view (idx.Graph() ==
+// kg.g), and readers get the (kg, idx) pair from one atomic load, so the
+// pair they see is mutually consistent.
 type epoch struct {
-	seq   uint64
-	kg    *KG
-	idx   *core.LocalIndex
-	eng   *sparql.Engine
-	cache *qcache.Cache[*compiledConstraint] // nil when disabled
+	seq     uint64
+	kg      *KG
+	idx     *core.LocalIndex
+	eng     *sparql.Engine
+	cache   *qcache.Cache[*compiledConstraint] // the engine's; nil when disabled
+	touched lastTouch
+	// hits and misses count this epoch's constraint-cache lookups, so
+	// CacheStats describes the serving epoch while the entries outlive it.
+	hits, misses atomic.Int64
+}
+
+// lastTouch is what an epoch's history means to the constraint cache:
+// label[l] is the seq of the last batch with an edge op on label l and
+// interned the seq of the last batch that interned a vertex or label
+// name (0 when none did since the engine started). A seal changes
+// neither: it keeps the multiset of edges and every name.
+type lastTouch struct {
+	label    [labelset.MaxLabels]uint64
+	interned uint64
+}
+
+// after returns t advanced by batch seq, whose edge ops are ops and
+// which interned a name when interned is set.
+func (t lastTouch) after(seq uint64, ops []graph.EdgeOp, interned bool) lastTouch {
+	for _, op := range ops {
+		t.label[op.T.Label] = seq
+	}
+	if interned {
+		t.interned = seq
+	}
+	return t
 }
 
 // NewEngine prepares an engine, building the local index unless opts
@@ -277,13 +314,14 @@ func NewEngine(kg *KG, opts Options) *Engine {
 	return e
 }
 
-// start is every constructor's tail: it stores the engine's first epoch
-// — seq 0 for a fresh engine, the segment's base epoch for an opened
-// store or replica — as its sealed base, and prewarms the pooled
-// per-query scratch for g.
+// start is every constructor's tail: it creates the engine's
+// constraint cache, stores the engine's first epoch — seq 0 for a fresh
+// engine, the segment's base epoch for an opened store or replica — as
+// its sealed base, and prewarms the pooled per-query scratch for g.
 func (e *Engine) start(seq uint64, g *graph.Graph, idx *core.LocalIndex) {
+	e.cache = newConstraintCache(e.opts.ConstraintCacheSize)
 	e.sealed = sealBase{seq: seq, g: g, idx: idx}
-	e.ep.Store(e.newEpoch(seq, g, idx))
+	e.ep.Store(e.newEpoch(seq, g, idx, lastTouch{}))
 	prewarmScratch(g)
 }
 
@@ -326,15 +364,17 @@ func (e *Engine) indexParams() core.IndexParams {
 	return core.IndexParams{K: e.opts.Landmarks, Seed: e.opts.IndexSeed}
 }
 
-// newEpoch assembles a serving snapshot for g with a fresh constraint
-// cache; idx, when non-nil, is bound to g.
-func (e *Engine) newEpoch(seq uint64, g *graph.Graph, idx *core.LocalIndex) *epoch {
+// newEpoch assembles a serving snapshot for g over the engine's
+// constraint cache; idx, when non-nil, is bound to g, and touched is
+// the history up to and including batch seq.
+func (e *Engine) newEpoch(seq uint64, g *graph.Graph, idx *core.LocalIndex, touched lastTouch) *epoch {
 	return &epoch{
-		seq:   seq,
-		kg:    &KG{g: g},
-		idx:   idx,
-		eng:   sparql.NewEngine(g),
-		cache: newConstraintCache(e.opts.ConstraintCacheSize),
+		seq:     seq,
+		kg:      &KG{g: g},
+		idx:     idx,
+		eng:     sparql.NewEngine(g),
+		cache:   e.cache,
+		touched: touched,
 	}
 }
 
@@ -358,7 +398,7 @@ type CacheStats struct {
 	// Enabled is false when the engine was built with a negative
 	// Options.ConstraintCacheSize; all other fields are then zero.
 	Enabled bool `json:"enabled"`
-	// Hits and Misses count cache lookups since construction.
+	// Hits and Misses count the serving epoch's cache lookups.
 	Hits   int64 `json:"hits"`
 	Misses int64 `json:"misses"`
 	// Entries is the number of memoized constraints; Capacity the LRU
@@ -367,11 +407,13 @@ type CacheStats struct {
 	Capacity int `json:"capacity"`
 }
 
-// CacheStats reports the current epoch's constraint-cache counters; the
-// server's /healthz endpoint surfaces them for operational monitoring.
-// Each Apply or compaction starts the new epoch with a fresh cache (its
-// memoized V(S,G) sets are only valid for one graph view), so the
-// counters reset on mutation.
+// CacheStats reports the constraint cache as the serving epoch sees it;
+// the server's /healthz endpoint surfaces it for operational monitoring.
+// Hits and Misses count the current epoch's lookups, so they restart at
+// zero with every Apply or compaction; Entries and Capacity describe the
+// engine's one cache, whose entries carry over to every later epoch
+// they are still valid for (a lookup that finds an entry a batch has
+// since invalidated counts as a miss).
 func (e *Engine) CacheStats() CacheStats {
 	return e.current().cacheStats()
 }
@@ -421,8 +463,8 @@ func (ep *epoch) cacheStats() CacheStats {
 	st := ep.cache.Stats()
 	return CacheStats{
 		Enabled:  true,
-		Hits:     st.Hits,
-		Misses:   st.Misses,
+		Hits:     ep.hits.Load(),
+		Misses:   ep.misses.Load(),
 		Entries:  st.Entries,
 		Capacity: st.Capacity,
 	}
@@ -495,43 +537,73 @@ var (
 )
 
 // compiledConstraint is one memoized constraint-compilation result: the
-// resolved pattern, its matcher, its satisfiability, and — computed
-// lazily because UIS never needs it — the V(S,G) vertex set. Entries
-// are immutable once published (vs is set exactly once under the
-// sync.Once), so a single entry may serve any number of concurrent
-// queries.
+// resolved pattern, its satisfiability, the epoch it was compiled at and
+// its label footprint, and — computed lazily because UIS never needs it
+// — the V(S,G) vertex set. An entry holds no graph: vertex and label IDs
+// are stable for the engine's lifetime, and V(S,G) is evaluated over the
+// view of the first reader that needs it, which by validity equals the
+// compiling epoch's. Entries are immutable once published (vs is set
+// exactly once under the sync.Once), so a single entry may serve any
+// number of concurrent queries on any epoch it is valid for.
 type compiledConstraint struct {
 	cons *pattern.Constraint
-	// m is the matcher over cons, built at compile time so evaluation
-	// cannot fail later; nil when !sat (there is nothing to match).
-	m *pattern.Matcher
 	// sat is false when the constraint references entities absent from
 	// the KG: V(S,G) is empty by construction and every query answers
 	// false without searching.
-	sat  bool
-	once sync.Once
-	vs   []graph.VertexID
+	sat bool
+	// seq is the epoch the entry was compiled at; footprint is the set
+	// of its patterns' labels, the only edges that can change V(S,G).
+	seq       uint64
+	footprint labelset.Set
+	once      sync.Once
+	vs        []graph.VertexID
 }
 
-// vertexSet returns the memoized V(S,G), evaluating it on first use.
-// Callers must not mutate the returned slice (the search algorithms only
-// read it).
-func (cc *compiledConstraint) vertexSet() []graph.VertexID {
-	cc.once.Do(func() { cc.vs = cc.m.MatchAll() })
+// vertexSet returns the memoized V(S,G), evaluating it over g (the
+// reader's view) on first use. Callers must not mutate the returned
+// slice (the search algorithms only read it).
+func (cc *compiledConstraint) vertexSet(g *graph.Graph) []graph.VertexID {
+	cc.once.Do(func() {
+		m, err := pattern.NewMatcher(g, cc.cons)
+		if err != nil {
+			// Compile validated cons, and validation is all NewMatcher
+			// can fail on.
+			panic("lscr: compiled constraint failed validation: " + err.Error())
+		}
+		cc.vs = m.MatchAll()
+	})
 	return cc.vs
+}
+
+// servesEpoch reports whether cc's memoized answer holds for ep: ep is
+// no older than the compiling epoch, no batch since then had an edge op
+// on a footprint label, and, when cc is unsatisfiable, no batch since
+// then interned a name that could resolve it.
+func (cc *compiledConstraint) servesEpoch(ep *epoch) bool {
+	if ep.seq < cc.seq || (!cc.sat && ep.touched.interned > cc.seq) {
+		return false
+	}
+	for v := uint64(cc.footprint); v != 0; v &= v - 1 {
+		if ep.touched.label[bits.TrailingZeros64(v)] > cc.seq {
+			return false
+		}
+	}
+	return true
 }
 
 // compileConstraint is the single query-compile path behind every query
 // shape: it parses the constraint text, resolves it against the epoch's
 // graph view, validates it, and memoizes the result (keyed by the exact
-// constraint text) when the cache is enabled. The cache lives on the
-// epoch, whose view is immutable, so entries never go stale; a mutation
-// publishes a new epoch with a fresh cache.
+// constraint text) in the engine's cache when it is enabled. A cached
+// entry serves ep only if servesEpoch says so; otherwise the lookup
+// counts as a miss and the fresh compilation replaces the entry.
 func (ep *epoch) compileConstraint(text string) (*compiledConstraint, error) {
 	if ep.cache != nil {
-		if cc, ok := ep.cache.Get(text); ok {
+		if cc, ok := ep.cache.Get(text); ok && cc.servesEpoch(ep) {
+			ep.hits.Add(1)
 			return cc, nil
 		}
+		ep.misses.Add(1)
 	}
 	parsed, err := sparql.Parse(text)
 	if err != nil {
@@ -543,18 +615,15 @@ func (ep *epoch) compileConstraint(text string) (*compiledConstraint, error) {
 		// only errors are validation failures on the client's text.
 		return nil, classifyConstraintErr(err)
 	}
-	cc := &compiledConstraint{cons: cons, sat: sat}
+	cc := &compiledConstraint{cons: cons, sat: sat, seq: ep.seq}
 	if sat {
-		// Building the matcher here (it is just a validation pass plus a
-		// wrapper) means V(S,G) evaluation cannot fail at query time.
-		cc.m, err = pattern.NewMatcher(ep.kg.g, cons)
-		if err != nil {
-			return nil, classifyConstraintErr(err)
+		for _, p := range cons.Patterns {
+			cc.footprint = cc.footprint.Add(p.Label)
 		}
 	}
 	if ep.cache != nil {
 		// Two goroutines may race to compile the same text; both publish
-		// equivalent immutable entries and the second Add wins harmlessly.
+		// entries valid for their epochs and the second Add wins harmlessly.
 		ep.cache.Add(text, cc)
 	}
 	return cc, nil

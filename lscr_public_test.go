@@ -192,6 +192,40 @@ func TestErrorSentinels(t *testing.T) {
 	}
 }
 
+// TestInvalidConstraintIndependentOfNames: a malformed constraint is
+// rejected whether or not the graph knows the names it uses, under every
+// algorithm, and interning those names changes nothing.
+func TestInvalidConstraintIndependentOfNames(t *testing.T) {
+	ctx := context.Background()
+	eng := NewEngine(loadFincrime(t), Options{CompactAfter: -1})
+	texts := []string{
+		`SELECT ?z WHERE { ?x <no-such-label> ?y. }`,
+		`SELECT ?z WHERE { ?x <married-to> <NoSuchVertex>. }`,
+	}
+	check := func(when string) {
+		t.Helper()
+		for _, text := range texts {
+			for _, alg := range []Algorithm{INS, UIS, UISStar, Conjunctive} {
+				_, err := eng.Query(ctx, Request{Source: "SuspectC", Target: "SuspectP", Constraint: text, Algorithm: alg})
+				if !errors.Is(err, ErrInvalidConstraint) {
+					t.Errorf("%s, %v, %s: err = %v, want ErrInvalidConstraint", when, alg, text, err)
+				}
+			}
+			if _, err := eng.Select(text); !errors.Is(err, ErrInvalidConstraint) {
+				t.Errorf("%s, Select %s: err = %v, want ErrInvalidConstraint", when, text, err)
+			}
+		}
+	}
+	check("unknown names")
+	if _, err := eng.Apply(ctx, []Mutation{
+		{Op: OpAddLabel, Label: "no-such-label"},
+		{Op: OpAddVertex, Subject: "NoSuchVertex"},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	check("after interning them")
+}
+
 // TestCacheStatsCounters: hits/misses/entries track Query traffic, and a
 // negative ConstraintCacheSize disables the cache entirely.
 func TestCacheStatsCounters(t *testing.T) {

@@ -122,7 +122,7 @@ func maintOutcomeEqual(a, b QueryOutcome, withStats bool) error {
 // none of its incremental history.
 func frozenOracleEngine(e *Engine, ep *epoch) *Engine {
 	eo := &Engine{opts: e.opts}
-	eo.ep.Store(eo.newEpoch(ep.seq, ep.kg.g, ep.idx.RebuildFrozen(ep.kg.g)))
+	eo.ep.Store(eo.newEpoch(ep.seq, ep.kg.g, ep.idx.RebuildFrozen(ep.kg.g), lastTouch{}))
 	return eo
 }
 

@@ -219,13 +219,13 @@ func (e *Engine) Apply(ctx context.Context, muts []Mutation) (ApplyResult, error
 	}
 	if c.g == cur.kg.g {
 		// Every mutation was an idempotent no-op (interning names that
-		// already exist): the view is unchanged, so publishing a new
-		// epoch would only throw away the constraint cache for nothing.
+		// already exist): the view is unchanged, so there is no epoch to
+		// publish.
 		res.Epoch = cur.seq
 		res.OverlayOps = c.g.OverlaySize()
 		return res, nil
 	}
-	ep := e.newEpoch(cur.seq+1, c.g, c.idx)
+	ep := e.newEpoch(cur.seq+1, c.g, c.idx, c.touched)
 	if e.store != nil {
 		// Durability point: the batch is in the WAL (and, in sync mode,
 		// on stable storage) before any reader can observe its epoch. On
@@ -248,10 +248,12 @@ func (e *Engine) Apply(ctx context.Context, muts []Mutation) (ApplyResult, error
 }
 
 // commit is one staged mutation batch, ready to publish: the new view,
-// the index for it, and what the batch did.
+// the index for it, the write history including it, and what the batch
+// did.
 type commit struct {
-	g   *graph.Graph
-	idx *core.LocalIndex
+	g       *graph.Graph
+	idx     *core.LocalIndex
+	touched lastTouch
 	// maint is the index-maintenance report; nil when the batch did not
 	// maintain the index.
 	maint                  *core.MaintBatch
@@ -259,11 +261,13 @@ type commit struct {
 }
 
 // commitMutations stages muts onto cur's view and derives the
-// maintained index — the one commit core behind Apply and applyLogged
-// (WAL replay and replicated apply). It publishes nothing and touches no counter: the
-// caller publishes the epoch and then counts c.maint. c.g equals cur's
-// graph when every mutation was an idempotent no-op; the caller decides
-// whether that is legal.
+// maintained index and the write history of epoch cur.seq+1 — the one
+// commit core behind Apply and applyLogged (WAL replay and replicated
+// apply), so all three invalidate cached constraints by the same rule.
+// It publishes nothing and touches no counter: the caller publishes the
+// epoch and then counts c.maint. c.g equals cur's graph when every
+// mutation was an idempotent no-op; the caller decides whether that is
+// legal.
 func (e *Engine) commitMutations(cur *epoch, muts []Mutation) (commit, error) {
 	d := graph.NewDelta(cur.kg.g)
 	for i, m := range muts {
@@ -272,18 +276,23 @@ func (e *Engine) commitMutations(cur *epoch, muts []Mutation) (commit, error) {
 		}
 	}
 	c := commit{idx: cur.idx, newVertices: d.NewVertices(), newLabels: d.NewLabels()}
+	ops := d.EdgeOps()
 	var err error
 	if c.g, err = d.Commit(); err != nil {
 		// Staging validates every op; a Commit failure is an internal
 		// inconsistency and must not publish.
 		return commit{}, err
 	}
+	if c.g == cur.kg.g {
+		return c, nil
+	}
+	c.touched = cur.touched.after(cur.seq+1, ops, c.newVertices+c.newLabels > 0)
 	// Maintain the local index through the batch so the published epoch
 	// pairs the new view with an index exact for it. The derivation never
 	// touches cur.idx, so readers on older epochs are unaffected.
-	if c.g != cur.kg.g && c.idx != nil {
+	if c.idx != nil {
 		var mb core.MaintBatch
-		c.idx, mb = c.idx.ApplyMutations(c.g, d.EdgeOps())
+		c.idx, mb = c.idx.ApplyMutations(c.g, ops)
 		c.maint = &mb
 	}
 	return c, nil
@@ -546,7 +555,9 @@ func (e *Engine) seal(cur *epoch, base sealBase, baseOps int, st *store) error {
 		cuts = append(cuts, c)
 	}
 	e.sealed, e.cuts = base, cuts
-	e.publishEpoch(e.newEpoch(cur.seq+1, g, idx))
+	// The seal keeps cur's edges and names, so cur's write history holds
+	// for it unchanged and every cached constraint carries over.
+	e.publishEpoch(e.newEpoch(cur.seq+1, g, idx, cur.touched))
 	return nil
 }
 

@@ -554,7 +554,7 @@ func TestMutateDictionaryOnlyBatchSurvivesCompaction(t *testing.T) {
 
 // TestMutateNoOpBatchKeepsEpoch regression-tests idempotent batches:
 // interning names that already exist changes nothing, so no epoch may
-// be published (publishing would discard the constraint cache).
+// be published and the constraint cache keeps every entry.
 func TestMutateNoOpBatchKeepsEpoch(t *testing.T) {
 	g0, _ := mutSeedGraph(17, 20, 2, 60)
 	eng := pub.NewEngine(pub.FromGraph(g0), mutOpts)

@@ -323,7 +323,7 @@ func (e *Engine) applyLogged(b ReplicationBatch) error {
 	if c.g == cur.kg.g {
 		return fmt.Errorf("batch at epoch %d is a no-op", b.Epoch)
 	}
-	e.publishEpoch(e.newEpoch(b.Epoch, c.g, c.idx))
+	e.publishEpoch(e.newEpoch(b.Epoch, c.g, c.idx, c.touched))
 	e.countMaint(c.maint)
 	return nil
 }

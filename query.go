@@ -255,11 +255,11 @@ func (ep *epoch) querySingle(req Request, cq core.Query, texts []string) (Respon
 		ok, st, err = core.UISTraced(g, cq, tr)
 		nVS = -1
 	case UISStar:
-		vs := cc.vertexSet()
+		vs := cc.vertexSet(g)
 		nVS = len(vs)
 		ok, st, err = core.UISStarTraced(g, cq, vs, tr)
 	case INS:
-		vs := cc.vertexSet()
+		vs := cc.vertexSet(g)
 		nVS = len(vs)
 		ok, st, err = core.INSTraced(g, ep.idx, cq, vs, tr)
 	}
