@@ -115,7 +115,9 @@ func getScratch(n int) *scratch {
 func putScratch(s *scratch) {
 	s.uisStar = uisStarRun{stack: s.uisStar.stack[:0]}
 	s.ins = insRun{}
-	clear(s.uis.matchers)
+	for i := range s.uis.matchers {
+		s.uis.matchers[i].Release()
+	}
 	s.uis.matchers = s.uis.matchers[:0]
 	scratchPool.Put(s)
 }

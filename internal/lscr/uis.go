@@ -56,12 +56,13 @@ func uis(g *graph.Graph, q MultiQuery, tr Tracer, wantWitness bool) (bool, *Mult
 	defer putScratch(sc)
 	s := &sc.uis
 	s.reset(g.NumVertices())
+	// The pooled matchers, released by putScratch but kept past len,
+	// recompile in place and keep their slot storage.
+	s.matchers = slices.Grow(s.matchers, k)[:k]
 	for i, c := range q.Constraints {
-		m, err := pattern.NewMatcher(g, c)
-		if err != nil {
+		if err := s.matchers[i].Reset(g, c); err != nil {
 			return false, nil, Stats{}, fmt.Errorf("constraint %d: %w", i+1, err)
 		}
-		s.matchers = append(s.matchers, *m)
 	}
 	full := uint16(1)<<uint(k) - 1
 	i, err := s.search(g, q.Source, q.Target, q.Labels, full, tr, interruptCheck{fn: q.Interrupt})

@@ -14,12 +14,18 @@
 //   - SCck(v, S): does v satisfy S? (used per-vertex by UIS, §3)
 //   - V(S, G): all vertices that satisfy S (obtained "by implementing
 //     SPARQL engines" for UIS* and INS, §4–§5)
+//
+// Both run on a Matcher, which compiles a constraint once into a plan
+// over numbered variable slots and evaluates it by backtracking over the
+// graph's label runs, binding into a slice indexed by slot. A constraint
+// has at most 64 triple patterns (ErrTooManyPatterns).
 package pattern
 
 import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 	"sort"
 	"strings"
 
@@ -78,17 +84,23 @@ var (
 	ErrNoFocus      = errors.New("pattern: constraint has no focus variable")
 	ErrFocusUnused  = errors.New("pattern: focus variable appears in no pattern")
 	ErrEmptyPattern = errors.New("pattern: constraint has no triple patterns")
+	// ErrTooManyPatterns rejects a constraint with more than 64 triple
+	// patterns, the most a Matcher tracks.
+	ErrTooManyPatterns = errors.New("pattern: constraint has more than 64 triple patterns")
 )
 
 // Validate checks the structural requirements of Definition 2.2: a
 // non-empty pattern in which the focus variable occurs (∃e ∈ E_? incident
-// to ?x or pointing at ?x).
+// to ?x or pointing at ?x) of at most 64 triple patterns.
 func (c *Constraint) Validate() error {
 	if c.Focus == "" {
 		return ErrNoFocus
 	}
 	if len(c.Patterns) == 0 {
 		return ErrEmptyPattern
+	}
+	if len(c.Patterns) > maxPatterns {
+		return ErrTooManyPatterns
 	}
 	for _, p := range c.Patterns {
 		if p.Subject.Kind == Var && p.Subject.Name == c.Focus {
@@ -155,30 +167,137 @@ func (c *Constraint) Cost() int {
 	return len(consts) + len(c.Patterns)
 }
 
-// Matcher evaluates a constraint against a graph. It is cheap to create;
-// create one per (graph, constraint) pair. A Matcher is safe for
-// concurrent use because evaluation state lives on the stack of each call.
+// maxPatterns caps a constraint's triple patterns: the matcher tracks
+// the unmatched ones in a 64-bit patternSet. Every pattern has two
+// endpoints, so a constraint has at most maxSlots variables, and one
+// stack array of bindings covers every constraint.
+const (
+	maxPatterns = 64
+	maxSlots    = 2 * maxPatterns
+)
+
+// constSlot marks a compiled endpoint that is a constant vertex.
+const constSlot = -1
+
+// endpoint is a compiled triple-pattern endpoint: the binding slot of a
+// variable, or constSlot and the constant vertex v.
+type endpoint struct {
+	slot int32
+	v    graph.VertexID
+}
+
+// get returns the endpoint's vertex under bind and whether it is bound.
+// An unbound slot holds graph.NoVertex; a constant is always bound.
+func (e endpoint) get(bind []graph.VertexID) (graph.VertexID, bool) {
+	if e.slot == constSlot {
+		return e.v, true
+	}
+	v := bind[e.slot]
+	return v, v != graph.NoVertex
+}
+
+// step is one compiled triple pattern, at the pattern's index.
+type step struct {
+	s, o  endpoint
+	label graph.Label
+}
+
+// Matcher evaluates a constraint against a graph. NewMatcher (or Reset)
+// compiles the constraint once: each variable gets a binding slot, the
+// focus slot 0, and each triple pattern becomes a step over slots and
+// constants. Evaluation binds into a []graph.VertexID, so Check
+// allocates nothing and MatchCapped allocates about its result.
+// Compiling costs one pass over the patterns; Reset recompiles into the
+// matcher's existing storage, so a pooled Matcher stops allocating once
+// it has held its largest constraint. After compilation the plan is
+// read-only and evaluation state lives on each call's stack, so a
+// Matcher is safe for concurrent use (but not concurrently with Reset
+// or Release).
 type Matcher struct {
-	g *graph.Graph
-	c *Constraint
+	g      *graph.Graph
+	c      *Constraint
+	steps  []step
+	nslots int
+	all    patternSet
 }
 
 // NewMatcher validates c and returns a Matcher for it.
 func NewMatcher(g *graph.Graph, c *Constraint) (*Matcher, error) {
-	if err := c.Validate(); err != nil {
+	m := new(Matcher)
+	if err := m.Reset(g, c); err != nil {
 		return nil, err
 	}
-	return &Matcher{g: g, c: c}, nil
+	return m, nil
+}
+
+// Reset validates c and recompiles m for (g, c), reusing m's storage.
+// On error m holds no constraint and must be Reset before use.
+func (m *Matcher) Reset(g *graph.Graph, c *Constraint) error {
+	m.Release()
+	if err := c.Validate(); err != nil {
+		return err
+	}
+	// names[i] is slot i's variable; the scan is linear, but a
+	// constraint has at most maxSlots variables and usually a handful.
+	var names [maxSlots]string
+	names[0] = c.Focus
+	n := 1
+	compile := func(t Term) endpoint {
+		if t.Kind == Const {
+			return endpoint{slot: constSlot, v: t.Vertex}
+		}
+		for i, name := range names[:n] {
+			if name == t.Name {
+				return endpoint{slot: int32(i)}
+			}
+		}
+		names[n] = t.Name
+		n++
+		return endpoint{slot: int32(n - 1)}
+	}
+	steps := m.steps[:0]
+	if cap(steps) < len(c.Patterns) {
+		steps = make([]step, 0, len(c.Patterns))
+	}
+	for _, p := range c.Patterns {
+		s := compile(p.Subject)
+		steps = append(steps, step{s: s, o: compile(p.Object), label: p.Label})
+	}
+	m.g, m.c, m.steps, m.nslots = g, c, steps, n
+	m.all = newPatternSet(len(steps))
+	return nil
+}
+
+// Release drops m's graph and constraint, so that a pooled Matcher pins
+// neither, and keeps its compiled storage for the next Reset.
+func (m *Matcher) Release() {
+	m.g, m.c, m.all = nil, nil, 0
+}
+
+// unbound returns the first m.nslots entries of buf, all unbound.
+func (m *Matcher) unbound(buf []graph.VertexID) []graph.VertexID {
+	bind := buf[:m.nslots]
+	for i := range bind {
+		bind[i] = graph.NoVertex
+	}
+	return bind
 }
 
 // Check implements SCck(v, S): it reports whether vertex v satisfies the
 // constraint.
 func (m *Matcher) Check(v graph.VertexID) bool {
-	bind := map[string]graph.VertexID{m.c.Focus: v}
-	return !m.enumerate(bind, newPatternSet(len(m.c.Patterns)), stopAtFirst)
+	var buf [maxSlots]graph.VertexID
+	return m.satisfies(m.unbound(buf[:]), v, m.all)
 }
 
-// stopAtFirst is Check's emit: the first solution settles the answer.
+// satisfies binds v to the focus and reports whether the patterns of set
+// hold under bind, which it leaves as it found it apart from the focus.
+func (m *Matcher) satisfies(bind []graph.VertexID, v graph.VertexID, set patternSet) bool {
+	bind[0] = v
+	return !m.enumerate(bind, set, stopAtFirst)
+}
+
+// stopAtFirst is SCck's emit: the first solution settles the answer.
 func stopAtFirst() bool { return false }
 
 // MatchAll computes V(S, G): every vertex that satisfies the constraint,
@@ -196,77 +315,85 @@ func (m *Matcher) MatchAll() []graph.VertexID {
 // it to reject over-wide candidate constraints without enumerating the
 // full V(S, G); when complete is true the returned set is exactly
 // MatchAll's.
+//
+// The candidates are the focus's neighbours in the shortest label run
+// of a pattern that pins the focus next to a constant, streamed from the
+// run in ascending order; that pattern holds for each of them by
+// construction, so only the others are evaluated. Without such a
+// pattern every vertex is a candidate.
 func (m *Matcher) MatchCapped(limit int) (vs []graph.VertexID, complete bool) {
-	for _, v := range m.focusCandidates() {
-		if m.Check(v) {
-			vs = append(vs, v)
-			if len(vs) > limit {
+	var buf [maxSlots]graph.VertexID
+	bind := m.unbound(buf[:])
+	cand, run := m.focusRun()
+	if cand < 0 {
+		for v := range m.g.NumVertices() {
+			if m.satisfies(bind, graph.VertexID(v), m.all) {
+				if vs = append(vs, graph.VertexID(v)); len(vs) > limit {
+					return vs, false
+				}
+			}
+		}
+		return vs, true
+	}
+	rest := m.all.remove(cand)
+	n := len(run)
+	if limit < n {
+		n = limit + 1
+	}
+	vs = make([]graph.VertexID, 0, n)
+	prev := graph.NoVertex
+	for _, e := range run {
+		// A multigraph repeats a neighbour within the sorted run.
+		if e.To == prev {
+			continue
+		}
+		prev = e.To
+		if m.satisfies(bind, e.To, rest) {
+			if vs = append(vs, e.To); len(vs) > limit {
 				return vs, false
 			}
 		}
 	}
+	switch {
+	case len(vs) == 0:
+		return nil, true
+	case len(vs) < cap(vs):
+		return append([]graph.VertexID(nil), vs...), true
+	}
 	return vs, true
 }
 
-// focusCandidates narrows the vertices worth checking, using the most
-// selective pattern that touches the focus variable. Falls back to all
-// vertices when no pattern pins the focus next to a constant.
-func (m *Matcher) focusCandidates() []graph.VertexID {
-	g, c := m.g, m.c
-	best := -1
-	bestLen := g.NumVertices() + 1
-	bestOut := false // candidate from Out(const) vs In(const)
-	for i, p := range c.Patterns {
-		if p.Subject.Kind == Var && p.Subject.Name == c.Focus && p.Object.Kind == Const {
-			// (?x, l, const): candidates are in-neighbors of const via l.
-			if n := g.InDegree(p.Object.Vertex); n < bestLen {
-				best, bestLen, bestOut = i, n, false
-			}
+// focusRun picks the pattern that pins the focus next to a constant with
+// the fewest edges, and returns its index and the constant's label run
+// (whose far ends are the focus candidates), or -1 when no pattern does.
+func (m *Matcher) focusRun() (int, []graph.Edge) {
+	best, bestRun := -1, []graph.Edge(nil)
+	for i, st := range m.steps {
+		var run []graph.Edge
+		switch {
+		case st.s.slot == 0 && st.o.slot == constSlot:
+			// (?x, l, const): candidates are in-neighbours of const via l.
+			run = m.g.InWith(st.o.v, st.label)
+		case st.o.slot == 0 && st.s.slot == constSlot:
+			// (const, l, ?x): candidates are out-neighbours of const via l.
+			run = m.g.OutWith(st.s.v, st.label)
+		default:
+			continue
 		}
-		if p.Object.Kind == Var && p.Object.Name == c.Focus && p.Subject.Kind == Const {
-			// (const, l, ?x): candidates are out-neighbors of const via l.
-			if n := g.OutDegree(p.Subject.Vertex); n < bestLen {
-				best, bestLen, bestOut = i, n, true
-			}
-		}
-	}
-	if best < 0 {
-		all := make([]graph.VertexID, g.NumVertices())
-		for i := range all {
-			all[i] = graph.VertexID(i)
-		}
-		return all
-	}
-	p := c.Patterns[best]
-	// The CSR label runs hand over exactly the edges carrying the
-	// pattern's label, already sorted by endpoint, so candidate collection
-	// touches no non-matching edges and needs no re-sort — only the
-	// multigraph dedup pass.
-	var run []graph.Edge
-	if bestOut {
-		run = g.OutWith(p.Subject.Vertex, p.Label)
-	} else {
-		run = g.InWith(p.Object.Vertex, p.Label)
-	}
-	out := make([]graph.VertexID, 0, len(run))
-	for _, e := range run {
-		if len(out) == 0 || out[len(out)-1] != e.To {
-			out = append(out, e.To)
+		if best < 0 || len(run) < len(bestRun) {
+			best, bestRun = i, run
 		}
 	}
-	return out
+	return best, bestRun
 }
 
 // patternSet tracks which patterns are still unmatched (bitmask over at
-// most 64 patterns; beyond that a bool slice would be needed, and the
-// paper's constraints have ≤ 8 patterns).
+// most maxPatterns patterns; Validate rejects more, and the paper's
+// constraints have ≤ 8 patterns).
 type patternSet uint64
 
 func newPatternSet(n int) patternSet {
-	if n > 64 {
-		panic("pattern: more than 64 triple patterns")
-	}
-	if n == 64 {
+	if n == maxPatterns {
 		return ^patternSet(0)
 	}
 	return patternSet(1)<<uint(n) - 1
@@ -276,28 +403,39 @@ func (s patternSet) remove(i int) patternSet { return s &^ (1 << uint(i)) }
 func (s patternSet) has(i int) bool          { return s&(1<<uint(i)) != 0 }
 func (s patternSet) empty() bool             { return s == 0 }
 
+// slotOf returns the binding slot of variable name, or -1 if the
+// constraint has no such variable.
+func (m *Matcher) slotOf(name string) int32 {
+	for i, p := range m.c.Patterns {
+		if p.Subject.Kind == Var && p.Subject.Name == name {
+			return m.steps[i].s.slot
+		}
+		if p.Object.Kind == Var && p.Object.Name == name {
+			return m.steps[i].o.slot
+		}
+	}
+	return -1
+}
+
 // EnumerateBindings enumerates the distinct assignments of vars over all
 // solutions of the constraint's pattern, calling fn with one tuple per
 // distinct assignment (slice reused between calls; copy to retain). fn
 // returning false stops the enumeration. Every name in vars must be a
 // variable of the constraint.
 func (m *Matcher) EnumerateBindings(vars []string, fn func([]graph.VertexID) bool) error {
-	have := map[string]bool{}
-	for _, v := range m.c.Vars() {
-		have[v] = true
-	}
-	for _, v := range vars {
-		if !have[v] {
+	slots := make([]int32, len(vars))
+	for i, v := range vars {
+		if slots[i] = m.slotOf(v); slots[i] < 0 {
 			return fmt.Errorf("pattern: projected variable %q not in constraint", v)
 		}
 	}
 	seen := map[string]bool{}
 	tuple := make([]graph.VertexID, len(vars))
 	keyBuf := make([]byte, 0, len(vars)*5)
-	bind := map[string]graph.VertexID{}
-	m.enumerate(bind, newPatternSet(len(m.c.Patterns)), func() bool {
-		for i, v := range vars {
-			tuple[i] = bind[v]
+	bind := m.unbound(make([]graph.VertexID, m.nslots))
+	m.enumerate(bind, m.all, func() bool {
+		for i, s := range slots {
+			tuple[i] = bind[s]
 		}
 		keyBuf = keyBuf[:0]
 		for _, id := range tuple {
@@ -314,89 +452,78 @@ func (m *Matcher) EnumerateBindings(vars []string, fn func([]graph.VertexID) boo
 
 // enumerate visits every solution of the remaining patterns under bind.
 // It picks the cheapest remaining pattern (fully bound < one-bound by
-// degree < unbound), verifies or enumerates it, and recurses; emit is
-// called with bind covering every pattern's variables and returns false
-// to stop. enumerate returns false when stopped.
-func (m *Matcher) enumerate(bind map[string]graph.VertexID, remaining patternSet, emit func() bool) bool {
+// degree < unbound, ties to the lowest index), verifies or enumerates
+// it, and recurses; emit is called with bind covering every pattern's
+// variables and returns false to stop. enumerate returns false when
+// stopped, and leaves bind as it found it either way.
+func (m *Matcher) enumerate(bind []graph.VertexID, remaining patternSet, emit func() bool) bool {
 	if remaining.empty() {
 		return emit()
 	}
 	g := m.g
 	bestIdx, bestCost := -1, int(^uint(0)>>1)
-	for i, p := range m.c.Patterns {
-		if !remaining.has(i) {
-			continue
-		}
-		cost := m.patternCost(p, bind)
-		if cost < bestCost {
+	for r := remaining; r != 0; r &= r - 1 {
+		i := bits.TrailingZeros64(uint64(r))
+		if cost := m.patternCost(m.steps[i], bind); cost < bestCost {
 			bestIdx, bestCost = i, cost
 		}
 	}
-	p := m.c.Patterns[bestIdx]
+	p := m.steps[bestIdx]
 	rest := remaining.remove(bestIdx)
 
-	sv, sBound := resolve(p.Subject, bind)
-	ov, oBound := resolve(p.Object, bind)
+	sv, sBound := p.s.get(bind)
+	ov, oBound := p.o.get(bind)
 	switch {
 	case sBound && oBound:
-		if !g.HasEdge(sv, p.Label, ov) {
+		if !g.HasEdge(sv, p.label, ov) {
 			return true
 		}
 		return m.enumerate(bind, rest, emit)
 	case sBound:
-		for _, e := range g.OutWith(sv, p.Label) {
-			bind[p.Object.Name] = e.To
-			if !m.enumerate(bind, rest, emit) {
-				delete(bind, p.Object.Name)
-				return false
+		ok := true
+		for _, e := range g.OutWith(sv, p.label) {
+			bind[p.o.slot] = e.To
+			if ok = m.enumerate(bind, rest, emit); !ok {
+				break
 			}
 		}
-		delete(bind, p.Object.Name)
-		return true
+		bind[p.o.slot] = graph.NoVertex
+		return ok
 	case oBound:
-		for _, e := range g.InWith(ov, p.Label) {
-			bind[p.Subject.Name] = e.To
-			if !m.enumerate(bind, rest, emit) {
-				delete(bind, p.Subject.Name)
-				return false
+		ok := true
+		for _, e := range g.InWith(ov, p.label) {
+			bind[p.s.slot] = e.To
+			if ok = m.enumerate(bind, rest, emit); !ok {
+				break
 			}
 		}
-		delete(bind, p.Subject.Name)
-		return true
+		bind[p.s.slot] = graph.NoVertex
+		return ok
 	default:
-		sameVar := p.Subject.Kind == Var && p.Object.Kind == Var && p.Subject.Name == p.Object.Name
-		for s := 0; s < g.NumVertices(); s++ {
-			for _, e := range g.OutWith(graph.VertexID(s), p.Label) {
-				if sameVar {
-					if graph.VertexID(s) != e.To {
-						continue
-					}
-					bind[p.Subject.Name] = graph.VertexID(s)
-				} else {
-					bind[p.Subject.Name] = graph.VertexID(s)
-					bind[p.Object.Name] = e.To
+		// Both endpoints are unbound variables, possibly the same one.
+		sameVar := p.s.slot == p.o.slot
+		ok := true
+	scan:
+		for s := range g.NumVertices() {
+			for _, e := range g.OutWith(graph.VertexID(s), p.label) {
+				if sameVar && graph.VertexID(s) != e.To {
+					continue
 				}
-				if !m.enumerate(bind, rest, emit) {
-					delete(bind, p.Subject.Name)
-					if !sameVar {
-						delete(bind, p.Object.Name)
-					}
-					return false
+				bind[p.s.slot], bind[p.o.slot] = graph.VertexID(s), e.To
+				if ok = m.enumerate(bind, rest, emit); !ok {
+					break scan
 				}
 			}
 		}
-		delete(bind, p.Subject.Name)
-		if !sameVar {
-			delete(bind, p.Object.Name)
-		}
-		return true
+		bind[p.s.slot], bind[p.o.slot] = graph.NoVertex, graph.NoVertex
+		return ok
 	}
 }
 
 // patternCost estimates the branching factor of evaluating p under bind.
-func (m *Matcher) patternCost(p TriplePattern, bind map[string]graph.VertexID) int {
-	sv, sBound := resolve(p.Subject, bind)
-	ov, oBound := resolve(p.Object, bind)
+func (m *Matcher) patternCost(p step, bind []graph.VertexID) int {
+	sv, sBound := p.s.get(bind)
+	ov, oBound := p.o.get(bind)
 	switch {
 	case sBound && oBound:
 		return 0
@@ -407,13 +534,4 @@ func (m *Matcher) patternCost(p TriplePattern, bind map[string]graph.VertexID) i
 	default:
 		return m.g.NumEdges() + 2
 	}
-}
-
-// resolve returns the concrete vertex of t under bind, if any.
-func resolve(t Term, bind map[string]graph.VertexID) (graph.VertexID, bool) {
-	if t.Kind == Const {
-		return t.Vertex, true
-	}
-	v, ok := bind[t.Name]
-	return v, ok
 }

@@ -418,3 +418,14 @@ func TestMatcherAgreesWithBruteForce(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// resolve returns the concrete vertex of t under a name-keyed binding,
+// if any. It is the test oracles' own evaluator: the matcher binds by
+// slot and shares none of this.
+func resolve(t Term, bind map[string]graph.VertexID) (graph.VertexID, bool) {
+	if t.Kind == Const {
+		return t.Vertex, true
+	}
+	v, ok := bind[t.Name]
+	return v, ok
+}

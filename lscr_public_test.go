@@ -192,6 +192,38 @@ func TestErrorSentinels(t *testing.T) {
 	}
 }
 
+// TestTooManyPatternsRejected: a constraint with more triple patterns
+// than the matcher tracks (64) is an invalid constraint under every
+// algorithm and in a concurrent batch, where it must fail its own slot
+// and leave the other answered.
+func TestTooManyPatternsRejected(t *testing.T) {
+	ctx := context.Background()
+	eng := NewEngine(loadFincrime(t), Options{})
+	huge := "SELECT ?x WHERE {" + strings.Repeat(" ?x <married-to> <Amy>.", 65) + " }"
+	for _, alg := range []Algorithm{INS, UIS, UISStar, Conjunctive} {
+		_, err := eng.Query(ctx, Request{Source: "SuspectC", Target: "SuspectP", Constraint: huge, Algorithm: alg})
+		if !errors.Is(err, ErrInvalidConstraint) {
+			t.Errorf("%v: err = %v, want ErrInvalidConstraint", alg, err)
+		}
+	}
+	out := eng.QueryBatch(ctx, []Request{
+		{Source: "SuspectC", Target: "SuspectP", Constraint: huge},
+		{Source: "SuspectC", Target: "SuspectP", Constraint: `SELECT ?x WHERE { ?x <married-to> <Amy>. }`},
+	}, BatchOptions{Concurrency: 2})
+	if !errors.Is(out[0].Err, ErrInvalidConstraint) {
+		t.Errorf("batch item 0: err = %v, want ErrInvalidConstraint", out[0].Err)
+	}
+	if out[1].Err != nil || !out[1].Response.Reachable {
+		t.Errorf("batch item 1: %+v, want reachable", out[1])
+	}
+	// 64 patterns is the limit, not past it.
+	at := "SELECT ?x WHERE {" + strings.Repeat(" ?x <married-to> <Amy>.", 64) + " }"
+	res, err := eng.Query(ctx, Request{Source: "SuspectC", Target: "SuspectP", Constraint: at})
+	if err != nil || !res.Reachable {
+		t.Errorf("64 patterns: %+v, %v; want reachable", res, err)
+	}
+}
+
 // TestInvalidConstraintIndependentOfNames: a malformed constraint is
 // rejected whether or not the graph knows the names it uses, under every
 // algorithm, and interning those names changes nothing.

@@ -179,6 +179,22 @@ func TestV1QueryErrors(t *testing.T) {
 	}
 }
 
+// TestV1QueryTooManyPatterns: a constraint beyond the matcher's 64
+// triple patterns is a client error under every algorithm, answered 400
+// instead of taking the handler down.
+func TestV1QueryTooManyPatterns(t *testing.T) {
+	srv := testServer(t)
+	huge := "SELECT ?x WHERE {" + strings.Repeat(" ?x <married> <Amy>.", 65) + " }"
+	for _, algo := range []string{"ins", "uis", "uisstar", "conjunctive"} {
+		resp, out := postJSON(t, srv.URL+"/v1/query", api.QueryRequest{
+			Source: "C", Target: "P", Constraint: huge, Algorithm: algo,
+		})
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("%s: status %d (%v)", algo, resp.StatusCode, out)
+		}
+	}
+}
+
 // TestV1QueryTimeout: a server-side deadline that cannot be met
 // answers 504, not 500.
 func TestV1QueryTimeout(t *testing.T) {
