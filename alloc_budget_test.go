@@ -87,3 +87,54 @@ func TestApplyAllocBudget(t *testing.T) {
 		t.Errorf("Apply allocates %d B per batch, ceiling %d B", bytes, applyBytesCeiling)
 	}
 }
+
+// TestQueryAllocBudget holds Engine.Query's allocations per request on
+// the fincrime fixture, with the constraint cache warm, at the counts
+// measured on linux/amd64 with Go 1.24: every read allocates its
+// garbage on the readers' own GC budget, so a request shape that starts
+// allocating more shows here before it shows in a latency percentile.
+func TestQueryAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector changes allocation counts")
+	}
+	eng := NewEngine(loadFincrime(t), Options{CompactAfter: -1})
+	const (
+		amy    = `SELECT ?x WHERE { ?x <married-to> <Amy>. }`
+		sender = `SELECT ?x WHERE { ?x <transfer2019-04> ?y. }`
+	)
+	base := Request{Source: "SuspectC", Target: "SuspectP", Labels: []string{"transfer2019-04", "married-to"}}
+	rows := []struct {
+		name    string
+		req     Request
+		ceiling float64
+	}{
+		{"INS", Request{Constraint: amy}, 1},
+		{"UIS", Request{Constraint: amy, Algorithm: UIS}, 1},
+		{"UIS*", Request{Constraint: amy, Algorithm: UISStar}, 1},
+		{"INS/witness", Request{Constraint: amy, WantWitness: true}, 11},
+		{"UIS/witness", Request{Constraint: amy, Algorithm: UIS, WantWitness: true}, 11},
+		{"conjunction", Request{Constraints: []string{amy, sender}}, 2},
+		{"conjunction/witness", Request{Constraints: []string{amy, sender}, WantWitness: true}, 13},
+		{"unsatisfiable", Request{Constraint: `SELECT ?x WHERE { ?x <married-to> <Nobody>. }`}, 1},
+	}
+	ctx := context.Background()
+	for _, row := range rows {
+		req := row.req
+		req.Source, req.Target, req.Labels = base.Source, base.Target, base.Labels
+		query := func() {
+			resp, err := eng.Query(ctx, req)
+			if err != nil {
+				t.Fatalf("%s: %v", row.name, err)
+			}
+			if req.WantWitness && resp.Witness == nil {
+				t.Fatalf("%s: no witness", row.name)
+			}
+		}
+		query() // compile the constraints into the cache
+		if got := testing.AllocsPerRun(100, query); got > row.ceiling {
+			t.Errorf("%s: %v allocs per Query, ceiling %v", row.name, got, row.ceiling)
+		} else {
+			t.Logf("%s: %v allocs per Query", row.name, got)
+		}
+	}
+}
