@@ -93,6 +93,7 @@ func TestApplyAllocBudget(t *testing.T) {
 // measured on linux/amd64 with Go 1.24: every read allocates its
 // garbage on the readers' own GC budget, so a request shape that starts
 // allocating more shows here before it shows in a latency percentile.
+// Only a witness allocates: it names the walk's hops and vertices.
 func TestQueryAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector changes allocation counts")
@@ -108,14 +109,14 @@ func TestQueryAllocBudget(t *testing.T) {
 		req     Request
 		ceiling float64
 	}{
-		{"INS", Request{Constraint: amy}, 1},
-		{"UIS", Request{Constraint: amy, Algorithm: UIS}, 1},
-		{"UIS*", Request{Constraint: amy, Algorithm: UISStar}, 1},
-		{"INS/witness", Request{Constraint: amy, WantWitness: true}, 11},
-		{"UIS/witness", Request{Constraint: amy, Algorithm: UIS, WantWitness: true}, 11},
-		{"conjunction", Request{Constraints: []string{amy, sender}}, 2},
-		{"conjunction/witness", Request{Constraints: []string{amy, sender}, WantWitness: true}, 13},
-		{"unsatisfiable", Request{Constraint: `SELECT ?x WHERE { ?x <married-to> <Nobody>. }`}, 1},
+		{"INS", Request{Constraint: amy}, 0},
+		{"UIS", Request{Constraint: amy, Algorithm: UIS}, 0},
+		{"UIS*", Request{Constraint: amy, Algorithm: UISStar}, 0},
+		{"INS/witness", Request{Constraint: amy, WantWitness: true}, 10},
+		{"UIS/witness", Request{Constraint: amy, Algorithm: UIS, WantWitness: true}, 10},
+		{"conjunction", Request{Constraints: []string{amy, sender}}, 0},
+		{"conjunction/witness", Request{Constraints: []string{amy, sender}, WantWitness: true}, 10},
+		{"unsatisfiable", Request{Constraint: `SELECT ?x WHERE { ?x <married-to> <Nobody>. }`}, 0},
 	}
 	ctx := context.Background()
 	for _, row := range rows {

@@ -26,6 +26,7 @@ import (
 	"syscall"
 
 	"lscr"
+	"lscr/api"
 	"lscr/internal/buildinfo"
 )
 
@@ -36,7 +37,7 @@ func main() {
 	flag.StringVar(&opts.to, "to", "", "target vertex name (required)")
 	flag.StringVar(&opts.labels, "labels", "", "comma-separated label constraint (empty = all labels)")
 	flag.StringVar(&opts.constraint, "constraint", "", "SPARQL substructure constraint (required)")
-	flag.StringVar(&opts.algoName, "algo", "ins", "algorithm: ins, uis or uisstar")
+	flag.StringVar(&opts.algoName, "algo", "ins", "algorithm: ins, uis, uisstar or conjunctive")
 	flag.StringVar(&opts.dataDir, "data", "", "data directory: open the store there, or create one from -kg on first run")
 	flag.BoolVar(&opts.noIndex, "no-index", false, "skip local-index construction (forbids -algo ins)")
 	flag.BoolVar(&opts.witness, "witness", false, "print the evidence path on a true answer")
@@ -70,16 +71,9 @@ func run(ctx context.Context, w io.Writer, o options) (int, error) {
 	if (o.kgPath == "" && o.dataDir == "") || o.from == "" || o.to == "" || o.constraint == "" {
 		return 2, errors.New("-kg (or -data), -from, -to and -constraint are required")
 	}
-	var algo lscr.Algorithm
-	switch strings.ToLower(o.algoName) {
-	case "ins":
-		algo = lscr.INS
-	case "uis":
-		algo = lscr.UIS
-	case "uisstar", "uis*":
-		algo = lscr.UISStar
-	default:
-		return 2, fmt.Errorf("unknown algorithm %q", o.algoName)
+	algo, err := api.ParseAlgorithm(o.algoName)
+	if err != nil {
+		return 2, err
 	}
 	eng, err := buildEngine(o)
 	if err != nil {

@@ -69,6 +69,27 @@ func TestRunWitness(t *testing.T) {
 	}
 }
 
+// TestRunAlgorithmNames: -algo takes the wire's algorithm names, so the
+// conjunctive search answers (with its own witness walk), and a name
+// outside them exits 2.
+func TestRunAlgorithmNames(t *testing.T) {
+	p := writeKG(t)
+	o := baseOpts(p)
+	o.algoName, o.witness = "conjunctive", true
+	var buf bytes.Buffer
+	code, err := run(context.Background(), &buf, o)
+	if err != nil || code != 0 {
+		t.Fatalf("conjunctive: code=%d err=%v", code, err)
+	}
+	if out := buf.String(); !strings.Contains(out, "witness: C -[apr]-> X") || !strings.Contains(out, "satisfying vertex: X") {
+		t.Errorf("conjunctive witness missing: %q", out)
+	}
+	o.algoName = "astar"
+	if code, err := run(context.Background(), &buf, o); err == nil || code != 2 {
+		t.Errorf("astar: code=%d err=%v, want code 2 and an error", code, err)
+	}
+}
+
 func TestRunSearchTree(t *testing.T) {
 	p := writeKG(t)
 	dotPath := filepath.Join(t.TempDir(), "tree.dot")

@@ -261,17 +261,15 @@ type Engine struct {
 }
 
 // epoch is one immutable serving snapshot: a graph view (base CSR plus
-// optional overlay), the local index for the view, the SPARQL engine
-// over the view, and what the batches up to it last touched, which
-// decides whether a memoized constraint still holds for the view. Every
-// commit and seal binds the index to the epoch's view (idx.Graph() ==
-// kg.g), and readers get the (kg, idx) pair from one atomic load, so the
-// pair they see is mutually consistent.
+// optional overlay), the local index for the view, and what the batches
+// up to it last touched, which decides whether a memoized constraint
+// still holds for the view. Every commit and seal binds the index to the
+// epoch's view (idx.Graph() == kg.g), and readers get the (kg, idx) pair
+// from one atomic load, so the pair they see is mutually consistent.
 type epoch struct {
 	seq     uint64
 	kg      *KG
 	idx     *core.LocalIndex
-	eng     *sparql.Engine
 	cache   *qcache.Cache[*compiledConstraint] // the engine's; nil when disabled
 	touched lastTouch
 	// hits and misses count this epoch's constraint-cache lookups, so
@@ -372,7 +370,6 @@ func (e *Engine) newEpoch(seq uint64, g *graph.Graph, idx *core.LocalIndex, touc
 		seq:     seq,
 		kg:      &KG{g: g},
 		idx:     idx,
-		eng:     sparql.NewEngine(g),
 		cache:   e.cache,
 		touched: touched,
 	}
@@ -398,7 +395,8 @@ type CacheStats struct {
 	// Enabled is false when the engine was built with a negative
 	// Options.ConstraintCacheSize; all other fields are then zero.
 	Enabled bool `json:"enabled"`
-	// Hits and Misses count the serving epoch's cache lookups.
+	// Hits and Misses count the serving epoch's cache lookups, by Query
+	// and QueryBatch (one per constraint text) and by Select.
 	Hits   int64 `json:"hits"`
 	Misses int64 `json:"misses"`
 	// Entries is the number of memoized constraints; Capacity the LRU
@@ -681,12 +679,17 @@ func (ep *epoch) resolveEndpoints(source, target string, labels []string) (core.
 // Select evaluates a SPARQL SELECT and returns the matching vertex names
 // (V(S,G) by name) — the substructure-constraint half of the system,
 // usable standalone. Multi-variable queries project their first variable;
-// use SelectAll for full rows.
+// use SelectAll for full rows. It compiles through the constraint cache
+// Query uses, so a text either has answered shares its memoized V(S,G).
 func (e *Engine) Select(query string) ([]string, error) {
 	ep := e.current()
-	ids, err := ep.eng.Select(query)
+	cc, err := ep.compileConstraint(query)
 	if err != nil {
-		return nil, classifyConstraintErr(err)
+		return nil, err
+	}
+	var ids []graph.VertexID
+	if cc.sat {
+		ids = cc.vertexSet(ep.kg.g)
 	}
 	out := make([]string, len(ids))
 	for i, v := range ids {
@@ -696,10 +699,11 @@ func (e *Engine) Select(query string) ([]string, error) {
 }
 
 // SelectAll evaluates a (possibly multi-variable) SPARQL SELECT and
-// returns one map per distinct result row, keyed by variable name.
+// returns one map per distinct result row, keyed by variable name. Its
+// rows are not memoized: it bypasses the constraint cache.
 func (e *Engine) SelectAll(query string) ([]map[string]string, error) {
 	ep := e.current()
-	vars, rows, err := ep.eng.SelectTuples(query)
+	vars, rows, err := sparql.NewEngine(ep.kg.g).SelectTuples(query)
 	if err != nil {
 		return nil, classifyConstraintErr(err)
 	}

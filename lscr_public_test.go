@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -178,9 +180,9 @@ func TestErrorSentinels(t *testing.T) {
 	if !errors.Is(err, ErrUnknownVertex) {
 		t.Errorf("unknown source is not ErrUnknownVertex: %v", err)
 	}
-	// Select bypasses the constraint-compile path but must classify its
-	// errors identically: parse failures carry ErrConstraintSyntax,
-	// validation failures ErrInvalidConstraint.
+	// Select and SelectAll classify their errors as Query does: parse
+	// failures carry ErrConstraintSyntax, validation failures
+	// ErrInvalidConstraint.
 	if _, err := eng.Select("SELECT garbage"); !errors.Is(err, ErrConstraintSyntax) {
 		t.Errorf("Select parse failure is not ErrConstraintSyntax: %v", err)
 	}
@@ -258,6 +260,81 @@ func TestInvalidConstraintIndependentOfNames(t *testing.T) {
 	check("after interning them")
 }
 
+// TestConjunctionRejectionIndependentOfNames: a conjunction with a
+// malformed text, or with more than MaxConstraints texts, is rejected
+// whether or not its first conjunct names entities the graph holds —
+// an unsatisfiable conjunct does not answer false ahead of the
+// rejection — and interning those names changes nothing.
+func TestConjunctionRejectionIndependentOfNames(t *testing.T) {
+	ctx := context.Background()
+	eng := NewEngine(loadFincrime(t), Options{CompactAfter: -1})
+	const amy = `SELECT ?x WHERE { ?x <married-to> <Amy>. }`
+	firsts := []string{
+		`SELECT ?x WHERE { ?x <married-to> <NoSuchVertex>. }`,
+		`SELECT ?x WHERE { ?x <no-such-label> ?y. }`,
+		amy,
+	}
+	cases := []struct {
+		name string
+		rest []string
+		want error
+	}{
+		{"malformed second text", []string{"SELECT garbage"}, ErrConstraintSyntax},
+		{"17 texts", slices.Repeat([]string{amy}, MaxConstraints), ErrTooManyConstraints},
+	}
+	check := func(when string) {
+		t.Helper()
+		for _, c := range cases {
+			for _, alg := range []Algorithm{INS, Conjunctive} {
+				for _, first := range firsts {
+					_, err := eng.Query(ctx, Request{Source: "SuspectC", Target: "SuspectP",
+						Constraints: append([]string{first}, c.rest...), Algorithm: alg})
+					if !errors.Is(err, c.want) {
+						t.Errorf("%s, %s, %v, first %s: err = %v, want %v", when, c.name, alg, first, err, c.want)
+					}
+				}
+			}
+		}
+	}
+	check("unknown names")
+	if _, err := eng.Apply(ctx, []Mutation{
+		{Op: OpAddLabel, Label: "no-such-label"},
+		{Op: OpAddVertex, Subject: "NoSuchVertex"},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	check("after interning them")
+}
+
+// TestRejectedConjunctionLeavesCacheAlone: a conjunction refused for
+// its size compiles none of its texts, so a client cannot evict the
+// warm constraint-cache entries with requests the engine refuses.
+func TestRejectedConjunctionLeavesCacheAlone(t *testing.T) {
+	ctx := context.Background()
+	eng := NewEngine(loadFincrime(t), Options{})
+	req := Request{Source: "SuspectC", Target: "SuspectP"}
+	for _, text := range []string{`SELECT ?x WHERE { ?x <married-to> <Amy>. }`, `SELECT ?x WHERE { ?x <friend-of> ?y. }`} {
+		req.Constraint = text
+		if _, err := eng.Query(ctx, req); err != nil {
+			t.Fatal(err)
+		}
+	}
+	req.Constraint = ""
+	before := eng.CacheStats()
+	for _, n := range []int{500, MaxConstraints + 1} {
+		req.Constraints = make([]string, n)
+		for i := range req.Constraints {
+			req.Constraints[i] = fmt.Sprintf(`SELECT ?x%d WHERE { ?x%d <married-to> <Amy>. }`, i, i)
+		}
+		if _, err := eng.Query(ctx, req); !errors.Is(err, ErrTooManyConstraints) {
+			t.Fatalf("%d texts: err = %v, want ErrTooManyConstraints", n, err)
+		}
+		if st := eng.CacheStats(); st.Misses != before.Misses || st.Entries != before.Entries {
+			t.Errorf("%d texts: cache %+v, was %+v", n, st, before)
+		}
+	}
+}
+
 // TestCacheStatsCounters: hits/misses/entries track Query traffic, and a
 // negative ConstraintCacheSize disables the cache entirely.
 func TestCacheStatsCounters(t *testing.T) {
@@ -298,6 +375,28 @@ func TestPublicSelect(t *testing.T) {
 	}
 	if len(names) != 2 {
 		t.Fatalf("Select = %v", names)
+	}
+}
+
+// TestSelectSharesQueryCache: Select compiles through Query's constraint
+// cache, so a text one of them compiled is a hit for the other, and an
+// unsatisfiable text selects nothing.
+func TestSelectSharesQueryCache(t *testing.T) {
+	eng := NewEngine(loadFincrime(t), Options{})
+	const amy = `SELECT ?x WHERE { ?x <married-to> <Amy>. }`
+	if _, err := eng.Query(context.Background(), Request{Source: "SuspectC", Target: "SuspectP", Constraint: amy}); err != nil {
+		t.Fatal(err)
+	}
+	names, err := eng.Select(amy)
+	if err != nil || !slices.Equal(names, []string{"MiddlemanX"}) {
+		t.Fatalf("Select = %v, %v; want [MiddlemanX]", names, err)
+	}
+	if st := eng.CacheStats(); st.Hits != 1 || st.Misses != 1 || st.Entries != 1 {
+		t.Errorf("after Query and Select of one text: %+v, want 1 hit, 1 miss, 1 entry", st)
+	}
+	names, err = eng.Select(`SELECT ?x WHERE { ?x <married-to> <Nobody>. }`)
+	if err != nil || names == nil || len(names) != 0 {
+		t.Errorf("unsatisfiable Select = %#v, %v; want an empty list", names, err)
 	}
 }
 

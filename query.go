@@ -11,6 +11,7 @@ import (
 
 	"lscr/internal/graph"
 	core "lscr/internal/lscr"
+	"lscr/internal/pattern"
 )
 
 // Request is one LSCR query Q = (s, t, L, S) in terms of names. A
@@ -52,18 +53,6 @@ type Request struct {
 
 // MaxConstraints bounds a conjunctive request's constraint count.
 const MaxConstraints = core.MaxMultiConstraints
-
-// constraintTexts resolves the Constraint shorthand against
-// Constraints.
-func (r Request) constraintTexts() ([]string, error) {
-	if r.Constraint != "" {
-		if len(r.Constraints) > 0 {
-			return nil, fmt.Errorf("%w: both Constraint and Constraints are set", ErrInvalidRequest)
-		}
-		return []string{r.Constraint}, nil
-	}
-	return r.Constraints, nil
-}
 
 // Witness certifies a true answer: a concrete Source→Target walk whose
 // labels all satisfy the label constraint, plus — per constraint, in
@@ -107,8 +96,11 @@ type Response struct {
 	// parsing and compilation, and witness reconstruction, but on a
 	// constraint-cache miss under UIS* or INS it includes the first
 	// enumeration of V(S,G), which runs lazily inside the timed interval.
+	// It is 0 when a constraint names an entity absent from the KG: the
+	// answer is then false and no search runs.
 	Elapsed time.Duration
-	// SatisfyingVertices is |V(S,G)| as computed by the engine; the
+	// SatisfyingVertices is |V(S,G)| as computed by the engine, 0 under
+	// UIS* and INS for a constraint naming an absent entity; the
 	// algorithms that evaluate the constraint lazily (UIS and the
 	// conjunctive search) report -1.
 	SatisfyingVertices int
@@ -174,187 +166,156 @@ func (e *Engine) Query(ctx context.Context, req Request) (Response, error) {
 			return Response{}, err
 		}
 	}
-	texts, err := req.constraintTexts()
-	if err != nil {
-		return Response{}, err
-	}
 	// The epoch is loaded exactly once: graph view, index, caches and
 	// name resolution all come from this snapshot for the whole query.
-	ep := e.current()
+	return e.current().query(req, itr)
+}
+
+// query is the one request path behind every request shape: it
+// validates the shape, compiles the constraints, and runs and answers
+// the selected search. Nothing compiles before the shape is valid, so
+// whether a request is rejected never depends on the names the KG holds
+// and a rejected request leaves the constraint cache alone.
+func (ep *epoch) query(req Request, itr func() error) (Response, error) {
+	g := ep.kg.g
+	// Constraint is shorthand for a one-element Constraints.
+	texts := req.Constraints
+	var one [1]string
+	if req.Constraint != "" {
+		if len(texts) > 0 {
+			return Response{}, fmt.Errorf("%w: both Constraint and Constraints are set", ErrInvalidRequest)
+		}
+		one[0] = req.Constraint
+		texts = one[:]
+	}
 	cq, err := ep.resolveEndpoints(req.Source, req.Target, req.Labels)
 	if err != nil {
 		return Response{}, err
 	}
 	cq.Interrupt = itr
-	if req.Algorithm == Conjunctive || len(texts) > 1 {
-		return ep.queryMulti(req, cq, texts)
+	alg, k := req.Algorithm, len(texts)
+	if alg == Conjunctive || k > 1 {
+		// The zero Algorithm (INS) on a multi-constraint request means
+		// "the caller did not pick": the conjunctive search is the only
+		// strategy for conjunctions. An explicit single-constraint choice
+		// is a contradiction worth reporting.
+		switch {
+		case req.WantTrace:
+			return Response{}, fmt.Errorf("%w: trace is not supported for conjunctive requests", ErrInvalidRequest)
+		case alg != Conjunctive && alg != INS:
+			return Response{}, fmt.Errorf("%w: algorithm %v cannot answer a %d-constraint conjunction",
+				ErrInvalidRequest, alg, k)
+		case k == 0:
+			return Response{}, ErrNoConstraints
+		case k > MaxConstraints:
+			return Response{}, fmt.Errorf("%w: %d > %d", ErrTooManyConstraints, k, MaxConstraints)
+		}
+		alg = Conjunctive
+	} else {
+		switch {
+		case alg != INS && alg != UIS && alg != UISStar:
+			return Response{}, fmt.Errorf("%w %v", ErrUnknownAlgorithm, alg)
+		case alg == INS && ep.idx == nil:
+			return Response{}, ErrNoIndex
+		case k != 1:
+			return Response{}, fmt.Errorf("%w: algorithm %v takes exactly one constraint, got %d",
+				ErrInvalidRequest, alg, k)
+		}
 	}
-	return ep.querySingle(req, cq, texts)
-}
 
-// querySingle runs a one-constraint request with the selected
-// single-constraint algorithm.
-func (ep *epoch) querySingle(req Request, cq core.Query, texts []string) (Response, error) {
-	g := ep.kg.g
-	switch req.Algorithm {
-	case INS, UIS, UISStar:
-	default:
-		return Response{}, fmt.Errorf("%w %v", ErrUnknownAlgorithm, req.Algorithm)
-	}
-	if req.Algorithm == INS && ep.idx == nil {
-		return Response{}, ErrNoIndex
-	}
-	if len(texts) != 1 {
-		return Response{}, fmt.Errorf("%w: algorithm %v takes exactly one constraint, got %d",
-			ErrInvalidRequest, req.Algorithm, len(texts))
-	}
-	cc, err := ep.compileConstraint(texts[0])
-	if err != nil {
-		return Response{}, err
-	}
-	if cq.Interrupt != nil {
-		// Compilation may have been slow; honour a deadline that fired
-		// during it before starting the search.
-		if err := cq.Interrupt(); err != nil {
+	var ccs [MaxConstraints]*compiledConstraint
+	for i, text := range texts {
+		if ccs[i], err = ep.compileConstraint(text); err != nil {
 			return Response{}, err
 		}
 	}
-	resp := Response{Algorithm: req.Algorithm}
-	start := time.Now()
-	if !cc.sat {
-		// The constraint references entities absent from the KG: V(S,G)
-		// is empty and the answer is false for every algorithm.
-		// SatisfyingVertices mirrors the normal path's convention — UIS
-		// evaluates the constraint lazily and reports -1, UIS*/INS
-		// report |V(S,G)| = 0.
-		resp.Elapsed = time.Since(start)
-		if req.Algorithm == UIS {
-			resp.SatisfyingVertices = -1
+	if itr != nil {
+		// Compilation may have been slow; honour a deadline that fired
+		// during it before starting the search.
+		if err := itr(); err != nil {
+			return Response{}, err
 		}
-		return resp, nil
 	}
-	cq.Constraint = cc.cons
+	// UIS and the conjunctive search evaluate their constraints lazily
+	// and report -1; UIS* and INS report |V(S,G)|.
+	resp := Response{Algorithm: alg, SatisfyingVertices: -1}
+	if alg == INS || alg == UISStar {
+		resp.SatisfyingVertices = 0
+	}
+	for _, cc := range ccs[:k] {
+		if !cc.sat {
+			// The constraint references entities absent from the KG:
+			// V(S,G) is empty and the answer is false without searching.
+			return resp, nil
+		}
+	}
 
 	// tr stays a nil interface unless a trace is wanted: a typed-nil
 	// *SearchTree would reach the algorithm as a non-nil Tracer.
 	var (
 		tree *core.SearchTree
 		tr   core.Tracer
+		mw   *core.MultiWitness
 	)
 	if req.WantTrace {
 		tree = &core.SearchTree{}
 		tr = tree
 	}
-	var (
-		ok  bool
-		st  Stats
-		nVS int
-	)
-	switch req.Algorithm {
+	cq.Constraint = ccs[0].cons
+	start := time.Now()
+	switch alg {
 	case UIS:
-		ok, st, err = core.UISTraced(g, cq, tr)
-		nVS = -1
+		resp.Reachable, resp.Stats, err = core.UISTraced(g, cq, tr)
 	case UISStar:
-		vs := cc.vertexSet(g)
-		nVS = len(vs)
-		ok, st, err = core.UISStarTraced(g, cq, vs, tr)
+		vs := ccs[0].vertexSet(g)
+		resp.SatisfyingVertices = len(vs)
+		resp.Reachable, resp.Stats, err = core.UISStarTraced(g, cq, vs, tr)
 	case INS:
-		vs := cc.vertexSet(g)
-		nVS = len(vs)
-		ok, st, err = core.INSTraced(g, ep.idx, cq, vs, tr)
+		vs := ccs[0].vertexSet(g)
+		resp.SatisfyingVertices = len(vs)
+		resp.Reachable, resp.Stats, err = core.INSTraced(g, ep.idx, cq, vs, tr)
+	case Conjunctive:
+		var cons [MaxConstraints]*pattern.Constraint
+		for i, cc := range ccs[:k] {
+			cons[i] = cc.cons
+		}
+		mq := core.MultiQuery{Source: cq.Source, Target: cq.Target, Labels: cq.Labels,
+			Constraints: cons[:k], Interrupt: itr}
+		if req.WantWitness {
+			resp.Reachable, mw, resp.Stats, err = core.UISMultiWitness(g, mq)
+		} else {
+			resp.Reachable, resp.Stats, err = core.UISMulti(g, mq)
+		}
 	}
 	if err != nil {
 		return Response{}, err
 	}
-	resp.Reachable = ok
-	resp.Stats = st
 	resp.Elapsed = time.Since(start)
-	resp.SatisfyingVertices = nVS
+
 	if tree != nil {
 		var b strings.Builder
-		if err := tree.WriteDOT(&b, req.Algorithm.String(), g.VertexName); err != nil {
+		if err := tree.WriteDOT(&b, alg.String(), g.VertexName); err != nil {
 			return Response{}, err
 		}
 		resp.TraceDOT = b.String()
 	}
-	if req.WantWitness && ok {
-		w, found := core.FindWitness(g, cq.Source, cq.Target, st.Satisfying, cq.Labels)
+	if !req.WantWitness || !resp.Reachable {
+		return resp, nil
+	}
+	// The conjunctive search reads its witness back from its own walk;
+	// the single-constraint searches name only the satisfying vertex.
+	if mw == nil {
+		w, found := core.FindWitness(g, cq.Source, cq.Target, resp.Stats.Satisfying, cq.Labels)
 		if !found {
 			// Cannot happen for a sound algorithm; fail loudly rather
 			// than fabricate evidence.
 			return resp, fmt.Errorf("lscr: internal error: no witness for a true answer")
 		}
-		resp.Witness = &Witness{
-			Hops:        pathHops(g, w.Hops),
-			SatisfiedBy: []string{g.VertexName(w.Satisfying)},
-		}
+		mw = &core.MultiWitness{Hops: w.Hops, SatisfiedBy: []graph.VertexID{w.Satisfying}}
 	}
-	return resp, nil
-}
-
-// queryMulti runs a conjunctive request with the generalised
-// uninformed search.
-func (ep *epoch) queryMulti(req Request, cq core.Query, texts []string) (Response, error) {
-	g := ep.kg.g
-	if req.WantTrace {
-		return Response{}, fmt.Errorf("%w: trace is not supported for conjunctive requests", ErrInvalidRequest)
-	}
-	// The zero Algorithm (INS) on a multi-constraint request means "the
-	// caller did not pick": the conjunctive search is the only strategy
-	// for conjunctions. An explicit single-constraint choice is a
-	// contradiction worth reporting.
-	if req.Algorithm != Conjunctive && req.Algorithm != INS {
-		return Response{}, fmt.Errorf("%w: algorithm %v cannot answer a %d-constraint conjunction",
-			ErrInvalidRequest, req.Algorithm, len(texts))
-	}
-	mq := core.MultiQuery{
-		Source:    cq.Source,
-		Target:    cq.Target,
-		Labels:    cq.Labels,
-		Interrupt: cq.Interrupt,
-	}
-	for _, text := range texts {
-		cc, err := ep.compileConstraint(text)
-		if err != nil {
-			return Response{}, err
-		}
-		if !cc.sat {
-			// An unsatisfiable conjunct (V(S_i, G) empty by
-			// construction) makes the answer false without searching.
-			return Response{SatisfyingVertices: -1, Algorithm: Conjunctive}, nil
-		}
-		mq.Constraints = append(mq.Constraints, cc.cons)
-	}
-	if cq.Interrupt != nil {
-		if err := cq.Interrupt(); err != nil {
-			return Response{}, err
-		}
-	}
-	resp := Response{SatisfyingVertices: -1, Algorithm: Conjunctive}
-	start := time.Now()
-	if !req.WantWitness {
-		ok, st, err := core.UISMulti(g, mq)
-		if err != nil {
-			return Response{}, err
-		}
-		resp.Reachable = ok
-		resp.Stats = st
-		resp.Elapsed = time.Since(start)
-		return resp, nil
-	}
-	ok, w, st, err := core.UISMultiWitness(g, mq)
-	if err != nil {
-		return Response{}, err
-	}
-	resp.Reachable = ok
-	resp.Stats = st
-	resp.Elapsed = time.Since(start)
-	if ok {
-		uw := &Witness{Hops: pathHops(g, w.Hops)}
-		for _, v := range w.SatisfiedBy {
-			uw.SatisfiedBy = append(uw.SatisfiedBy, g.VertexName(v))
-		}
-		resp.Witness = uw
+	resp.Witness = &Witness{Hops: pathHops(g, mw.Hops), SatisfiedBy: make([]string, len(mw.SatisfiedBy))}
+	for i, v := range mw.SatisfiedBy {
+		resp.Witness.SatisfiedBy[i] = g.VertexName(v)
 	}
 	return resp, nil
 }
